@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
         "warm %llu, cache hits %llu)\n",
         "+Batch", t.Seconds(), static_cast<unsigned long long>(groups),
         flagged, static_cast<unsigned long long>(stats.CascadePruned()),
-        static_cast<unsigned long long>(stats.warm_solves),
+        static_cast<unsigned long long>(stats.solve.warm_solves),
         static_cast<unsigned long long>(stats.cache_hits));
   }
 

@@ -185,10 +185,10 @@ int main(int argc, char** argv) {
         d, dim_groups.size(), loop_ms, loop_flagged, batch_ms,
         batch_flagged,
         static_cast<unsigned long long>(stats.CascadePruned()),
-        static_cast<unsigned long long>(stats.warm_solves),
-        static_cast<unsigned long long>(stats.cold_solves),
+        static_cast<unsigned long long>(stats.solve.warm_solves),
+        static_cast<unsigned long long>(stats.solve.cold_solves),
         static_cast<unsigned long long>(stats.cache_hits),
-        stats.MeanNewtonIterations());
+        stats.solve.MeanNewtonIterations());
   }
   return 0;
 }

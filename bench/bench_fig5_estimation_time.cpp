@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <utility>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -160,19 +161,19 @@ void RegisterAll() {
   }
 }
 
-// ------------------------------- batched estimation: lane vs scalar
+// ---------------------------------- batched estimation: lane vs cold
 //
-// The acceptance experiment for the estimation engines. Two workloads
+// The acceptance experiment for the estimation engine. Two workloads
 // (drifting lognormal cohorts; uniform cells — the lane solver's
-// packing benchmark), three paths each:
+// packing benchmark), two paths each:
 //
-//   cold    per-group SolveMaxEnt loop (the PR-2 baseline)
-//   scalar  GroupByQuantiles, warm chains + cache, lane solver OFF
-//   lane    GroupByQuantiles with the lane-batched SIMD Newton solver
+//   cold    per-group SolveMaxEnt loop
+//   lane    GroupByQuantiles: similarity order, warm chains, cache, and
+//           the lane-batched SIMD Newton solver
 //
 // Reports wall clock per group, groups/s, the BatchStats lane counters
 // (occupancy, packed solves, fallbacks), and the worst quantile
-// deviation of the lane path against the scalar chain. Everything lands
+// deviation of the lane path against the cold solves. Everything lands
 // in BENCH_fig5.json.
 struct BatchRunResult {
   std::vector<double> ms;  // per-rep wall clock
@@ -181,11 +182,10 @@ struct BatchRunResult {
 };
 
 BatchRunResult RunBatch(const DataCube<MomentsSummary>& cube,
-                        const std::vector<double>& phis, bool lane,
-                        int threads, int reps) {
+                        const std::vector<double>& phis, int threads,
+                        int reps) {
   BatchRunResult out;
   BatchOptions options;
-  options.use_lane_solver = lane;
   options.threads = threads;
   for (int r = 0; r < reps; ++r) {
     BatchStats stats;
@@ -208,64 +208,61 @@ void RunBatchSolverSection(JsonReport* report, const char* workload,
   const std::vector<double> phis = {0.5, 0.99};
 
   // Cold loop: one independent solve per group (single rep; it is the
-  // slow baseline).
+  // slow baseline and the parity reference).
   uint64_t cold_newton = 0, cold_solved = 0;
+  std::map<CubeCoords, MaxEntDistribution> cold;
   Timer tc;
-  cube.store().ForEachGroup({0}, [&](const CubeCoords&,
+  cube.store().ForEachGroup({0}, [&](const CubeCoords& key,
                                      const MomentsSketch& sketch) {
     auto dist = SolveMaxEnt(sketch);
     if (!dist.ok()) return;
     cold_newton +=
         static_cast<uint64_t>(dist->diagnostics().newton_iterations);
     ++cold_solved;
+    cold.emplace(key, std::move(dist).value());
   });
   const double cold_ms = tc.Millis();
 
-  BatchRunResult scalar = RunBatch(cube, phis, /*lane=*/false, threads, reps);
-  BatchRunResult lane = RunBatch(cube, phis, /*lane=*/true, threads, reps);
+  BatchRunResult lane = RunBatch(cube, phis, threads, reps);
 
-  // Lane-vs-scalar parity: groups fitting the same moment subset must
-  // agree to Newton tolerance; subset changes (fallback chains dropping
-  // moments differently) are counted, not folded into the deviation.
+  // Lane-vs-cold parity: groups fitting the same moment subset must
+  // agree to Newton tolerance; subset changes (warm chains or fallback
+  // chains dropping moments differently) are counted, not folded into
+  // the deviation.
   double max_rel_dev = 0.0;
   size_t subset_diff = 0;
-  for (size_t g = 0; g < lane.results.size(); ++g) {
-    const GroupQuantiles& rl = lane.results[g];
-    const GroupQuantiles& rs = scalar.results[g];
-    if (!rl.status.ok() || !rs.status.ok()) continue;
-    if (std::make_pair(rl.k1, rl.k2) != std::make_pair(rs.k1, rs.k2)) {
+  for (const GroupQuantiles& rl : lane.results) {
+    auto it = cold.find(rl.key);
+    if (!rl.status.ok() || rl.used_atomic || it == cold.end()) continue;
+    const MaxEntDiagnostics& diag = it->second.diagnostics();
+    if (std::make_pair(rl.k1, rl.k2) != std::make_pair(diag.k1, diag.k2)) {
       ++subset_diff;
       continue;
     }
     for (size_t p = 0; p < phis.size(); ++p) {
-      const double qs = rs.quantiles[p];
+      const double qc = it->second.Quantile(phis[p]);
       max_rel_dev = std::max(
           max_rel_dev,
-          std::fabs(rl.quantiles[p] - qs) / std::max(1.0, std::fabs(qs)));
+          std::fabs(rl.quantiles[p] - qc) / std::max(1.0, std::fabs(qc)));
     }
   }
 
   const double g = static_cast<double>(groups);
-  const double scalar_ms = MedianOf(scalar.ms);
   const double lane_ms = MedianOf(lane.ms);
-  const double speedup = lane_ms > 0 ? scalar_ms / lane_ms : 0.0;
+  const double speedup = lane_ms > 0 ? cold_ms / lane_ms : 0.0;
   auto groups_per_s = [&](double ms) { return ms > 0 ? 1e3 * g / ms : 0.0; };
   std::printf(
-      "  cold loop   : %9.1f ms  (%7.1f us/group)  iters %.2f\n", cold_ms,
-      1e3 * cold_ms / g,
+      "  cold loop   : %9.1f ms  (%7.1f us/group, %8.0f groups/s)  "
+      "iters %.2f\n",
+      cold_ms, 1e3 * cold_ms / g, groups_per_s(cold_ms),
       cold_solved ? static_cast<double>(cold_newton) /
                         static_cast<double>(cold_solved)
                   : 0.0);
   std::printf(
-      "  scalar chain: %9.1f ms  (%7.1f us/group, %8.0f groups/s)  "
-      "iters %.2f\n",
-      scalar_ms, 1e3 * scalar_ms / g, groups_per_s(scalar_ms),
-      scalar.stats.MeanNewtonIterations());
-  std::printf(
       "  lane solver : %9.1f ms  (%7.1f us/group, %8.0f groups/s)  "
-      "iters %.2f  -> %.2fx scalar chain\n",
+      "iters %.2f  -> %.2fx cold loop\n",
       lane_ms, 1e3 * lane_ms / g, groups_per_s(lane_ms),
-      lane.stats.MeanNewtonIterations(), speedup);
+      lane.stats.solve.MeanNewtonIterations(), speedup);
   std::printf(
       "  lane stats  : occupancy %.2f | packed %llu (%llu lanes) | "
       "escalated %llu | fallbacks %llu | warm lanes %llu\n",
@@ -276,24 +273,18 @@ void RunBatchSolverSection(JsonReport* report, const char* workload,
       static_cast<unsigned long long>(lane.stats.lane.lane_fallbacks),
       static_cast<unsigned long long>(lane.stats.lane.warm_lanes));
   std::printf(
-      "  parity      : max relative quantile deviation vs scalar %.3g "
+      "  parity      : max relative quantile deviation vs cold %.3g "
       "(same subset); %zu group(s) fit a different subset\n",
       max_rel_dev, subset_diff);
 
   const std::string section = std::string("batch_") + workload;
   report->Add(section, "cold_loop", {cold_ms},
               {{"groups", g}, {"groups_per_s", groups_per_s(cold_ms)}});
-  report->Add(section, "scalar_chain", scalar.ms,
-              {{"groups", g},
-               {"groups_per_s", groups_per_s(scalar_ms)},
-               {"mean_newton_iters", scalar.stats.MeanNewtonIterations()},
-               {"cache_hits",
-                static_cast<double>(scalar.stats.cache_hits)}});
   report->Add(
       section, "lane_solver", lane.ms,
       {{"groups", g},
        {"groups_per_s", groups_per_s(lane_ms)},
-       {"speedup_vs_scalar_chain", speedup},
+       {"speedup_vs_cold_loop", speedup},
        {"lane_occupancy", lane.stats.LaneOccupancy()},
        {"packed_solves",
         static_cast<double>(lane.stats.lane.packed_solves)},
@@ -302,8 +293,9 @@ void RunBatchSolverSection(JsonReport* report, const char* workload,
         static_cast<double>(lane.stats.lane.lane_fallbacks)},
        {"lane_escalated",
         static_cast<double>(lane.stats.lane.lane_escalated)},
-       {"mean_newton_iters", lane.stats.MeanNewtonIterations()},
-       {"max_rel_dev_vs_scalar", max_rel_dev},
+       {"mean_newton_iters", lane.stats.solve.MeanNewtonIterations()},
+       {"cache_hits", static_cast<double>(lane.stats.cache_hits)},
+       {"max_rel_dev_vs_cold", max_rel_dev},
        {"subset_diffs", static_cast<double>(subset_diff)}});
 }
 

@@ -15,6 +15,12 @@
 //                answer is uncertified or its certificate misses the
 //                true quantile. `backend` is the QuantileBackend enum
 //                value of the phi=0.5 answer.
+//   groupby      the same datasets as groups of one cube (four cells
+//                each, KLL side column on), answered by one certified
+//                GROUP BY (GroupByQuantilesCertified: the lane-batched
+//                pipeline with the router's chain around its solves).
+//                Rows carry the same `certified` / `contains_truth`
+//                flags; the samples time the whole GROUP BY call.
 //   counters     one row of cumulative RouterStats over the whole run
 //                (solver failures absorbed, conditioning rejects,
 //                fallback depths) so a latency regression can be read
@@ -30,7 +36,10 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
+#include "common/macros.h"
 #include "core/moments_sketch.h"
+#include "cube/batch_query.h"
+#include "cube/cube_store.h"
 #include "cube/summary_router.h"
 #include "numerics/stats.h"
 #include "sketches/kll_sketch.h"
@@ -164,6 +173,72 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Certified GROUP BY over every dataset at once: one group each,
+  // split over four cells so the group merge runs too.
+  {
+    std::vector<const char*> names;
+    for (const Suite& suite : suites) {
+      names.insert(names.end(), suite.datasets.begin(), suite.datasets.end());
+    }
+    constexpr uint32_t kCellsPerGroup = 4;
+    CubeStore store(2, 10);
+    store.EnableKll(64);
+    std::vector<std::vector<double>> sorted(names.size());
+    for (uint32_t g = 0; g < names.size(); ++g) {
+      sorted[g] = NamedData(names[g], rows);
+      const size_t per = (rows + kCellsPerGroup - 1) / kCellsPerGroup;
+      for (uint32_t c = 0; c < kCellsPerGroup; ++c) {
+        const size_t begin = std::min(rows, c * per);
+        const size_t end = std::min(rows, begin + per);
+        if (begin == end) continue;
+        MomentsSketch s(10);
+        KllSketch kll(64);
+        for (size_t i = begin; i < end; ++i) {
+          s.Accumulate(sorted[g][i]);
+          kll.Accumulate(sorted[g][i]);
+        }
+        MSKETCH_CHECK(store.ApplyDelta({g, c}, s).ok());
+        MSKETCH_CHECK(store.ApplyKllDelta({g, c}, kll).ok());
+      }
+      std::sort(sorted[g].begin(), sorted[g].end());
+    }
+    const std::vector<double> phis(kPhiGrid, kPhiGrid + 5);
+    std::vector<GroupQuantilesCertified> groups;
+    const std::vector<double> call_ms = TimeReps(reps, [&] {
+      groups = GroupByQuantilesCertified(store, {0}, phis);
+    });
+    MSKETCH_CHECK(groups.size() == names.size());
+    for (const GroupQuantilesCertified& grp : groups) {
+      const std::vector<double>& rows_sorted = sorted[grp.key[0]];
+      const double lo = rows_sorted.front(), hi = rows_sorted.back();
+      const double range = std::max(hi - lo, 1e-300);
+      const double slack = 1e-6 * (std::abs(hi) + std::abs(lo) + 1.0);
+      bool certified = grp.answers.size() == phis.size() &&
+                       grp.count == rows_sorted.size();
+      bool contains_truth = certified;
+      std::vector<double> widths;
+      for (size_t i = 0; i < grp.answers.size(); ++i) {
+        const CertifiedQuantile& a = grp.answers[i];
+        certified = certified && a.status.ok() && a.certified;
+        const double truth = QuantileOfSorted(rows_sorted, phis[i]);
+        contains_truth = contains_truth &&
+                         a.interval.lower <= truth + slack &&
+                         a.interval.upper >= truth - slack;
+        widths.push_back(a.interval.width() / range);
+      }
+      report.Add("groupby", names[grp.key[0]], call_ms,
+                 {{"rows", static_cast<double>(grp.count)},
+                  {"rel_interval_width_p50",
+                   widths.empty() ? 0.0 : MedianOf(widths)},
+                  {"backend", grp.answers.empty()
+                                  ? -1.0
+                                  : static_cast<double>(
+                                        grp.answers[2].backend)}},
+                 {{"certified", certified},
+                  {"contains_truth", contains_truth}});
+    }
+  }
+
   const RouterStats& st = router.stats();
   report.Add("counters", "totals", {0.0},
              {{"queries", static_cast<double>(st.queries)},
@@ -178,11 +253,11 @@ int main(int argc, char** argv) {
               {"conditioning_rejects",
                static_cast<double>(st.conditioning_rejects)},
               {"solver_failures", static_cast<double>(st.solver_failures)},
-              {"warm_solves", static_cast<double>(st.warm_solves)},
-              {"cold_solves", static_cast<double>(st.cold_solves)},
-              {"iteration_capped", static_cast<double>(st.iteration_capped)},
+              {"warm_solves", static_cast<double>(st.solve.warm_solves)},
+              {"cold_solves", static_cast<double>(st.solve.cold_solves)},
+              {"iteration_capped", static_cast<double>(st.solve.iteration_capped)},
               {"atomic_screen_hits",
-               static_cast<double>(st.atomic_screen_hits)}});
+               static_cast<double>(st.solve.atomic_screen_hits)}});
   report.Write();
   return 0;
 }

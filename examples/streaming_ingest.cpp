@@ -53,10 +53,12 @@ int main() {
     for (const char* region : regions) {
       auto filter = cube.EncodeFilter({region, "checkout"});
       if (!filter.ok()) continue;  // dictionary may not have seen it yet
-      auto p99 = cube.QueryQuantile(filter.value(), 0.99);
-      if (p99.ok()) {
-        std::printf("  p99 latency, %s checkout : %7.1f ms\n", region,
-                    p99.value());
+      const CertifiedQuantile p99 =
+          cube.QueryQuantileCertified(filter.value(), 0.99);
+      if (p99.status.ok()) {
+        std::printf("  p99 latency, %s checkout : %7.1f ms in [%.1f, %.1f]\n",
+                    region, p99.estimate, p99.interval.lower,
+                    p99.interval.upper);
       }
     }
   }

@@ -6,6 +6,7 @@
 #ifndef MSKETCH_COMMON_STATUS_H_
 #define MSKETCH_COMMON_STATUS_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -27,6 +28,13 @@ enum class StatusCode : int {
   kCorruption = 10,       // on-disk data failed a checksum or invariant
   kDeadlineExceeded = 11,  // bounded wait expired (e.g. backpressure stall)
   kUnavailable = 12,       // peer/resource transiently unreachable — retry
+};
+
+/// Typed refinement of a status code, set where the error arises so
+/// callers branch on it instead of matching message text.
+enum class StatusReason : uint8_t {
+  kNone = 0,
+  kAtomicMeasure = 1,  // maxent refused: moments match a near-discrete measure
 };
 
 /// Lightweight status object. Ok status carries no allocation.
@@ -78,12 +86,23 @@ class Status {
     static const std::string kEmpty;
     return ok() ? kEmpty : state_->msg;
   }
+  StatusReason reason() const {
+    return ok() ? StatusReason::kNone : state_->reason;
+  }
+  /// This status with `reason` attached (OK stays OK).
+  Status WithReason(StatusReason reason) const {
+    if (ok()) return *this;
+    Status out(state_->code, state_->msg);
+    out.state_->reason = reason;
+    return out;
+  }
   std::string ToString() const;
 
  private:
   struct State {
     StatusCode code;
     std::string msg;
+    StatusReason reason = StatusReason::kNone;
   };
   Status(StatusCode code, std::string msg)
       : state_(std::make_shared<State>(State{code, std::move(msg)})) {}

@@ -408,7 +408,6 @@ void LaneMaxEntSolver::Enqueue(size_t tag, const MomentsSketch& sketch) {
   Status st = lane.problem.Prepare(sketch, opt_, &cond_memo_);
   if (!st.ok()) {
     ++stats_.prep_failures;
-    if (lane.problem.atomic_screened()) ++stats_.atomic_screen_hits;
     sink_(tag, st);
     return;
   }
@@ -542,7 +541,6 @@ void LaneMaxEntSolver::SolveBucket(Bucket* bucket) {
       // (including the drop-moments backoff chain), so answers never
       // regress.
       ++stats_.lane_fallbacks;
-      if (outcome.capped[l]) ++stats_.iteration_capped;
       std::vector<double> seed(pack.d);
       bool seeded = outcome.capped[l];
       for (size_t p = 0; p < pack.d && seeded; ++p) {

@@ -33,11 +33,11 @@
 //   * per-lane results differ from scalar solves only through the exp
 //     kernel (~1 ulp per evaluation) — parity is within Newton's own
 //     grad_tol-implied tolerance, not bit-identity. Callers needing
-//     bit-exact scalar parity use BatchOptions::use_lane_solver=false.
+//     bit-exact SolveMaxEnt answers call SolveMaxEnt per group.
 //
 // Warm chaining: each bucket remembers its last converged theta; new
 // lanes whose targets pass the warm gate start there (with the adaptive
-// opening step), mirroring the scalar chain's WarmStart handoff within
+// opening step), mirroring SolveMaxEnt's WarmStart handoff within
 // a fixed moment subset.
 #ifndef MSKETCH_CORE_BATCH_SOLVER_H_
 #define MSKETCH_CORE_BATCH_SOLVER_H_
@@ -70,9 +70,6 @@ struct LaneSolverStats {
   uint64_t lane_fallbacks = 0;  // diverged; re-solved by the scalar loop
   uint64_t warm_lanes = 0;      // seeded from the bucket chain
   uint64_t prep_failures = 0;   // empty/atomic/unusable groups
-  /// Degradation counters (previously dropped inside the lane solver):
-  uint64_t atomic_screen_hits = 0;  // prep refusals from the atomic screen
-  uint64_t iteration_capped = 0;    // lanes stopped at max_newton_iter
 
   /// Mean fraction of lanes occupied per packed solve (0 when none ran).
   double LaneOccupancy() const {
@@ -90,8 +87,6 @@ struct LaneSolverStats {
     lane_fallbacks += other.lane_fallbacks;
     warm_lanes += other.warm_lanes;
     prep_failures += other.prep_failures;
-    atomic_screen_hits += other.atomic_screen_hits;
-    iteration_capped += other.iteration_capped;
   }
 };
 

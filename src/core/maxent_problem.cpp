@@ -368,7 +368,6 @@ Status MaxEntProblem::Prepare(const MomentsSketch& sketch,
                               const MaxEntOptions& options,
                               CondMemo* cond_memo) {
   opt_ = options;
-  atomic_screened_ = false;
   cold_restarts_ = 0;
   iteration_capped_ = 0;
   backoff_drops_ = 0;
@@ -421,9 +420,10 @@ Status MaxEntProblem::Prepare(const MomentsSketch& sketch,
       atomic = FitAtomicScaled(log_scaled, 1e-9).ok();
     }
     if (atomic) {
-      atomic_screened_ = true;
       return Status::NotConverged(
-          "SolveMaxEnt: moments match an atomic (near-discrete) measure");
+                 "SolveMaxEnt: moments match an atomic (near-discrete) "
+                 "measure")
+          .WithReason(StatusReason::kAtomicMeasure);
     }
   }
 

@@ -77,8 +77,9 @@ class MaxEntProblem {
   /// Runs every phase up to (and including) moment selection at
   /// options.min_grid. Statuses mirror SolveMaxEnt: InvalidArgument for
   /// empty sketches, Unsupported when no moment is usable, NotConverged
-  /// when the moments match an atomic measure or conditioning excluded
-  /// every moment. Point masses return OK with degenerate() set — the
+  /// when the moments match an atomic measure (reason
+  /// StatusReason::kAtomicMeasure) or conditioning excluded every
+  /// moment. Point masses return OK with degenerate() set — the
   /// caller packages those without a solve.
   Status Prepare(const MomentsSketch& sketch, const MaxEntOptions& options,
                  CondMemo* cond_memo = nullptr);
@@ -87,10 +88,6 @@ class MaxEntProblem {
   /// The point-mass distribution for a degenerate problem.
   MaxEntDistribution MakeDegenerate() const;
 
-  /// True when Prepare refused the group because its moments match an
-  /// atomic (near-discrete) measure — the router's signal to answer from
-  /// the atomic fit or a rank-sketch backend instead.
-  bool atomic_screened() const { return atomic_screened_; }
   /// Fallback-chain counters accumulated by SolveFrom (also exported in
   /// MaxEntDiagnostics by Package).
   int cold_restarts() const { return cold_restarts_; }
@@ -171,7 +168,6 @@ class MaxEntProblem {
 
   MaxEntOptions opt_;
   bool degenerate_ = false;
-  bool atomic_screened_ = false;
   int cold_restarts_ = 0;
   int iteration_capped_ = 0;
   int backoff_drops_ = 0;

@@ -14,6 +14,7 @@
 #ifndef MSKETCH_CORE_MAXENT_SOLVER_H_
 #define MSKETCH_CORE_MAXENT_SOLVER_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -65,11 +66,48 @@ struct MaxEntDiagnostics {
   double condition_number = 0.0;
   bool log_primary = false;  // solved in log-domain (Appendix A, Eq. 8)
   bool warm_started = false;  // solution seeded from a WarmStart hint
-  /// Robustness counters for the fallback chain (surfaced into
-  /// BatchStats/QueryStats by the batch pipeline and the summary router).
+  /// Robustness counters for the fallback chain (surfaced through
+  /// SolveCounters by the batch pipeline and the summary router).
   int cold_restarts = 0;     // warm seed failed; restarted from cold seed
   int iteration_capped = 0;  // Newton runs stopped at max_newton_iter
   int backoff_drops = 0;     // drop-moments retries after divergence
+};
+
+/// Solver work and degradation counters, shared by the batch pipeline's
+/// BatchStats and the router's RouterStats. Successful solves are
+/// recorded from their diagnostics, refusals from their status reason.
+struct SolveCounters {
+  uint64_t warm_solves = 0;
+  uint64_t cold_solves = 0;
+  uint64_t newton_iterations = 0;  // summed over warm + cold solves
+  uint64_t cold_restarts = 0;      // warm seeds that failed to transfer
+  uint64_t iteration_capped = 0;   // Newton runs stopped at the cap
+  uint64_t atomic_screen_hits = 0;  // refusals by the atomic screen
+
+  void Record(const MaxEntDiagnostics& diag) {
+    ++(diag.warm_started ? warm_solves : cold_solves);
+    newton_iterations += static_cast<uint64_t>(diag.newton_iterations);
+    cold_restarts += static_cast<uint64_t>(diag.cold_restarts);
+    iteration_capped += static_cast<uint64_t>(diag.iteration_capped);
+  }
+  void RecordRefusal(const Status& status) {
+    if (status.reason() == StatusReason::kAtomicMeasure) ++atomic_screen_hits;
+  }
+  double MeanNewtonIterations() const {
+    const uint64_t solves = cold_solves + warm_solves;
+    return solves == 0
+               ? 0.0
+               : static_cast<double>(newton_iterations) /
+                     static_cast<double>(solves);
+  }
+  void MergeFrom(const SolveCounters& other) {
+    warm_solves += other.warm_solves;
+    cold_solves += other.cold_solves;
+    newton_iterations += other.newton_iterations;
+    cold_restarts += other.cold_restarts;
+    iteration_capped += other.iteration_capped;
+    atomic_screen_hits += other.atomic_screen_hits;
+  }
 };
 
 /// Seed state exported from a previous solve. Warm-starting a
@@ -142,7 +180,8 @@ class MaxEntDistribution {
 
 /// Solves the maximum entropy problem for the sketch. Returns NotConverged
 /// when no density matches the moments (e.g. datasets with fewer than ~5
-/// distinct values, Section 6.2.3) and InvalidArgument for empty sketches.
+/// distinct values, Section 6.2.3; a refusal by the atomic screen carries
+/// StatusReason::kAtomicMeasure) and InvalidArgument for empty sketches.
 /// A non-null `hint` (from a previous solution's warm_start()) seeds the
 /// moment selection, theta, and quadrature grid; the solver falls back to
 /// the cold path when the hint does not transfer.

@@ -64,10 +64,10 @@ void PublishBatchStats(const BatchStats& s) {
       "Lanes seeded from the bucket's warm chain");
   static obs::Counter* const lane_prep_failures = reg.GetCounter(
       "msk_lane_solver_prep_failures_total", {},
-      "Groups rejected at lane prep (routed to the scalar chain)");
+      "Groups refused at lane prep (empty, atomic or unusable moments)");
   groups->Add(s.groups);
-  cold->Add(s.cold_solves);
-  warm->Add(s.warm_solves);
+  cold->Add(s.solve.cold_solves);
+  warm->Add(s.solve.warm_solves);
   cache_hits->Add(s.cache_hits);
   failed->Add(s.failed_solves);
   atomic_fb->Add(s.atomic_fallbacks);
@@ -174,81 +174,10 @@ std::vector<Group> CollectGroups(const CubeStore& store,
   return groups;
 }
 
-// The cache -> warm-start -> cold solve tiers, chained per worker.
-class TieredSolver {
- public:
-  TieredSolver(SolverCache* cache, bool use_warm,
-               const MaxEntOptions& maxent, BatchStats* stats)
-      : cache_(cache), use_warm_(use_warm), maxent_(maxent), stats_(stats) {}
-
-  /// Solved distribution for the sketch, or the solver's error. Updates
-  /// the chain state and stats.
-  Result<std::shared_ptr<const MaxEntDistribution>> Solve(
-      const MomentsSketch& sketch) {
-    // Failure memo first (cheaper than a cache key build): the
-    // similarity order puts identical-moment groups adjacent, and a
-    // failed solve (near-discrete data) is the most expensive kind — the
-    // full Newton backoff chain. Don't repeat it, and don't charge a
-    // cache miss, for a byte-identical neighbor.
-    if (failed_valid_ && failed_sketch_.IdenticalTo(sketch)) {
-      return failed_status_;
-    }
-    std::string key;
-    if (cache_ != nullptr) {
-      if (auto hit = cache_->Lookup(sketch, maxent_, &key)) {
-        ++stats_->cache_hits;
-        if (hit->warm_start().valid()) last_ = hit;
-        return hit;
-      }
-    }
-    const WarmStart* hint =
-        (use_warm_ && last_ != nullptr && last_->warm_start().valid())
-            ? &last_->warm_start()
-            : nullptr;
-    Result<MaxEntDistribution> res = SolveMaxEnt(sketch, maxent_, hint);
-    if (!res.ok()) {
-      if (res.status().message().find("atomic") != std::string::npos) {
-        ++stats_->atomic_screen_hits;
-      }
-      failed_valid_ = true;
-      failed_sketch_ = sketch;
-      failed_status_ = res.status();
-      return res.status();
-    }
-    stats_->newton_iterations +=
-        static_cast<uint64_t>(res->diagnostics().newton_iterations);
-    stats_->cold_restarts +=
-        static_cast<uint64_t>(res->diagnostics().cold_restarts);
-    stats_->iteration_capped +=
-        static_cast<uint64_t>(res->diagnostics().iteration_capped);
-    if (res->diagnostics().warm_started) {
-      ++stats_->warm_solves;
-    } else {
-      ++stats_->cold_solves;
-    }
-    auto dist =
-        std::make_shared<const MaxEntDistribution>(std::move(res.value()));
-    if (cache_ != nullptr) cache_->InsertWithKey(std::move(key), dist);
-    if (dist->warm_start().valid()) last_ = dist;
-    return dist;
-  }
-
- private:
-  SolverCache* cache_;
-  bool use_warm_;
-  const MaxEntOptions& maxent_;
-  BatchStats* stats_;
-  std::shared_ptr<const MaxEntDistribution> last_;
-  bool failed_valid_ = false;
-  MomentsSketch failed_sketch_{1};
-  Status failed_status_;
-};
-
-// Per-shard solve facade over the two engines: the lane-batched solver
-// (default; results delivered through a consumer, possibly after later
-// Solve calls fill the lane bucket) or the scalar TieredSolver (consumer
-// invoked synchronously; bit-exact with per-group SolveMaxEnt when warm
-// starts are off). Callers must invoke Finish() to drain pending lanes
+// Per-shard solve facade over the lane-batched solver: cache lookup,
+// in-flight coalescing of identical-key groups, then a lane. Results
+// arrive through a consumer, possibly after later Solve calls fill the
+// lane bucket; callers must invoke Finish() to drain pending lanes
 // before reading results.
 class ChainSolver {
  public:
@@ -260,25 +189,15 @@ class ChainSolver {
       : cache_(cache),
         options_(options),
         stats_(stats),
-        tiered_(cache, options.use_warm_start, options.maxent, stats) {
-    if (options_.use_lane_solver) {
-      lane_.reset(new LaneMaxEntSolver(
-          options_.maxent, options_.use_warm_start,
-          [this](size_t req, Result<MaxEntDistribution> res) {
-            OnLaneResult(req, std::move(res));
-          }));
-    }
-  }
+        lane_(options.maxent, options.use_warm_start,
+              [this](size_t req, Result<MaxEntDistribution> res) {
+                OnLaneResult(req, std::move(res));
+              }) {}
 
   /// Requests a solve; `consumer` runs exactly once, either now (cache
-  /// hit / scalar engine / degenerate group) or when the group's lane
-  /// bucket solves. References captured by the consumer must outlive
-  /// Finish().
+  /// hit / degenerate or refused group) or when the group's lane bucket
+  /// solves. References captured by the consumer must outlive Finish().
   void Solve(const MomentsSketch& sketch, Consumer consumer) {
-    if (lane_ == nullptr) {
-      consumer(tiered_.Solve(sketch));
-      return;
-    }
     std::string key;
     if (cache_ != nullptr) {
       if (auto hit = cache_->Lookup(sketch, options_.maxent, &key)) {
@@ -301,15 +220,13 @@ class ChainSolver {
     requests_.push_back(Request{std::move(key), {}});
     requests_[req].consumers.push_back(std::move(consumer));
     if (cache_ != nullptr) pending_by_key_[requests_[req].key] = req;
-    lane_->Enqueue(req, sketch);
+    lane_.Enqueue(req, sketch);
   }
 
   /// Drains every pending lane bucket (delivering their consumers).
   void Finish() {
-    if (lane_ != nullptr) {
-      lane_->FlushAll();
-      stats_->lane.MergeFrom(lane_->stats());
-    }
+    lane_.FlushAll();
+    stats_->lane.MergeFrom(lane_.stats());
   }
 
  private:
@@ -323,22 +240,10 @@ class ChainSolver {
     if (cache_ != nullptr) pending_by_key_.erase(r.key);
     DistResult out = [&]() -> DistResult {
       if (!res.ok()) {
-        if (res.status().message().find("atomic") != std::string::npos) {
-          ++stats_->atomic_screen_hits;
-        }
+        stats_->solve.RecordRefusal(res.status());
         return res.status();
       }
-      stats_->newton_iterations +=
-          static_cast<uint64_t>(res->diagnostics().newton_iterations);
-      stats_->cold_restarts +=
-          static_cast<uint64_t>(res->diagnostics().cold_restarts);
-      stats_->iteration_capped +=
-          static_cast<uint64_t>(res->diagnostics().iteration_capped);
-      if (res->diagnostics().warm_started) {
-        ++stats_->warm_solves;
-      } else {
-        ++stats_->cold_solves;
-      }
+      stats_->solve.Record(res->diagnostics());
       auto dist =
           std::make_shared<const MaxEntDistribution>(std::move(res.value()));
       if (cache_ != nullptr && !r.key.empty()) {
@@ -353,16 +258,15 @@ class ChainSolver {
   SolverCache* cache_;
   const BatchOptions& options_;
   BatchStats* stats_;
-  TieredSolver tiered_;
-  std::unique_ptr<LaneMaxEntSolver> lane_;
+  LaneMaxEntSolver lane_;
   std::deque<Request> requests_;
   std::unordered_map<std::string, size_t> pending_by_key_;
 };
 
 // Shards the similarity-ordered groups and runs `process(index, solver,
 // shard_stats, shard)` for each group index; merges per-shard stats into
-// *stats. Pending lane solves drain before a shard finishes, so every
-// consumer has run by the time this returns.
+// *stats and publishes them. Pending lane solves drain before a shard
+// finishes, so every consumer has run by the time this returns.
 template <typename ProcessFn>
 void RunChains(size_t num_groups, const BatchOptions& options,
                BatchStats* stats, const ProcessFn& process) {
@@ -386,6 +290,18 @@ void RunChains(size_t num_groups, const BatchOptions& options,
                  });
   stats->groups = num_groups;
   for (const BatchStats& st : shard_stats) stats->MergeFrom(st);
+  PublishBatchStats(*stats);
+}
+
+// The filter selecting one group's cells.
+CubeFilter GroupFilter(const CubeStore& store,
+                       const std::vector<size_t>& group_dims,
+                       const CubeCoords& key) {
+  CubeFilter filter(store.num_dims(), kAnyValue);
+  for (size_t g = 0; g < group_dims.size(); ++g) {
+    filter[group_dims[g]] = static_cast<int64_t>(key[g]);
+  }
+  return filter;
 }
 
 }  // namespace
@@ -437,7 +353,6 @@ std::vector<GroupQuantiles> GroupByQuantiles(
             [](const GroupQuantiles& a, const GroupQuantiles& b) {
               return a.key < b.key;
             });
-  PublishBatchStats(local_stats);
   if (stats != nullptr) *stats = local_stats;
   return out;
 }
@@ -450,7 +365,7 @@ std::vector<GroupThreshold> GroupByThreshold(
   BatchStats local_stats;
   // One bounds cascade per shard; stats merge afterwards. The cascade's
   // own maxent stage is bypassed — unresolved groups route through the
-  // shard's tiered solver so they join the warm-start chain.
+  // shard's chain solver so they join the lane buckets.
   std::vector<ThresholdCascade> cascades(
       static_cast<size_t>(std::max(1, options.threads)),
       ThresholdCascade(options.cascade));
@@ -502,8 +417,56 @@ std::vector<GroupThreshold> GroupByThreshold(
             [](const GroupThreshold& a, const GroupThreshold& b) {
               return a.key < b.key;
             });
-  PublishBatchStats(local_stats);
   if (stats != nullptr) *stats = local_stats;
+  return out;
+}
+
+std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
+    const CubeStore& store, const std::vector<size_t>& group_dims,
+    const std::vector<double>& phis, const RouterOptions& options,
+    RouterStats* stats) {
+  std::vector<Group> groups = CollectGroups(store, group_dims);
+  const size_t n = groups.size();
+  std::vector<GroupQuantilesCertified> out(n);
+  // Each group's rank sketch, merged once (null without a KLL column).
+  std::vector<KllSketch> klls(store.kll_enabled() ? n : 0);
+  std::vector<const KllSketch*> kll_of(n, nullptr);
+  BatchOptions batch;
+  batch.maxent = options.maxent;
+  BatchStats batch_stats;
+  // Default BatchOptions run one shard, so one RouterStats suffices.
+  RouterStats router_stats;
+  RunChains(n, batch, &batch_stats,
+            [&](size_t i, ChainSolver* solver, BatchStats*, int) {
+              const Group& g = groups[i];
+              out[i].key = g.key;
+              out[i].count = g.sketch.count();
+              if (store.kll_enabled()) {
+                Result<KllSketch> merged =
+                    store.MergeKllWhere(GroupFilter(store, group_dims, g.key));
+                if (merged.ok()) {
+                  klls[i] = std::move(merged).value();
+                  kll_of[i] = &klls[i];
+                }
+              }
+              if (RoutePreSolve(options, g.sketch, kll_of[i], phis,
+                                &out[i].answers, &router_stats)) {
+                return;
+              }
+              solver->Solve(g.sketch,
+                            [&, i](const ChainSolver::DistResult& dist) {
+                              RoutePostSolve(
+                                  groups[i].sketch, kll_of[i], phis,
+                                  dist.ok() ? dist.value().get() : nullptr,
+                                  &out[i].answers, &router_stats);
+                            });
+            });
+  std::sort(out.begin(), out.end(),
+            [](const GroupQuantilesCertified& a,
+               const GroupQuantilesCertified& b) { return a.key < b.key; });
+  router_stats.solve.MergeFrom(batch_stats.solve);
+  PublishRouterStats(router_stats);
+  if (stats != nullptr) stats->MergeFrom(router_stats);
   return out;
 }
 

@@ -17,7 +17,11 @@
 //      duplicates coalesce onto one pending lane);
 //   4. threshold queries run the cascade's bound stages first, so most
 //      groups never reach the solver at all (Section 5.2) — survivors
-//      stream into the lane buckets.
+//      stream into the lane buckets;
+//   5. certified GROUP BY runs the summary router's pre-solve stage per
+//      group first (certificates, point masses, the Hankel pre-screen
+//      to KLL), so only groups that need a solve enter a lane; the
+//      router's post-solve stage runs in the lane consumer.
 //
 // Chains are contiguous slices of the similarity order, sharded across
 // threads via parallel/parallel_for.h; the (lock-striped) cache is
@@ -34,6 +38,7 @@
 #include "core/maxent_solver.h"
 #include "core/solver_cache.h"
 #include "cube/cube_types.h"
+#include "cube/summary_router.h"
 
 namespace msketch {
 
@@ -43,17 +48,12 @@ struct BatchOptions {
   CascadeOptions cascade;
   /// Worker threads; each gets a contiguous chain of similar groups.
   int threads = 1;
-  /// Seed each solve from the previous solution in its chain. Warm and
-  /// cold solves converge to the same grad_tol moment match, but may pick
-  /// slightly different moment subsets; disable for bit-exact parity with
-  /// per-group SolveMaxEnt.
+  /// Seed each lane from the last converged solution in its bucket.
+  /// Warm and cold solves converge to the same grad_tol moment match;
+  /// disable to make every lane start cold. Either way the lane engine
+  /// agrees with per-group SolveMaxEnt to Newton tolerance, not
+  /// bit-for-bit (the vectorized exp kernel differs from libm by ~1 ulp).
   bool use_warm_start = true;
-  /// Pack same-subset groups into the lane-batched SIMD Newton solver
-  /// (core/batch_solver.h) — the default estimation engine. Lane solves
-  /// agree with scalar solves to Newton tolerance but not bit-for-bit
-  /// (the vectorized exp kernel differs from libm by ~1 ulp); disable
-  /// for bit-exact parity with per-group SolveMaxEnt.
-  bool use_lane_solver = true;
   /// Consult/populate a solver cache. Uses `cache` when set, else a
   /// per-batch cache of `cache_capacity` entries.
   bool use_cache = true;
@@ -64,48 +64,29 @@ struct BatchOptions {
 /// Per-batch estimation diagnostics (surfaced by the fig5/fig6 benches).
 struct BatchStats {
   uint64_t groups = 0;
-  uint64_t cold_solves = 0;
-  uint64_t warm_solves = 0;
   uint64_t cache_hits = 0;
   uint64_t failed_solves = 0;     // solver + atomic fallback both failed
   uint64_t atomic_fallbacks = 0;  // answered by the atomic-fit estimator
-  uint64_t newton_iterations = 0;  // summed over warm + cold solves
-  /// Degradation counters, aggregated across both solve engines (these
-  /// used to be dropped inside the solvers):
-  uint64_t cold_restarts = 0;      // warm seeds that failed to transfer
-  uint64_t iteration_capped = 0;   // Newton runs stopped at the cap
-  uint64_t atomic_screen_hits = 0;  // groups refused by the atomic screen
+  /// Warm/cold solves, Newton work and degradation counters.
+  SolveCounters solve;
   /// Bound-stage counters (GroupByThreshold only).
   CascadeStats cascade;
-  /// Lane-solver counters (packed solves, occupancy, fallbacks); all
-  /// zero when use_lane_solver is off.
+  /// Lane-solver counters (packed solves, occupancy, fallbacks).
   LaneSolverStats lane;
 
   /// Mean fraction of solver lanes occupied per packed Newton run.
   double LaneOccupancy() const { return lane.LaneOccupancy(); }
 
-  double MeanNewtonIterations() const {
-    const uint64_t solves = cold_solves + warm_solves;
-    return solves == 0
-               ? 0.0
-               : static_cast<double>(newton_iterations) /
-                     static_cast<double>(solves);
-  }
   uint64_t CascadePruned() const {
     return cascade.resolved_simple + cascade.resolved_markov +
            cascade.resolved_rtt;
   }
   void MergeFrom(const BatchStats& other) {
     groups += other.groups;
-    cold_solves += other.cold_solves;
-    warm_solves += other.warm_solves;
     cache_hits += other.cache_hits;
     failed_solves += other.failed_solves;
     atomic_fallbacks += other.atomic_fallbacks;
-    newton_iterations += other.newton_iterations;
-    cold_restarts += other.cold_restarts;
-    iteration_capped += other.iteration_capped;
-    atomic_screen_hits += other.atomic_screen_hits;
+    solve.MergeFrom(other.solve);
     cascade.MergeFrom(other.cascade);
     lane.MergeFrom(other.lane);
   }
@@ -134,6 +115,16 @@ struct GroupThreshold {
   bool exceeds = false;
 };
 
+/// One group's certified quantile answers (parallel to the phis
+/// argument). Unlike GroupQuantiles, `answers[i].status` is non-OK only
+/// for an empty group — which GROUP BY never produces — so every entry
+/// is a certified interval.
+struct GroupQuantilesCertified {
+  CubeCoords key;
+  uint64_t count = 0;
+  std::vector<CertifiedQuantile> answers;
+};
+
 class CubeStore;
 
 /// Store-level batch GROUP BY entry points. The DataCube<MomentsSummary>
@@ -146,6 +137,16 @@ std::vector<GroupQuantiles> GroupByQuantiles(const CubeStore& store,
                                              const std::vector<double>& phis,
                                              const BatchOptions& options = {},
                                              BatchStats* stats = nullptr);
+/// Certified GROUP BY: the batch pipeline above with the router's
+/// fallback chain around its solves (see summary_router.h). Each group's
+/// KLL side column is merged once when the store carries one. Solves
+/// use options.maxent and default BatchOptions otherwise. Results are in
+/// ascending key order; `stats` (optional) accumulates the router's
+/// decision and solve counters.
+std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
+    const CubeStore& store, const std::vector<size_t>& group_dims,
+    const std::vector<double>& phis, const RouterOptions& options = {},
+    RouterStats* stats = nullptr);
 std::vector<GroupThreshold> GroupByThreshold(const CubeStore& store,
                                              const std::vector<size_t>& group_dims,
                                              double phi, double t,

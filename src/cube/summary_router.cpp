@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "core/atomic_fit.h"
-#include "cube/cube_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -22,9 +20,50 @@ obs::Counter* BackendCounter(const char* backend) {
       "Certified answers by producing backend");
 }
 
-// Rolls a router's accumulated decision counters into the global
-// registry. Called from the destructor: routers are per-pipeline
-// objects, so this runs once per query pipeline, not per answer.
+// Certified interval for one phi: moments bounds, intersected with the
+// KLL certificate when present.
+QuantileInterval IntervalFor(const RouterOptions& opt,
+                             const MomentsSketch& moments,
+                             const KllSketch* kll, double phi,
+                             RouterStats* stats) {
+  QuantileInterval iv = CertifiedQuantileInterval(moments, phi,
+                                                  opt.interval_steps);
+  if (kll != nullptr && kll->count() > 0) {
+    auto kiv = kll->CertifiedInterval(phi);
+    if (kiv.ok()) {
+      // Both enclosures should contain the true quantile, and then so
+      // does their intersection. The moment bounds can miss it on
+      // ill-conditioned selections (a few heavy-tailed rows); the KLL
+      // interval cannot — its rank error bound is a deterministic sum of
+      // compaction weights. So when the two are disjoint, the moment
+      // interval is the unsound one: keep the KLL certificate.
+      const double lo = std::max(iv.lower, kiv.value().lower);
+      const double hi = std::min(iv.upper, kiv.value().upper);
+      if (lo > hi) {
+        iv.lower = kiv.value().lower;
+        iv.upper = kiv.value().upper;
+      } else if (lo > iv.lower || hi < iv.upper) {
+        ++stats->intersected_certificates;
+        iv.lower = lo;
+        iv.upper = hi;
+      }
+    }
+  }
+  return iv;
+}
+
+// Estimate from the KLL sketch, or the certificate midpoint when the
+// sketch has none, clamped into the certificate.
+void AnswerFromKll(const KllSketch& kll, double phi, CertifiedQuantile* r) {
+  auto est = kll.EstimateQuantile(phi);
+  r->estimate = Clamp(est.ok() ? est.value()
+                               : 0.5 * (r->interval.lower + r->interval.upper),
+                      r->interval.lower, r->interval.upper);
+  r->backend = QuantileBackend::kKll;
+}
+
+}  // namespace
+
 void PublishRouterStats(const RouterStats& s) {
   if (s.queries == 0) return;
   obs::MetricsRegistry& reg = obs::GlobalRegistry();
@@ -66,14 +105,12 @@ void PublishRouterStats(const RouterStats& s) {
   intersected->Add(s.intersected_certificates);
   cond_rejects->Add(s.conditioning_rejects);
   solver_failures->Add(s.solver_failures);
-  warm->Add(s.warm_solves);
-  cold->Add(s.cold_solves);
-  cold_restarts->Add(s.cold_restarts);
-  iter_capped->Add(s.iteration_capped);
-  atomic_screen->Add(s.atomic_screen_hits);
+  warm->Add(s.solve.warm_solves);
+  cold->Add(s.solve.cold_solves);
+  cold_restarts->Add(s.solve.cold_restarts);
+  iter_capped->Add(s.solve.iteration_capped);
+  atomic_screen->Add(s.solve.atomic_screen_hits);
 }
-
-}  // namespace
 
 const char* QuantileBackendName(QuantileBackend backend) {
   switch (backend) {
@@ -91,34 +128,114 @@ const char* QuantileBackendName(QuantileBackend backend) {
   return "unknown";
 }
 
-SummaryRouter::SummaryRouter(RouterOptions options) : opt_(options) {}
+bool RoutePreSolve(const RouterOptions& options, const MomentsSketch& moments,
+                   const KllSketch* kll, const std::vector<double>& phis,
+                   std::vector<CertifiedQuantile>* out, RouterStats* stats) {
+  out->assign(phis.size(), CertifiedQuantile{});
+  stats->queries += phis.size();
 
-SummaryRouter::~SummaryRouter() { PublishRouterStats(stats_); }
+  if (moments.count() == 0) {
+    for (auto& r : *out) {
+      r.status = Status::InvalidArgument("SummaryRouter: empty cell");
+    }
+    return true;
+  }
 
-QuantileInterval SummaryRouter::IntervalFor(const MomentsSketch& moments,
-                                            const KllSketch* kll,
-                                            double phi) {
-  QuantileInterval iv = CertifiedQuantileInterval(moments, phi,
-                                                  opt_.interval_steps);
+  // Point-mass cell: the answer is exact; no backend needed.
+  if (moments.min() >= moments.max()) {
+    for (auto& r : *out) {
+      r.estimate = moments.min();
+      r.interval = {moments.min(), moments.min()};
+      r.backend = QuantileBackend::kDegenerate;
+      r.certified = true;
+    }
+    stats->degenerate_answers += phis.size();
+    return true;
+  }
+
+  // Certificates first: they hold no matter which estimator answers.
+  // Certified-interval widths feed a mergeable histogram — the width
+  // distribution is the router's accuracy story, and a mean would hide
+  // the wide-interval tail exactly where degradation kicks in.
+  static obs::Histogram* const width_hist =
+      obs::GlobalRegistry().GetHistogram(
+          "msk_router_interval_width", {},
+          "Certified-interval widths (upper - lower) per answer",
+          obs::HistogramUnit::kValue);
+  for (size_t i = 0; i < phis.size(); ++i) {
+    CertifiedQuantile& r = (*out)[i];
+    r.interval = IntervalFor(options, moments, kll, phis[i], stats);
+    r.certified = true;
+    width_hist->Observe(r.interval.upper - r.interval.lower);
+  }
+
+  // Conditioning pre-screen: a moment vector near the boundary of the
+  // moment cone makes the maxent solve diverge or fit garbage. When a
+  // rank sketch exists, skip the solve instead of paying for its failure.
   if (kll != nullptr && kll->count() > 0) {
-    auto kiv = kll->CertifiedInterval(phi);
-    if (kiv.ok()) {
-      // Both enclosures contain the true quantile, so so does their
-      // intersection. An empty intersection can only arise from the two
-      // summaries covering different rows (caller contract violation) or
-      // a floating-point sliver; keep the moments certificate, which is
-      // sound on its own.
-      const double lo = std::max(iv.lower, kiv.value().lower);
-      const double hi = std::min(iv.upper, kiv.value().upper);
-      if (lo <= hi) {
-        if (lo > iv.lower || hi < iv.upper) ++stats_.intersected_certificates;
-        iv.lower = lo;
-        iv.upper = hi;
+    const double cond = HankelConditionNumber(moments);
+    if (!(cond <= options.kappa_route)) {
+      ++stats->conditioning_rejects;
+      for (size_t i = 0; i < phis.size(); ++i) {
+        AnswerFromKll(*kll, phis[i], &(*out)[i]);
       }
+      stats->kll_answers += phis.size();
+      return true;
     }
   }
-  return iv;
+  return false;
 }
+
+void RoutePostSolve(const MomentsSketch& moments, const KllSketch* kll,
+                    const std::vector<double>& phis,
+                    const MaxEntDistribution* dist,
+                    std::vector<CertifiedQuantile>* out, RouterStats* stats) {
+  std::vector<CertifiedQuantile>& answers = *out;
+  if (dist != nullptr) {
+    for (size_t i = 0; i < phis.size(); ++i) {
+      answers[i].estimate = Clamp(dist->Quantile(phis[i]),
+                                  answers[i].interval.lower,
+                                  answers[i].interval.upper);
+      answers[i].backend = QuantileBackend::kMoments;
+    }
+    stats->moments_answers += phis.size();
+    return;
+  }
+
+  // Solver refused or diverged past its own retries. Absorb the failure
+  // and degrade: the certificates already hold.
+  ++stats->solver_failures;
+
+  auto atomic = FitAtomicDistribution(moments);
+  if (atomic.ok()) {
+    for (size_t i = 0; i < phis.size(); ++i) {
+      answers[i].estimate = Clamp(atomic.value().Quantile(phis[i]),
+                                  answers[i].interval.lower,
+                                  answers[i].interval.upper);
+      answers[i].backend = QuantileBackend::kAtomic;
+    }
+    stats->atomic_answers += phis.size();
+    return;
+  }
+
+  if (kll != nullptr && kll->count() > 0) {
+    for (size_t i = 0; i < phis.size(); ++i) {
+      AnswerFromKll(*kll, phis[i], &answers[i]);
+    }
+    stats->kll_answers += phis.size();
+    return;
+  }
+
+  // Last resort: the certificate's own midpoint. Worst-case error is half
+  // the interval width — still bounded, still certified.
+  for (auto& r : answers) {
+    r.estimate = 0.5 * (r.interval.lower + r.interval.upper);
+    r.backend = QuantileBackend::kBounds;
+  }
+  stats->bounds_fallbacks += phis.size();
+}
+
+SummaryRouter::SummaryRouter(RouterOptions options) : opt_(options) {}
 
 CertifiedQuantile SummaryRouter::Query(const MomentsSketch& moments,
                                        const KllSketch* kll, double phi,
@@ -132,173 +249,24 @@ std::vector<CertifiedQuantile> SummaryRouter::QueryMany(
     const MomentsSketch& moments, const KllSketch* kll,
     const std::vector<double>& phis, const WarmStart* hint) {
   obs::Span span("query.router");
-  std::vector<CertifiedQuantile> out(phis.size());
-  stats_.queries += phis.size();
-
-  if (moments.count() == 0) {
-    for (auto& r : out) {
-      r.status = Status::InvalidArgument("SummaryRouter: empty cell");
-    }
-    return out;
-  }
-
-  // Point-mass cell: the answer is exact; no backend needed.
-  if (moments.min() >= moments.max()) {
-    for (auto& r : out) {
-      r.estimate = moments.min();
-      r.interval = {moments.min(), moments.min()};
-      r.backend = QuantileBackend::kDegenerate;
-      r.certified = true;
-      ++stats_.degenerate_answers;
-    }
-    return out;
-  }
-
-  // Certificates first: they hold no matter which estimator answers.
-  // Certified-interval widths feed a mergeable histogram — the width
-  // distribution is the router's accuracy story, and a mean would hide
-  // the wide-interval tail exactly where degradation kicks in.
-  static obs::Histogram* const width_hist =
-      obs::GlobalRegistry().GetHistogram(
-          "msk_router_interval_width", {},
-          "Certified-interval widths (upper - lower) per answer",
-          obs::HistogramUnit::kValue);
-  for (size_t i = 0; i < phis.size(); ++i) {
-    out[i].interval = IntervalFor(moments, kll, phis[i]);
-    out[i].certified = true;
-    width_hist->Observe(out[i].interval.upper - out[i].interval.lower);
-  }
-
-  const bool kll_usable = kll != nullptr && kll->count() > 0;
-
-  // Conditioning pre-screen: a moment vector near the boundary of the
-  // moment cone makes the maxent solve diverge or fit garbage. When a
-  // rank sketch exists, skip the solve instead of paying for its failure.
-  if (kll_usable) {
-    const double cond = HankelConditionNumber(moments);
-    if (!(cond <= opt_.kappa_route)) {
-      ++stats_.conditioning_rejects;
-      for (size_t i = 0; i < phis.size(); ++i) {
-        auto est = kll->EstimateQuantile(phis[i]);
-        out[i].estimate = Clamp(est.ok() ? est.value()
-                                         : 0.5 * (out[i].interval.lower +
-                                                  out[i].interval.upper),
-                                out[i].interval.lower, out[i].interval.upper);
-        out[i].backend = QuantileBackend::kKll;
-        ++stats_.kll_answers;
-      }
-      return out;
-    }
-  }
-
-  // Primary path: maximum entropy solve (warm -> cold -> drop-moments
-  // backoff happen inside SolveMaxEnt; we only see success or refusal).
-  const WarmStart* seed = hint != nullptr && hint->valid() ? hint : nullptr;
-  auto solved = SolveMaxEnt(moments, opt_.maxent, seed);
-  if (solved.ok()) {
-    const MaxEntDistribution& dist = solved.value();
-    const MaxEntDiagnostics& diag = dist.diagnostics();
-    if (diag.warm_started) {
-      ++stats_.warm_solves;
+  RouterStats call;
+  std::vector<CertifiedQuantile> out;
+  if (!RoutePreSolve(opt_, moments, kll, phis, &out, &call)) {
+    // Warm -> cold -> drop-moments backoff happen inside SolveMaxEnt; the
+    // post-solve stage only sees success or refusal.
+    const WarmStart* seed = hint != nullptr && hint->valid() ? hint : nullptr;
+    Result<MaxEntDistribution> solved = SolveMaxEnt(moments, opt_.maxent, seed);
+    if (solved.ok()) {
+      call.solve.Record(solved->diagnostics());
+      last_warm_ = solved->warm_start();
     } else {
-      ++stats_.cold_solves;
+      call.solve.RecordRefusal(solved.status());
     }
-    stats_.cold_restarts += static_cast<uint64_t>(diag.cold_restarts);
-    stats_.iteration_capped += static_cast<uint64_t>(diag.iteration_capped);
-    last_warm_ = dist.warm_start();
-    for (size_t i = 0; i < phis.size(); ++i) {
-      out[i].estimate = Clamp(dist.Quantile(phis[i]), out[i].interval.lower,
-                              out[i].interval.upper);
-      out[i].backend = QuantileBackend::kMoments;
-      ++stats_.moments_answers;
-    }
-    return out;
+    RoutePostSolve(moments, kll, phis, solved.ok() ? &solved.value() : nullptr,
+                   &out, &call);
   }
-
-  // Solver refused or diverged past its own retries. Absorb the failure
-  // and degrade: the certificates above already hold.
-  ++stats_.solver_failures;
-  if (solved.status().message().find("atomic") != std::string::npos) {
-    ++stats_.atomic_screen_hits;
-  }
-
-  auto atomic = FitAtomicDistribution(moments);
-  if (atomic.ok()) {
-    for (size_t i = 0; i < phis.size(); ++i) {
-      out[i].estimate = Clamp(atomic.value().Quantile(phis[i]),
-                              out[i].interval.lower, out[i].interval.upper);
-      out[i].backend = QuantileBackend::kAtomic;
-      ++stats_.atomic_answers;
-    }
-    return out;
-  }
-
-  if (kll_usable) {
-    for (size_t i = 0; i < phis.size(); ++i) {
-      auto est = kll->EstimateQuantile(phis[i]);
-      out[i].estimate = Clamp(est.ok() ? est.value()
-                                       : 0.5 * (out[i].interval.lower +
-                                                out[i].interval.upper),
-                              out[i].interval.lower, out[i].interval.upper);
-      out[i].backend = QuantileBackend::kKll;
-      ++stats_.kll_answers;
-    }
-    return out;
-  }
-
-  // Last resort: the certificate's own midpoint. Worst-case error is half
-  // the interval width — still bounded, still certified.
-  for (auto& r : out) {
-    r.estimate = 0.5 * (r.interval.lower + r.interval.upper);
-    r.backend = QuantileBackend::kBounds;
-    ++stats_.bounds_fallbacks;
-  }
-  return out;
-}
-
-std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
-    const CubeStore& store, const std::vector<size_t>& group_dims,
-    const std::vector<double>& phis, const RouterOptions& options,
-    RouterStats* stats) {
-  // Ascending-key group map: deterministic visit order makes the
-  // warm-start chain (and therefore the stats) reproducible.
-  std::map<CubeCoords, std::vector<uint32_t>> groups;
-  const uint32_t num_cells = static_cast<uint32_t>(store.num_cells());
-  for (uint32_t id = 0; id < num_cells; ++id) {
-    const CubeCoords& coords = store.CoordsOf(id);
-    CubeCoords key(group_dims.size());
-    for (size_t g = 0; g < group_dims.size(); ++g) {
-      key[g] = coords[group_dims[g]];
-    }
-    groups[key].push_back(id);
-  }
-
-  SummaryRouter router(options);
-  std::vector<GroupQuantilesCertified> out;
-  out.reserve(groups.size());
-  bool have_warm = false;
-  for (const auto& [key, ids] : groups) {
-    GroupQuantilesCertified g;
-    g.key = key;
-    const MomentsSketch moments = store.MergeCells(ids.data(), ids.size());
-    g.count = moments.count();
-    KllSketch kll;
-    const KllSketch* kll_ptr = nullptr;
-    if (store.kll_enabled()) {
-      Result<KllSketch> merged = store.MergeKllCells(ids.data(), ids.size());
-      if (merged.ok()) {
-        kll = std::move(merged).value();
-        kll_ptr = &kll;
-      }
-    }
-    const WarmStart* hint =
-        have_warm && router.last_warm_start().valid() ? &router.last_warm_start()
-                                                      : nullptr;
-    g.answers = router.QueryMany(moments, kll_ptr, phis, hint);
-    have_warm = true;
-    out.push_back(std::move(g));
-  }
-  if (stats != nullptr) stats->MergeFrom(router.stats());
+  stats_.MergeFrom(call);
+  PublishRouterStats(call);
   return out;
 }
 

@@ -14,10 +14,15 @@
 //   KLL       rank-sketch estimate + deterministic rank-error interval
 //             (sketches/kll_sketch.h CertifiedInterval);
 //   both      the intersection — two sound certificates intersect to a
-//             sound (and tighter) certificate.
+//             sound (and tighter) certificate; when the two are
+//             disjoint the moments interval was unsound and the KLL
+//             interval, sound by construction, is kept.
 //
-// The solve path is a bounded retry/fallback chain; no query ever
-// returns an unbounded-error or failed answer on non-empty data:
+// The solve path is a bounded retry/fallback chain, split into a
+// pre-solve and a post-solve stage so point queries (SummaryRouter) and
+// certified GROUP BY (cube/batch_query.h, lane-batched solves) run the
+// same chain; no query ever returns an unbounded-error or failed answer
+// on non-empty data:
 //
 //   1. conditioning pre-screen: Hankel condition number above
 //      kappa_route with a KLL present routes straight to KLL;
@@ -41,7 +46,6 @@
 #include "core/bounds.h"
 #include "core/maxent_solver.h"
 #include "core/moments_sketch.h"
-#include "cube/cube_types.h"
 #include "sketches/kll_sketch.h"
 
 namespace msketch {
@@ -81,8 +85,8 @@ struct CertifiedQuantile {
   Status status;
 };
 
-/// Cumulative router decisions + the solver degradation counters the
-/// answers absorbed (satellite surface of QueryStats/BatchStats).
+/// Cumulative router decisions plus the counters of the solves behind
+/// the answers.
 struct RouterStats {
   uint64_t queries = 0;
   uint64_t moments_answers = 0;
@@ -93,11 +97,7 @@ struct RouterStats {
   uint64_t intersected_certificates = 0;  // moments interval ∩ KLL interval
   uint64_t conditioning_rejects = 0;  // pre-screen skipped the solve
   uint64_t solver_failures = 0;       // maxent refused/diverged (absorbed)
-  uint64_t warm_solves = 0;
-  uint64_t cold_solves = 0;
-  uint64_t cold_restarts = 0;
-  uint64_t iteration_capped = 0;
-  uint64_t atomic_screen_hits = 0;
+  SolveCounters solve;
 
   void MergeFrom(const RouterStats& other) {
     queries += other.queries;
@@ -109,23 +109,40 @@ struct RouterStats {
     intersected_certificates += other.intersected_certificates;
     conditioning_rejects += other.conditioning_rejects;
     solver_failures += other.solver_failures;
-    warm_solves += other.warm_solves;
-    cold_solves += other.cold_solves;
-    cold_restarts += other.cold_restarts;
-    iteration_capped += other.iteration_capped;
-    atomic_screen_hits += other.atomic_screen_hits;
+    solve.MergeFrom(other.solve);
   }
 };
 
-/// Stateless apart from stats; one instance per query pipeline (not
-/// thread-safe — shard like the batch pipeline does).
+/// The fallback chain in two stages around the maxent solve, so the
+/// point-query router and the batch GROUP BY pipeline share one chain.
+///
+/// Pre-solve: fills every answer's certificate and settles the answers
+/// that need no solve — empty input (error status), a point mass
+/// (exact), or a Hankel condition number above kappa_route with a KLL
+/// present (KLL estimate). Returns true when `out` is final; otherwise
+/// the caller solves and hands the outcome to RoutePostSolve.
+bool RoutePreSolve(const RouterOptions& options, const MomentsSketch& moments,
+                   const KllSketch* kll, const std::vector<double>& phis,
+                   std::vector<CertifiedQuantile>* out, RouterStats* stats);
+
+/// Post-solve: estimates from `dist`, or — when the solve failed (`dist`
+/// null) — from the atomic fit, then the KLL sketch, then the
+/// certificate's midpoint. Every estimate is clamped into its
+/// certificate.
+void RoutePostSolve(const MomentsSketch& moments, const KllSketch* kll,
+                    const std::vector<double>& phis,
+                    const MaxEntDistribution* dist,
+                    std::vector<CertifiedQuantile>* out, RouterStats* stats);
+
+/// Adds `stats` to the process-wide msk_router_* counter families.
+void PublishRouterStats(const RouterStats& stats);
+
+/// Point-query router: RoutePreSolve -> SolveMaxEnt -> RoutePostSolve.
+/// Each call's counters reach the metrics registry when it returns. Not
+/// thread-safe (one instance per query pipeline).
 class SummaryRouter {
  public:
   explicit SummaryRouter(RouterOptions options = {});
-  /// Publishes the accumulated RouterStats into the process-wide
-  /// metrics registry (msk_router_* counter families) — routers are
-  /// per-pipeline objects, so their counters roll up at destruction.
-  ~SummaryRouter();
 
   /// Certified phi-quantile from a cell/group's moments sketch plus its
   /// optional KLL rank sketch (nullptr when the cell has none). The two
@@ -141,46 +158,18 @@ class SummaryRouter {
                                            const std::vector<double>& phis,
                                            const WarmStart* hint = nullptr);
 
-  /// Warm-start exported by the last successful maxent solve (invalid
-  /// when the last query routed around the solver). Chains cells the way
-  /// the batch pipeline chains groups.
+  /// Warm-start exported by the last successful maxent solve. Chains
+  /// cells the way the batch pipeline chains groups.
   const WarmStart& last_warm_start() const { return last_warm_; }
 
   const RouterStats& stats() const { return stats_; }
   void ResetStats() { stats_ = RouterStats{}; }
 
  private:
-  /// Certified interval for one phi: moments bounds, intersected with
-  /// the KLL certificate when present.
-  QuantileInterval IntervalFor(const MomentsSketch& moments,
-                               const KllSketch* kll, double phi);
-
   RouterOptions opt_;
   RouterStats stats_;
   WarmStart last_warm_;
 };
-
-class CubeStore;
-
-/// One group's certified quantile answers (parallel to the phis
-/// argument). Unlike GroupQuantiles, `answers[i].status` is non-OK only
-/// for an empty group — which GROUP BY never produces — so every entry
-/// is a certified interval.
-struct GroupQuantilesCertified {
-  CubeCoords key;
-  uint64_t count = 0;
-  std::vector<CertifiedQuantile> answers;
-};
-
-/// Certified GROUP BY: merges each group's moment columns (and KLL side
-/// column when the store carries one) and routes every group through
-/// the degradation chain. Groups are visited in ascending key order and
-/// warm-start chained like the batch pipeline. `stats` (optional)
-/// accumulates the router's decision counters.
-std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
-    const CubeStore& store, const std::vector<size_t>& group_dims,
-    const std::vector<double>& phis, const RouterOptions& options = {},
-    RouterStats* stats = nullptr);
 
 }  // namespace msketch
 

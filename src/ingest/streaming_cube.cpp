@@ -479,18 +479,6 @@ MomentsSummary StreamingCube::QueryWhere(const CubeFilter& filter,
                         options_maxent_);
 }
 
-Result<double> StreamingCube::QueryQuantile(const CubeFilter& filter,
-                                            double phi) const {
-  static obs::Histogram* const hist = QueryHist("quantile");
-  obs::ScopedLatencyTimer timer(hist);
-  obs::Span span("query.quantile");
-  MomentsSummary merged = QueryWhere(filter);
-  if (merged.count() == 0) {
-    return Status::InvalidArgument("QueryQuantile: empty selection");
-  }
-  return merged.EstimateQuantile(phi);
-}
-
 CertifiedQuantile StreamingCube::QueryQuantileCertified(
     const CubeFilter& filter, double phi, RouterStats* stats) const {
   static obs::Histogram* const hist = QueryHist("quantile_certified");
@@ -532,17 +520,6 @@ std::vector<GroupQuantilesCertified> StreamingCube::GroupByQuantilesCertified(
   RouterOptions opt;
   opt.maxent = options_maxent_;
   return GroupByQuantilesCertified(group_dims, phis, opt, nullptr);
-}
-
-std::vector<GroupQuantiles> StreamingCube::GroupByQuantiles(
-    const std::vector<size_t>& group_dims, const std::vector<double>& phis,
-    const BatchOptions& options, BatchStats* stats) const {
-  static obs::Histogram* const hist = QueryHist("groupby_quantiles");
-  obs::ScopedLatencyTimer timer(hist);
-  obs::Span span("query.groupby");
-  std::shared_ptr<const CubeSnapshot> snap = Snapshot();
-  return msketch::GroupByQuantiles(snap->store, group_dims, phis, options,
-                                   stats);
 }
 
 std::vector<GroupThreshold> StreamingCube::GroupByThreshold(

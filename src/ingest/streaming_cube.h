@@ -230,15 +230,17 @@ class StreamingCube {
 
   MomentsSummary QueryWhere(const CubeFilter& filter,
                             CubeStore::QueryStats* stats = nullptr) const;
-  Result<double> QueryQuantile(const CubeFilter& filter, double phi) const;
 
-  // Certified variants: every answer over a non-empty selection carries
-  // an error interval provably enclosing the true quantile, assembled by
-  // the multi-backend summary router (moments bounds, intersected with
-  // the KLL rank certificate when IngestOptions::enable_kll dual-wrote
-  // one). Solver failures on pathological cells degrade through
-  // atomic-fit -> KLL -> bounds-midpoint instead of surfacing; the only
-  // non-OK status is an empty selection/group.
+  // Quantile queries are certified: every answer over a non-empty
+  // selection carries an error interval provably enclosing the true
+  // quantile, assembled by the multi-backend summary router (moments
+  // bounds, intersected with the KLL rank certificate when
+  // IngestOptions::enable_kll dual-wrote one). Solver failures on
+  // pathological cells degrade through atomic-fit -> KLL ->
+  // bounds-midpoint instead of surfacing; the only non-OK status is an
+  // empty selection/group. GROUP BY solves run lane-batched
+  // (cube/batch_query.h). Uncertified estimates come from the
+  // store-level functions on Snapshot()->store.
   CertifiedQuantile QueryQuantileCertified(const CubeFilter& filter,
                                            double phi,
                                            RouterStats* stats = nullptr) const;
@@ -251,10 +253,6 @@ class StreamingCube {
   std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
       const std::vector<size_t>& group_dims,
       const std::vector<double>& phis) const;
-  std::vector<GroupQuantiles> GroupByQuantiles(
-      const std::vector<size_t>& group_dims, const std::vector<double>& phis,
-      const BatchOptions& options = BatchOptions(),
-      BatchStats* stats = nullptr) const;
   std::vector<GroupThreshold> GroupByThreshold(
       const std::vector<size_t>& group_dims, double phi, double t,
       const BatchOptions& options = BatchOptions(),

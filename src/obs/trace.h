@@ -7,17 +7,16 @@
 // (`msk_span_seconds{span="<name>"}`) in the tracer's registry. Trace
 // ids are per-thread: the outermost live span on a thread allocates a
 // fresh id and nested spans inherit it, so one certified GROUP BY
-// shows up as one trace with `query.groupby` at depth 0 and its merge
-// / lane-solve / router children below it.
+// shows up as one trace with `query.certified_groupby` at depth 0 and
+// its lane-solve children below it.
 //
 // Span names must be string literals (the ring stores the pointer).
 // When metrics are disabled a span costs one relaxed load and a
 // branch; no clock is read.
 //
 // Span taxonomy (see src/cube/README.md and src/ingest/README.md):
-//   query.where | query.quantile | query.certified |
-//   query.certified_groupby | query.groupby | query.threshold |
-//   query.router | query.lane_solve
+//   query.where | query.certified | query.certified_groupby |
+//   query.threshold | query.router | query.lane_solve
 //   ingest.drain | ingest.publish | ingest.wal_append |
 //   ingest.checkpoint | ingest.recover
 //   replica.ship | replica.apply | replica.resync | replica.heartbeat

@@ -210,11 +210,15 @@ TEST(LaneSolverTest, DegenerateAndAtomicGroupsDeliverImmediately) {
   // Point mass: a degenerate distribution, no solve.
   ASSERT_TRUE(run.results[0].ok());
   EXPECT_EQ(run.results[0].value().Quantile(0.5), 7.5);
-  // Near-discrete moments: refused exactly like SolveMaxEnt.
+  // Near-discrete moments: refused exactly like SolveMaxEnt, with the
+  // atomic screen's typed reason on both.
   EXPECT_FALSE(run.results[1].ok());
-  EXPECT_FALSE(SolveMaxEnt(atoms).ok());
-  // Empty sketch: InvalidArgument.
+  EXPECT_EQ(run.results[1].status().reason(), StatusReason::kAtomicMeasure);
+  EXPECT_EQ(SolveMaxEnt(atoms).status().reason(),
+            StatusReason::kAtomicMeasure);
+  // Empty sketch: InvalidArgument, no reason.
   EXPECT_FALSE(run.results[2].ok());
+  EXPECT_EQ(run.results[2].status().reason(), StatusReason::kNone);
   EXPECT_EQ(run.stats.prep_failures, 2u);
   // Nothing reaches the packed path: degenerate + refused groups are
   // resolved at Enqueue.
@@ -309,7 +313,7 @@ TEST(BatchStatsTest, LaneCountersSurfaceThroughGroupBy) {
       cube.Ingest({g}, rng.NextLognormal(1.0 + 0.01 * g, 0.5));
     }
   }
-  BatchOptions options;  // lane solver on by default
+  BatchOptions options;
   BatchStats stats;
   auto results = cube.GroupByQuantiles({0}, {0.5}, options, &stats);
   ASSERT_EQ(results.size(), 20u);
@@ -319,16 +323,25 @@ TEST(BatchStatsTest, LaneCountersSurfaceThroughGroupBy) {
             20u);
   EXPECT_GT(stats.LaneOccupancy(), 0.0);
 
-  BatchOptions scalar;
-  scalar.use_lane_solver = false;
-  BatchStats scalar_stats;
-  auto scalar_results = cube.GroupByQuantiles({0}, {0.5}, scalar,
-                                              &scalar_stats);
-  EXPECT_EQ(scalar_stats.lane.packed_solves, 0u);
-  for (size_t g = 0; g < results.size(); ++g) {
-    ASSERT_TRUE(results[g].status.ok());
-    EXPECT_NEAR(results[g].quantiles[0], scalar_results[g].quantiles[0],
-                1e-4 * std::max(1.0, scalar_results[g].quantiles[0]));
+  // Every group's answer agrees with a cold per-group SolveMaxEnt to
+  // Newton tolerance (warm lanes may fit another subset; skip those).
+  for (const GroupQuantiles& r : results) {
+    ASSERT_TRUE(r.status.ok());
+    MomentsSketch group(10);
+    cube.store().ForEachGroup({0}, [&](const CubeCoords& key,
+                                       const MomentsSketch& sketch) {
+      if (key == r.key) group = sketch;
+    });
+    MaxEntOptions cold;
+    cold.use_solver_cache = false;
+    auto dist = SolveMaxEnt(group, cold);
+    ASSERT_TRUE(dist.ok());
+    if (r.k1 != dist->diagnostics().k1 || r.k2 != dist->diagnostics().k2) {
+      continue;
+    }
+    EXPECT_NEAR(r.quantiles[0], dist->Quantile(0.5),
+                1e-4 * (group.max() - group.min()))
+        << "group " << r.key[0];
   }
 }
 

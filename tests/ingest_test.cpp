@@ -354,12 +354,12 @@ TEST(StreamingCubeTest, SnapshotQueriesUseRollupPlans) {
   // Facade wrappers agree with the snapshot they pin.
   MomentsSummary merged = cube.QueryWhere(CubeFilter(kDims, kAnyValue));
   EXPECT_EQ(merged.count(), rows.size());
-  auto q = cube.QueryQuantile(CubeFilter(kDims, kAnyValue), 0.5);
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  EXPECT_GT(q.value(), 0.0);
+  CertifiedQuantile q =
+      cube.QueryQuantileCertified(CubeFilter(kDims, kAnyValue), 0.5);
+  ASSERT_TRUE(q.status.ok()) << q.status.ToString();
+  EXPECT_GT(q.estimate, 0.0);
 
-  BatchStats bstats;
-  auto groups = cube.GroupByQuantiles({0}, {0.5}, BatchOptions(), &bstats);
+  auto groups = cube.GroupByQuantilesCertified({0}, {0.5});
   EXPECT_EQ(groups.size(), 5u);
   uint64_t group_rows = 0;
   for (const auto& g : groups) group_rows += g.count;

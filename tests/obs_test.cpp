@@ -409,14 +409,8 @@ TEST(ObsIntegrationTest, OneScrapeCoversEverySubsystem) {
     }
     auto snap = cube.Flush();
     ASSERT_EQ(snap->rows(), 5000u);
-    // QueryQuantile routes through the cached estimator path, which is
-    // what lazily registers the solver-cache collector; the second call
-    // is the cache hit.
-    (void)cube.QueryQuantile(CubeFilter(2, kAnyValue), 0.5);
-    (void)cube.QueryQuantile(CubeFilter(2, kAnyValue), 0.5);
     (void)cube.QueryQuantileCertified(CubeFilter(2, kAnyValue), 0.99);
-    (void)cube.GroupByQuantilesCertified({0}, {0.5, 0.99});
-    (void)cube.GroupByQuantiles({0, 1}, {0.5, 0.99});
+    (void)cube.GroupByQuantilesCertified({0, 1}, {0.5, 0.99});
     (void)cube.GroupByThreshold({1}, 0.99, 100.0);
 
     // Publisher latency distributions: the publish histogram counts
@@ -450,16 +444,14 @@ TEST(ObsIntegrationTest, OneScrapeCoversEverySubsystem) {
       EXPECT_GE(s->hist.count, 1u) << family;
     }
     for (const char* kind :
-         {"quantile_certified", "groupby_certified", "groupby_quantiles",
-          "groupby_threshold"}) {
+         {"quantile_certified", "groupby_certified", "groupby_threshold"}) {
       const Sample* s = scrape.Find("msk_query_seconds", {{"kind", kind}});
       ASSERT_NE(s, nullptr) << kind;
       EXPECT_GE(s->hist.count, 1u) << kind;
     }
     cube.StopPublisher();
   }
-  // Router counters publish on pipeline destruction; the queries above
-  // ran at least one router pipeline each.
+  // The queries above ran the router at least once each.
   const MetricsSnapshot after = GlobalRegistry().Scrape();
   const Sample* routed = after.Find("msk_router_queries_total");
   ASSERT_NE(routed, nullptr);
@@ -467,6 +459,28 @@ TEST(ObsIntegrationTest, OneScrapeCoversEverySubsystem) {
   const Sample* width = after.Find("msk_router_interval_width");
   ASSERT_NE(width, nullptr);
   EXPECT_GE(width->hist.count, 1u);
+}
+
+// A long-lived router (a follower's ReplicaApplier holds one for its
+// whole life) must reach the registry as it answers, not when it dies.
+TEST(ObsIntegrationTest, LongLivedRouterPublishesWhileAlive) {
+  MSKETCH_REQUIRE_OBS();
+  auto routed = [] {
+    const MetricsSnapshot scrape = GlobalRegistry().Scrape();
+    const Sample* s = scrape.Find("msk_router_queries_total");
+    return s == nullptr ? uint64_t{0} : s->counter_value;
+  };
+  MomentsSketch cell(10);
+  Rng rng(5);
+  for (int i = 0; i < 2000; ++i) cell.Accumulate(rng.NextLognormal(1.0, 0.5));
+  SummaryRouter router;
+  const uint64_t before = routed();
+  constexpr uint64_t kQueries = 7;
+  for (uint64_t i = 0; i < kQueries; ++i) {
+    (void)router.Query(cell, nullptr, 0.5);
+  }
+  EXPECT_EQ(routed() - before, kQueries);
+  EXPECT_EQ(router.stats().queries, kQueries);
 }
 
 }  // namespace

@@ -585,8 +585,9 @@ TEST(RecoverTest, CleanShutdownRecoversFinalEpochBitExact) {
   Result<CubeFilter> filter =
       cube.value()->EncodeFilter({"user1", ""});
   ASSERT_TRUE(filter.ok());
-  Result<double> q = cube.value()->QueryQuantile(filter.value(), 0.5);
-  EXPECT_TRUE(q.ok());
+  CertifiedQuantile q =
+      cube.value()->QueryQuantileCertified(filter.value(), 0.5);
+  EXPECT_TRUE(q.status.ok());
 }
 
 TEST(RecoverTest, RecoveredCubeContinuesDurably) {

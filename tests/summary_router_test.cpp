@@ -17,8 +17,10 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "core/bounds.h"
 #include "core/maxent_solver.h"
 #include "core/moments_sketch.h"
+#include "cube/batch_query.h"
 #include "cube/cube_store.h"
 #include "cube/summary_router.h"
 #include "ingest/streaming_cube.h"
@@ -163,7 +165,9 @@ TEST(SummaryRouterTest, SmoothCellAnswersFromMoments) {
   EXPECT_EQ(router.stats().conditioning_rejects, 0u);
   EXPECT_EQ(router.stats().solver_failures, 0u);
   // One solve shared by the whole batch, no hint -> cold.
-  EXPECT_EQ(router.stats().cold_solves + router.stats().warm_solves, 1u);
+  EXPECT_EQ(router.stats().solve.cold_solves +
+                router.stats().solve.warm_solves,
+            1u);
 }
 
 TEST(SummaryRouterTest, WarmHintChainsAcrossQueries) {
@@ -178,7 +182,7 @@ TEST(SummaryRouterTest, WarmHintChainsAcrossQueries) {
       router.Query(s2, nullptr, 0.5, &router.last_warm_start());
   EXPECT_TRUE(a.status.ok());
   EXPECT_EQ(a.backend, QuantileBackend::kMoments);
-  EXPECT_GE(router.stats().warm_solves, 1u);
+  EXPECT_GE(router.stats().solve.warm_solves, 1u);
 }
 
 TEST(SummaryRouterTest, KllIntersectionNeverWidensTheCertificate) {
@@ -195,6 +199,39 @@ TEST(SummaryRouterTest, KllIntersectionNeverWidensTheCertificate) {
     EXPECT_GE(a.interval.lower, b.interval.lower - 1e-12) << "phi=" << phi;
     EXPECT_LE(a.interval.upper, b.interval.upper + 1e-12) << "phi=" << phi;
   }
+}
+
+// Twelve heavy-tailed rows where the moment-bound interval excludes the
+// exact 0.9-quantile and does not even meet the (exact) KLL certificate.
+// Of two disjoint certificates only the KLL one is sound by construction,
+// so the answer must carry it.
+TEST(SummaryRouterTest, DisjointCertificatesKeepTheKllInterval) {
+  const std::vector<double> rows = {
+      1497.1075385661322, 21.93080052510501,     140.84918729346307,
+      26.13132607446725,  4.5954653801346446,    3.8061469639233536e-05,
+      82.6982198848915,   18.198388553509833,    36.171422949992838,
+      3.7179629225478705, 14.966951082641719,    83.502219641687759};
+  const double phi = 0.9;
+  std::vector<double> sorted = rows;
+  std::sort(sorted.begin(), sorted.end());
+  const double truth = QuantileOfSorted(sorted, phi);
+  MomentsSketch s = SketchOf(rows);
+  KllSketch kll = KllOf(rows);
+
+  // The defect's shape: the two certificates are disjoint and the moment
+  // interval misses the truth.
+  const QuantileInterval moments_iv = CertifiedQuantileInterval(
+      s, phi, RouterOptions().interval_steps);
+  auto kll_iv = kll.CertifiedInterval(phi);
+  ASSERT_TRUE(kll_iv.ok());
+  ASSERT_GT(moments_iv.lower, kll_iv.value().upper);
+  ASSERT_GT(moments_iv.lower, truth);
+
+  SummaryRouter router;
+  CertifiedQuantile a = router.Query(s, &kll, phi);
+  ExpectCertified(a, truth, Slack(s), "twelve rows phi=0.9");
+  EXPECT_EQ(a.interval.lower, kll_iv.value().lower);
+  EXPECT_EQ(a.interval.upper, kll_iv.value().upper);
 }
 
 TEST(SummaryRouterTest, BackendCountersAccountForEveryQuery) {
@@ -368,11 +405,35 @@ TEST(GroupByCertifiedTest, GroupsMatchPerGroupTruth) {
     EXPECT_EQ(groups[g].count, sorted.size());
     ASSERT_EQ(groups[g].answers.size(), phis.size());
     MomentsSketch merged = SketchOf(sorted);
+
+    // The point-query router on the same group's cells: the batch
+    // pipeline must make the same decision, with the same certificate
+    // up to merge order and the same estimate up to solver tolerance.
+    std::vector<uint32_t> ids;
+    for (uint32_t id = 0; id < store.num_cells(); ++id) {
+      if (store.CoordsOf(id)[0] == g) ids.push_back(id);
+    }
+    const MomentsSketch cells = store.MergeCells(ids.data(), ids.size());
+    Result<KllSketch> cells_kll = store.MergeKllCells(ids.data(), ids.size());
+    ASSERT_TRUE(cells_kll.ok());
+    SummaryRouter router;
+    const std::vector<CertifiedQuantile> ref =
+        router.QueryMany(cells, &cells_kll.value(), phis);
+    EXPECT_EQ(groups[g].count, cells.count());
+    const double scale =
+        std::abs(cells.min()) + std::abs(cells.max()) + 1.0;
     for (size_t i = 0; i < phis.size(); ++i) {
-      ExpectCertified(groups[g].answers[i], QuantileOfSorted(sorted, phis[i]),
-                      Slack(merged),
-                      std::string(group_data[g]) + " phi=" +
-                          std::to_string(phis[i]));
+      const std::string what =
+          std::string(group_data[g]) + " phi=" + std::to_string(phis[i]);
+      const CertifiedQuantile& a = groups[g].answers[i];
+      ExpectCertified(a, QuantileOfSorted(sorted, phis[i]), Slack(merged),
+                      what);
+      EXPECT_EQ(a.backend, ref[i].backend) << what;
+      EXPECT_NEAR(a.interval.lower, ref[i].interval.lower, 1e-9 * scale)
+          << what;
+      EXPECT_NEAR(a.interval.upper, ref[i].interval.upper, 1e-9 * scale)
+          << what;
+      EXPECT_NEAR(a.estimate, ref[i].estimate, 1e-6 * scale) << what;
     }
   }
   EXPECT_EQ(stats.queries, 3 * phis.size());

@@ -10,7 +10,9 @@ heavy-tailed, near-singular) carries `certified: false` or
 cell losing its certificate is just as much a regression — but the
 adversarial rows are the reason the gate exists: they are the cells
 where the maxent solver fails and the degradation chain must still
-produce a bounded answer.
+produce a bounded answer. The "groupby" section (the same datasets
+answered by one certified GROUP BY, i.e. the batch pipeline's certify
+stage) is checked the same way and must be present.
 
 Usage: check_router_gate.py BENCH_router.json
 """
@@ -31,9 +33,12 @@ def main(argv):
         return rc
     checked = 0
     failures = []
+    sections = ("smooth", "adversarial", "groupby")
+    seen = {section: 0 for section in sections}
     for row in rows:
-        if row.get("section") not in ("smooth", "adversarial"):
+        if row.get("section") not in sections:
             continue
+        seen[row.get("section")] += 1
         checked += 1
         name = f'{row.get("section")}/{row.get("name")}'
         if row.get("certified") is not True:
@@ -41,8 +46,9 @@ def main(argv):
         if row.get("contains_truth") is not True:
             failures.append(f"{name}: certificate misses the true quantile")
 
-    if checked == 0:
-        print(f"FAIL: {path} has no smooth/adversarial rows — "
+    missing = [section for section in sections if seen[section] == 0]
+    if missing:
+        print(f"FAIL: {path} has no {'/'.join(missing)} rows — "
               f"bench_router output format changed?")
         return 1
     for f in failures:
