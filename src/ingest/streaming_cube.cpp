@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/macros.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -30,7 +31,8 @@ StreamingCube::StreamingCube(size_t num_dims, MomentsSummary prototype,
     : num_dims_(num_dims),
       prototype_k_(prototype.k()),
       options_maxent_(prototype.options()),
-      options_(options) {
+      options_(options),
+      dict_watermark_(num_dims, 0) {
   MSKETCH_CHECK(num_dims >= 1);
   MSKETCH_CHECK(options_.num_shards >= 1);
   auto initial = std::make_unique<DictSnapshot>();
@@ -211,15 +213,19 @@ Status StreamingCube::EnableDurability(const DurabilityOptions& options) {
       options, /*epoch=*/0, empty, Dicts()->dicts, /*allow_existing=*/false);
   if (!log.ok()) return log.status();
   log_ = std::move(log).value();
-  publisher_->SetDurabilityHook(
-      [this](uint64_t epoch, const EpochPublisher::DeltaBatch& batch) {
-        return LogEpochDurable(epoch, batch);
-      });
+  InstallEpochHook();
   return Status::OK();
 }
 
-Status StreamingCube::LogEpochDurable(
-    uint64_t epoch, const EpochPublisher::DeltaBatch& batch) {
+void StreamingCube::InstallEpochHook() {
+  publisher_->SetDurabilityHook(
+      [this](uint64_t epoch, const EpochPublisher::DeltaBatch& batch) {
+        return OnEpochDrained(epoch, batch);
+      });
+}
+
+Status StreamingCube::OnEpochDrained(uint64_t epoch,
+                                     const EpochPublisher::DeltaBatch& batch) {
   std::vector<WalCellRef> refs;
   refs.reserve(batch.size());
   for (const IngestShard::DeltaCell& dc : batch) {
@@ -228,15 +234,25 @@ Status StreamingCube::LogEpochDurable(
   }
   // The current dictionary version covers every id in the batch: rows
   // encode against a version no newer than the one visible at publish
-  // time, and versions only grow.
-  //
+  // time, and versions only grow. The record carries the values beyond
+  // the watermark, which then advances whatever the sinks do with it.
+  const std::vector<Dictionary>& dicts = Dicts()->dicts;
+  std::vector<uint32_t> dict_start = dict_watermark_;
+  std::vector<std::vector<std::string>> dict_delta(num_dims_);
+  for (size_t d = 0; d < num_dims_; ++d) {
+    for (uint32_t id = dict_start[d]; id < dicts[d].size(); ++id) {
+      dict_delta[d].push_back(dicts[d].ValueOf(id));
+    }
+    dict_watermark_[d] = static_cast<uint32_t>(dicts[d].size());
+  }
+  BytesWriter payload;
+  EncodeEpochRecord(epoch, dict_start, dict_delta, refs, &payload);
+  auto record = std::make_shared<const std::vector<uint8_t>>(payload.Take());
   // Replication tee first: OnEpoch never fails, and followers want the
   // epoch even when the durable log is broken (availability-first).
-  if (replica_source_ != nullptr) {
-    replica_source_->OnEpoch(epoch, refs, Dicts()->dicts);
-  }
+  if (replica_source_ != nullptr) replica_source_->OnEpoch(epoch, record);
   if (log_ == nullptr) return Status::OK();
-  return log_->LogEpoch(epoch, refs, Dicts()->dicts);
+  return log_->LogEpoch(epoch, *record);
 }
 
 Status StreamingCube::EnableReplication(ReplicationSource* source) {
@@ -263,10 +279,7 @@ Status StreamingCube::EnableReplication(ReplicationSource* source) {
         std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
     return image;
   });
-  publisher_->SetDurabilityHook(
-      [this](uint64_t epoch, const EpochPublisher::DeltaBatch& batch) {
-        return LogEpochDurable(epoch, batch);
-      });
+  InstallEpochHook();
   return Status::OK();
 }
 
@@ -314,10 +327,7 @@ Result<std::unique_ptr<StreamingCube>> StreamingCube::Recover(
       durability, epoch, store, cube->Dicts()->dicts, /*allow_existing=*/true);
   if (!log.ok()) return log.status();
   cube->log_ = std::move(log).value();
-  cube->publisher_->SetDurabilityHook(
-      [raw = cube.get()](uint64_t e, const EpochPublisher::DeltaBatch& batch) {
-        return raw->LogEpochDurable(e, batch);
-      });
+  cube->InstallEpochHook();
   // Recovery outcome counters (coarse one-shot events; no hot path).
   obs::MetricsRegistry& reg = obs::GlobalRegistry();
   reg.GetCounter("msk_recovery_runs_total", {},
@@ -350,6 +360,8 @@ void StreamingCube::InstallDicts(
   for (size_t d = 0; d < num_dims_; ++d) {
     MSKETCH_CHECK(next->dicts[d].size() == 0);  // recovery precedes use
     for (const std::string& v : values[d]) next->dicts[d].Intern(v);
+    // The recovered state holds every value: records start past them.
+    dict_watermark_[d] = static_cast<uint32_t>(values[d].size());
   }
   const DictSnapshot* published = next.get();
   dict_versions_.push_back(std::move(next));

@@ -311,12 +311,19 @@ class StreamingCube {
 
   /// Recovery: re-interns the recovered per-dimension values, in order,
   /// as the first real dictionary version (ids are intern order, so the
-  /// recovered ids equal the originals). Dictionaries must be empty.
+  /// recovered ids equal the originals), and sets dict_watermark_ to
+  /// their sizes. Dictionaries must be empty.
   void InstallDicts(const std::vector<std::vector<std::string>>& values);
-  /// The publisher's durability hook: logs epoch `E`'s drained batch
-  /// (and the dictionary delta) through log_.
-  Status LogEpochDurable(uint64_t epoch,
-                         const EpochPublisher::DeltaBatch& batch);
+  /// Points the publisher's durability hook at OnEpochDrained. Called
+  /// by every path that wires a sink, never for a cube without one (so
+  /// its durability latency stays zero).
+  void InstallEpochHook();
+  /// The publisher's durability hook, run under the publish lock:
+  /// encodes epoch `epoch`'s drained batch and the dictionary delta
+  /// beyond dict_watermark_ into one record, then hands the same bytes
+  /// to the replication tee and to the durable log, in that order.
+  Status OnEpochDrained(uint64_t epoch,
+                        const EpochPublisher::DeltaBatch& batch);
   /// The publisher's epoch sink: drives periodic checkpoints, then
   /// forwards to the user sink.
   void OnEpochPublished(const CubeSnapshot& snap);
@@ -325,6 +332,20 @@ class StreamingCube {
   const int prototype_k_;
   const MaxEntOptions options_maxent_;
   const IngestOptions options_;
+
+  /// Per-dimension count of dictionary values already carried by an
+  /// encoded epoch record (or by the recovered state); touched only by
+  /// OnEpochDrained under the publish lock, and by Recover (through
+  /// InstallDicts) before the cube is shared. It advances even when the
+  /// WAL append of that record fails. That is safe: a failed append
+  /// breaks the log until a checkpoint rotates it. That checkpoint, at
+  /// epoch C, stores the full dictionaries, read after C's record was
+  /// encoded; so the record of C + 1, the first one replay chains onto
+  /// it, has a dict_start of at most the checkpoint's dictionary size,
+  /// and each later record starts where its predecessor ended.
+  /// RecoverState (like the replica's ApplyDeltaRecord) appends only the
+  /// tail beyond what it already holds.
+  std::vector<uint32_t> dict_watermark_;
 
   // Dictionary versions: dict_ points at the newest, dict_versions_
   // (guarded by intern_mu_) owns them all. dict_exclusive_locks_ counts

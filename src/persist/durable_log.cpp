@@ -26,14 +26,6 @@ bool HasPrefix(const std::string& name, const char* prefix) {
   return name.rfind(prefix, 0) == 0;
 }
 
-std::vector<uint32_t> DictSizes(const std::vector<Dictionary>& dicts) {
-  std::vector<uint32_t> sizes(dicts.size());
-  for (size_t d = 0; d < dicts.size(); ++d) {
-    sizes[d] = static_cast<uint32_t>(dicts[d].size());
-  }
-  return sizes;
-}
-
 WalWriterOptions WalOptions(const DurabilityOptions& options) {
   WalWriterOptions w;
   w.fsync_policy = options.fsync_policy;
@@ -90,7 +82,6 @@ Result<std::unique_ptr<DurableLog>> DurableLog::Open(
   log->wal_name_ = m.wal_file;
   log->last_logged_epoch_ = epoch;
   log->checkpoint_epoch_ = epoch;
-  log->logged_dict_sizes_ = DictSizes(dicts);
   log->checkpoints_written_ = 1;
   log->DeleteDeadFiles(m);
   return log;
@@ -102,8 +93,7 @@ uint64_t DurableLog::NextSeq() {
 }
 
 Status DurableLog::LogEpoch(uint64_t epoch,
-                            const std::vector<WalCellRef>& cells,
-                            const std::vector<Dictionary>& dicts) {
+                            const std::vector<uint8_t>& record) {
   std::lock_guard<std::mutex> lock(mu_);
   if (log_broken_) {
     // The WAL may end in a torn record; appending past it would hide an
@@ -112,24 +102,8 @@ Status DurableLog::LogEpoch(uint64_t epoch,
                            "); epochs are not durable until the next "
                            "checkpoint succeeds");
   }
-  if (dicts.size() != logged_dict_sizes_.size()) {
-    return Status::InvalidArgument(
-        "LogEpoch: dictionary count does not match the cube");
-  }
-  std::vector<uint32_t> dict_start(dicts.size());
-  std::vector<std::vector<std::string>> dict_delta(dicts.size());
-  for (size_t d = 0; d < dicts.size(); ++d) {
-    dict_start[d] = logged_dict_sizes_[d];
-    const uint32_t size = static_cast<uint32_t>(dicts[d].size());
-    dict_delta[d].reserve(size - dict_start[d]);
-    for (uint32_t id = dict_start[d]; id < size; ++id) {
-      dict_delta[d].push_back(dicts[d].ValueOf(id));
-    }
-  }
-  BytesWriter payload;
-  EncodeEpochRecord(epoch, dict_start, dict_delta, cells, &payload);
-  // WAL append latency (encode excluded — the append+fsync is the part
-  // a slow disk stretches, and the part the publish path waits on).
+  // WAL append latency (the append+fsync is the part a slow disk
+  // stretches, and the part the publish path waits on).
   static obs::Histogram* const append_hist =
       obs::GlobalRegistry().GetHistogram(
           "msk_wal_append_seconds", {},
@@ -139,18 +113,13 @@ Status DurableLog::LogEpoch(uint64_t epoch,
   {
     obs::ScopedLatencyTimer timer(append_hist);
     obs::Span span("ingest.wal_append");
-    st = wal_->AppendRecord(kWalRecordEpoch, payload.bytes());
+    st = wal_->AppendRecord(kWalRecordEpoch, record);
   }
   if (!st.ok()) {
     log_broken_ = true;
     ++wal_append_failures_;
     last_error_ = st.ToString();
     return st;
-  }
-  // Only now are the delta values durable: a failed append must re-log
-  // them, so the watermark advances after success, never before.
-  for (size_t d = 0; d < dicts.size(); ++d) {
-    logged_dict_sizes_[d] = static_cast<uint32_t>(dicts[d].size());
   }
   last_logged_epoch_ = epoch;
   ++epochs_logged_;
@@ -176,11 +145,16 @@ Status DurableLog::Checkpoint(uint64_t epoch, const CubeStore& store,
     st = WriteCheckpoint(env_, JoinPath(options_.dir, ckpt_name), epoch,
                          store, dicts);
   }
+  // Every failure leaves the previous manifest live (new files are
+  // garbage); the caller holds mu_.
+  auto failed = [this](const Status& why) {
+    ++checkpoint_failures_;
+    last_error_ = why.ToString();
+    return why;
+  };
   if (!st.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++checkpoint_failures_;
-    last_error_ = st.ToString();
-    return st;
+    return failed(st);
   }
 
   Manifest m;
@@ -195,37 +169,25 @@ Status DurableLog::Checkpoint(uint64_t epoch, const CubeStore& store,
     m.checkpoint_file = ckpt_name;
     m.wal_file = rotate ? SeqName(kWalPrefix, seq) : wal_name_;
     m.wal_seq = seq;
+    std::unique_ptr<WalWriter> fresh;
     if (rotate) {
       Result<std::unique_ptr<WalWriter>> wal =
           WalWriter::Create(env_, JoinPath(options_.dir, m.wal_file),
                             store.k(), store.num_dims(), WalOptions(options_));
-      if (!wal.ok()) {
-        ++checkpoint_failures_;
-        last_error_ = wal.status().ToString();
-        return wal.status();
-      }
-      st = WriteManifest(env_, options_.dir, m);
-      if (!st.ok()) {
-        ++checkpoint_failures_;
-        last_error_ = st.ToString();
-        return st;  // old manifest still live; new files are garbage
-      }
+      if (!wal.ok()) return failed(wal.status());
+      fresh = std::move(wal).value();
+    }
+    st = WriteManifest(env_, options_.dir, m);
+    if (!st.ok()) return failed(st);
+    if (rotate) {
       retired_wal_bytes_ += wal_->bytes_appended();
       retired_wal_syncs_ += wal_->syncs();
       retired_wal_retries_ += wal_->write_retries();
       wal_->Close();  // retired file; the manifest no longer names it
-      wal_ = std::move(wal).value();
+      wal_ = std::move(fresh);
       wal_name_ = m.wal_file;
-      logged_dict_sizes_ = DictSizes(dicts);
       last_logged_epoch_ = std::max(last_logged_epoch_, epoch);
       log_broken_ = false;  // full state re-committed; the log is whole
-    } else {
-      st = WriteManifest(env_, options_.dir, m);
-      if (!st.ok()) {
-        ++checkpoint_failures_;
-        last_error_ = st.ToString();
-        return st;
-      }
     }
     checkpoint_epoch_ = epoch;
     epochs_since_checkpoint_ = 0;

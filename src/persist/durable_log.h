@@ -11,9 +11,10 @@
 // Only the files the MANIFEST names are live; everything else is
 // garbage from interrupted cycles, deleted on the next commit.
 //
-// Write protocol. LogEpoch(E) appends epoch E's drained batch — and the
-// dictionary values interned since the last durable record — as one
-// checksummed WAL record, before the publisher makes the epoch visible.
+// Write protocol. LogEpoch(E) appends epoch E's encoded record (the
+// drained batch plus the dictionary delta, encoded once by the cube's
+// publish hook) as one checksummed WAL record, before the publisher
+// makes the epoch visible.
 // Checkpoint(E) writes the published state at E to a fresh checkpoint
 // file, rotates to an empty WAL when no epoch beyond E has been logged
 // (the log may already be ahead of the snapshot the checkpoint was cut
@@ -119,12 +120,11 @@ class DurableLog {
       const CubeStore& store, const std::vector<Dictionary>& dicts,
       bool allow_existing);
 
-  /// Appends epoch `E`'s drained batch and the dictionary delta beyond
-  /// the logged watermark as one WAL record. Epochs must arrive in
-  /// order (the publisher's hook guarantees it). On failure the log is
-  /// broken until the next successful Checkpoint.
-  Status LogEpoch(uint64_t epoch, const std::vector<WalCellRef>& cells,
-                  const std::vector<Dictionary>& dicts);
+  /// Appends epoch `epoch`'s encoded record (EncodeEpochRecord payload)
+  /// as one WAL record. Epochs must arrive in order (the publisher's
+  /// hook guarantees it). On failure the log is broken until the next
+  /// successful Checkpoint.
+  Status LogEpoch(uint64_t epoch, const std::vector<uint8_t>& record);
 
   /// Checkpoints the published state at `epoch` and commits the
   /// manifest (rotating the WAL when it holds nothing beyond `epoch`).
@@ -159,9 +159,6 @@ class DurableLog {
   uint64_t last_logged_epoch_ = 0;
   uint64_t checkpoint_epoch_ = 0;
   uint64_t epochs_since_checkpoint_ = 0;
-  /// Per-dimension count of dictionary values already durable (in the
-  /// live checkpoint or an appended record); LogEpoch logs the rest.
-  std::vector<uint32_t> logged_dict_sizes_;
   bool log_broken_ = false;
 
   uint64_t epochs_logged_ = 0;

@@ -4,6 +4,7 @@
 
 #include "common/crc32c.h"
 #include "common/macros.h"
+#include "common/sealed_record.h"
 #include "obs/metrics.h"
 
 namespace msketch {
@@ -14,8 +15,6 @@ constexpr char kWalMagic[8] = {'M', 'S', 'K', 'W', 'A', 'L', '0', '1'};
 // Version 2 added the per-cell backend tag byte (bit 0: KLL delta).
 constexpr uint8_t kWalVersion = 2;
 constexpr uint8_t kCellHasKll = 1u << 0;
-// Records larger than this are length-prefix lies, not real batches.
-constexpr uint32_t kMaxRecordLen = 1u << 30;
 // Dimension arities beyond this are corrupt headers, not real cubes.
 constexpr uint32_t kMaxDims = 1u << 16;
 
@@ -147,16 +146,10 @@ Status WalWriter::AppendRecord(uint8_t type,
   if (payload.size() > kMaxRecordLen) {
     return Status::InvalidArgument("WAL record exceeds max length");
   }
-  BytesWriter rec;
-  uint32_t crc = crc32c::Extend(0, &type, 1);
-  crc = crc32c::Extend(crc, payload.data(), payload.size());
-  rec.PutU32(crc32c::Mask(crc));
-  rec.PutU32(static_cast<uint32_t>(payload.size()));
-  rec.PutU8(type);
   // One Append call per record: the record is the tear unit the reader's
   // truncation logic is built around.
-  std::vector<uint8_t> bytes = rec.Take();
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  std::vector<uint8_t> bytes;
+  SealRecord(type, payload, &bytes);
   MSKETCH_RETURN_IF_ERROR(AppendWithRetry(bytes));
   ++records_appended_;
   bytes_appended_ += bytes.size();
@@ -238,29 +231,16 @@ Status ReadWalRecords(
 
   size_t pos = header_len;
   while (pos < file.size()) {
-    const size_t record_start = pos;
-    if (file.size() - pos < 9) break;  // torn record header
-    BytesReader rh(file.data() + pos, 9);
-    uint32_t masked_crc = 0, length = 0;
-    uint8_t type = 0;
-    MSKETCH_RETURN_NOT_OK(rh.GetU32(&masked_crc));
-    MSKETCH_RETURN_NOT_OK(rh.GetU32(&length));
-    MSKETCH_RETURN_NOT_OK(rh.GetU8(&type));
-    if (length > kMaxRecordLen) {
-      // A length-prefix lie: corruption, not an honest torn tail.
-      ++st->checksum_failures;
-      break;
-    }
-    if (file.size() - pos - 9 < length) break;  // torn payload
-    uint32_t crc = crc32c::Extend(0, &type, 1);
-    crc = crc32c::Extend(crc, file.data() + pos + 9, length);
-    if (crc32c::Unmask(masked_crc) != crc) {
-      ++st->checksum_failures;
-      break;
-    }
-    pos += 9 + length;
-    BytesReader payload(file.data() + record_start + 9, length);
-    MSKETCH_RETURN_NOT_OK(fn(type, &payload));
+    SealedRecord rec;
+    const RecordParse parse =
+        ParseRecord(file.data() + pos, file.size() - pos, &rec);
+    // A torn record is an honest crash tail; a CRC mismatch or a
+    // length-prefix lie is corruption. Either way the log ends here.
+    if (parse == RecordParse::kCorrupt) ++st->checksum_failures;
+    if (parse != RecordParse::kIntact) break;
+    pos += rec.size();
+    BytesReader payload(rec.payload, rec.payload_len);
+    MSKETCH_RETURN_NOT_OK(fn(rec.type, &payload));
     ++st->records;
   }
   st->bytes_truncated = file.size() - pos;

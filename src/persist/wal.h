@@ -8,7 +8,9 @@
 //   records  repeated: u32 masked-CRC32C(type + payload)
 //            | u32 payload length | u8 type | payload
 //
-// Each record is appended with one Append call and covered by its own
+// Records are sealed and parsed by common/sealed_record.h, the one
+// framing codec the replication wire (replica/frame.h) shares. Each
+// record is appended with one Append call and covered by its own
 // checksum, so a crash mid-append leaves a torn tail that the reader
 // detects and truncates at the last fully valid record — an epoch is
 // durable if and only if its record survives intact. The reader never
@@ -18,13 +20,15 @@
 //
 // The only record type today is the epoch batch (kWalRecordEpoch): the
 // epoch number, a dictionary delta (the string values interned since the
-// previous durable record, per dimension), and the drained per-cell
+// previous epoch's record, per dimension), and the drained per-cell
 // delta sketches in publish order. Each cell carries a backend tag byte
 // (bit 0: a KLL rank-sketch delta follows the moment sketch — the
 // multi-backend router's dual-write path); remaining bits are reserved.
 // Replaying records in order onto a checkpoint reproduces the
 // publisher's ApplyDelta (+ ApplyKllDelta) sequence exactly, which is
-// what makes recovery bit-exact.
+// what makes recovery bit-exact. The publisher encodes each epoch's
+// record once (StreamingCube); the same bytes are the WAL record
+// payload and the replica's kDelta frame payload.
 #ifndef MSKETCH_PERSIST_WAL_H_
 #define MSKETCH_PERSIST_WAL_H_
 
@@ -67,7 +71,8 @@ struct WalCell {
 struct WalEpochRecord {
   uint64_t epoch = 0;
   /// Dictionary delta: for each dimension, the id of the first new value
-  /// and the values interned since the previous durable record.
+  /// and the values interned since the previous epoch's record. A
+  /// reader may already hold a prefix of it and appends only the tail.
   std::vector<uint32_t> dict_start;
   std::vector<std::vector<std::string>> dict_values;
   /// The epoch's delta batch in publish (ApplyDelta) order.

@@ -1,14 +1,10 @@
 #include "replica/frame.h"
 
-#include "common/crc32c.h"
+#include "common/sealed_record.h"
 
 namespace msketch {
 
 namespace {
-
-// Frame payloads beyond this are lying length prefixes, not real
-// transfers (matches the WAL's record bound).
-constexpr uint32_t kMaxFrameLen = 1u << 30;
 
 bool KnownType(uint8_t type) {
   return type >= static_cast<uint8_t>(FrameType::kHello) &&
@@ -19,44 +15,26 @@ bool KnownType(uint8_t type) {
 
 std::vector<uint8_t> EncodeFrame(FrameType type,
                                  const std::vector<uint8_t>& payload) {
-  const uint8_t type_byte = static_cast<uint8_t>(type);
-  uint32_t crc = crc32c::Extend(0, &type_byte, 1);
-  crc = crc32c::Extend(crc, payload.data(), payload.size());
-  BytesWriter w;
-  w.PutU32(crc32c::Mask(crc));
-  w.PutU32(static_cast<uint32_t>(payload.size()));
-  w.PutU8(type_byte);
-  std::vector<uint8_t> wire = w.Take();
-  wire.insert(wire.end(), payload.begin(), payload.end());
+  std::vector<uint8_t> wire;
+  SealRecord(static_cast<uint8_t>(type), payload, &wire);
   return wire;
 }
 
 Result<Frame> DecodeFrame(const uint8_t* data, size_t len) {
-  BytesReader header(data, len);
-  uint32_t masked = 0, payload_len = 0;
-  uint8_t type_byte = 0;
-  if (!header.GetU32(&masked).ok() || !header.GetU32(&payload_len).ok() ||
-      !header.GetU8(&type_byte).ok()) {
-    return Status::Corruption("frame: torn header");
+  // A transport delivers whole frames, so unlike the WAL reader a torn
+  // frame is no honest crash tail: anything but one intact record
+  // spanning the buffer exactly rejects.
+  SealedRecord rec;
+  if (ParseRecord(data, len, &rec) != RecordParse::kIntact ||
+      rec.size() != len) {
+    return Status::Corruption("frame: torn, corrupt or padded");
   }
-  if (payload_len > kMaxFrameLen) {
-    return Status::Corruption("frame: length prefix exceeds bound");
-  }
-  if (header.remaining() != payload_len) {
-    return Status::Corruption("frame: torn payload");
-  }
-  uint32_t crc = crc32c::Extend(0, &type_byte, 1);
-  crc = crc32c::Extend(crc, header.data() + header.pos(), payload_len);
-  if (crc32c::Unmask(masked) != crc) {
-    return Status::Corruption("frame: checksum mismatch");
-  }
-  if (!KnownType(type_byte)) {
+  if (!KnownType(rec.type)) {
     return Status::Corruption("frame: unknown type");
   }
   Frame frame;
-  frame.type = static_cast<FrameType>(type_byte);
-  frame.payload.assign(header.data() + header.pos(),
-                       header.data() + header.pos() + payload_len);
+  frame.type = static_cast<FrameType>(rec.type);
+  frame.payload.assign(rec.payload, rec.payload + rec.payload_len);
   return frame;
 }
 
@@ -69,6 +47,7 @@ std::vector<uint8_t> EncodeHello(const HelloFrame& f) {
   w.PutU8(f.resume ? 1 : 0);
   w.PutU64(f.resume_epoch);
   w.PutU32(f.resume_next_chunk);
+  w.PutU64(f.round);
   return w.Take();
 }
 
@@ -83,6 +62,7 @@ Result<HelloFrame> DecodeHello(const std::vector<uint8_t>& payload) {
   MSKETCH_RETURN_NOT_OK(in.GetU8(&resume));
   MSKETCH_RETURN_NOT_OK(in.GetU64(&f.resume_epoch));
   MSKETCH_RETURN_NOT_OK(in.GetU32(&f.resume_next_chunk));
+  MSKETCH_RETURN_NOT_OK(in.GetU64(&f.round));
   if (resume > 1) return Status::Corruption("hello: bad resume flag");
   f.resume = resume == 1;
   return f;
@@ -107,7 +87,7 @@ Result<SnapBeginFrame> DecodeSnapBegin(const std::vector<uint8_t>& payload) {
   MSKETCH_RETURN_NOT_OK(in.GetU32(&f.chunk_bytes));
   MSKETCH_RETURN_NOT_OK(in.GetU32(&f.first_chunk));
   if (f.chunk_bytes == 0 || f.num_chunks == 0 ||
-      f.total_bytes > kMaxFrameLen ||
+      f.total_bytes > kMaxRecordLen ||
       f.first_chunk >= f.num_chunks) {
     return Status::Corruption("snap begin: implausible geometry");
   }
@@ -149,6 +129,7 @@ Result<SnapEndFrame> DecodeSnapEnd(const std::vector<uint8_t>& payload) {
 std::vector<uint8_t> EncodeCaughtUp(const CaughtUpFrame& f) {
   BytesWriter w;
   w.PutU64(f.through_epoch);
+  w.PutU64(f.round);
   return w.Take();
 }
 
@@ -156,12 +137,14 @@ Result<CaughtUpFrame> DecodeCaughtUp(const std::vector<uint8_t>& payload) {
   BytesReader in(payload.data(), payload.size());
   CaughtUpFrame f;
   MSKETCH_RETURN_NOT_OK(in.GetU64(&f.through_epoch));
+  MSKETCH_RETURN_NOT_OK(in.GetU64(&f.round));
   return f;
 }
 
 std::vector<uint8_t> EncodeHeartbeat(const HeartbeatFrame& f) {
   BytesWriter w;
   w.PutU64(f.current_epoch);
+  w.PutU64(f.round);
   return w.Take();
 }
 
@@ -169,6 +152,7 @@ Result<HeartbeatFrame> DecodeHeartbeat(const std::vector<uint8_t>& payload) {
   BytesReader in(payload.data(), payload.size());
   HeartbeatFrame f;
   MSKETCH_RETURN_NOT_OK(in.GetU64(&f.current_epoch));
+  MSKETCH_RETURN_NOT_OK(in.GetU64(&f.round));
   return f;
 }
 

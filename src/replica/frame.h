@@ -1,7 +1,8 @@
 // Replication wire frames: the unit of transfer between a leader's
 // ReplicationSource and a follower's ReplicaApplier.
 //
-// Every frame is CRC32C-framed exactly like a WAL record (wal.h):
+// Every frame is sealed by common/sealed_record.h, the one framing codec
+// the WAL (persist/wal.h) shares:
 //
 //   u32 masked-CRC32C(type + payload) | u32 payload_len | u8 type | payload
 //
@@ -12,15 +13,16 @@
 //
 // Protocol (follower-driven pull; see src/replica/README.md):
 //
-//   kHello      follower -> leader  "I have epoch E, shaped (k, dims,
-//                                   kll_k); resume chunk C of snapshot
-//                                   S if you still hold it"
+//   kHello      follower -> leader  "round R: I have epoch E, shaped
+//                                   (k, dims, kll_k); resume chunk C of
+//                                   snapshot S if you still hold it"
 //   kSnapBegin  leader -> follower  snapshot transfer header
 //   kSnapChunk  leader -> follower  one chunk of the checkpoint image
 //   kSnapEnd    leader -> follower  whole-image CRC (install gate)
 //   kDelta      leader -> follower  one epoch WAL record (wal.h payload)
-//   kCaughtUp   leader -> follower  plan complete through epoch E
-//   kHeartbeat  either direction    liveness + current epoch
+//   kCaughtUp   leader -> follower  round R's plan complete through E
+//   kHeartbeat  either direction    liveness + current epoch + the last
+//                                   round the sender served
 //   kError      leader -> follower  terminal refusal (shape mismatch)
 #ifndef MSKETCH_REPLICA_FRAME_H_
 #define MSKETCH_REPLICA_FRAME_H_
@@ -76,6 +78,9 @@ struct HelloFrame {
   bool resume = false;
   uint64_t resume_epoch = 0;
   uint32_t resume_next_chunk = 0;
+  /// The follower's round number, incremented every round and echoed
+  /// by the leader so replies to an abandoned round can be told apart.
+  uint64_t round = 0;
 };
 
 struct SnapBeginFrame {
@@ -98,10 +103,12 @@ struct SnapEndFrame {
 
 struct CaughtUpFrame {
   uint64_t through_epoch = 0;
+  uint64_t round = 0;  // the Hello's round this plan answers
 };
 
 struct HeartbeatFrame {
   uint64_t current_epoch = 0;
+  uint64_t round = 0;  // the last round the leader served (0 = none)
 };
 
 struct ErrorFrame {

@@ -276,6 +276,7 @@ Status ReplicaApplier::SyncOnce(Transport* transport) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.rounds;
+    hello.round = ++round_;
     // Resume a partial snapshot only while chunks are still missing; a
     // transfer that lost just its SnapEnd restarts (the source cannot
     // ship an empty chunk range).
@@ -289,6 +290,8 @@ Status ReplicaApplier::SyncOnce(Transport* transport) {
   MSKETCH_RETURN_IF_ERROR(SendWithBackoff(
       transport, EncodeFrame(FrameType::kHello, EncodeHello(hello))));
 
+  const auto round_start = std::chrono::steady_clock::now();
+  const int budget = std::max(options_.heartbeat_miss_budget, 1);
   int non_data_waits = 0;
   bool heard_heartbeat = false;
   for (;;) {
@@ -300,7 +303,7 @@ Status ReplicaApplier::SyncOnce(Transport* transport) {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.heartbeat_misses;
       }
-      if (non_data_waits >= std::max(options_.heartbeat_miss_budget, 1)) {
+      if (non_data_waits >= budget) {
         // Silent link, no proof of life: treat as down and reconnect.
         if (!heard_heartbeat) {
           return Status::Unavailable("replica: leader silent");
@@ -346,6 +349,13 @@ Status ReplicaApplier::SyncOnce(Transport* transport) {
           ++stats_.corrupt_frames;
           return Status::Corruption("replica: unreadable caught-up frame");
         }
+        if (caught.value().round != hello.round) {
+          // The reply to an abandoned round: it proves nothing about
+          // this round's plan, which is still on its way.
+          std::lock_guard<std::mutex> lock(mu_);
+          ++stats_.dup_frames;
+          break;
+        }
         const uint64_t through = caught.value().through_epoch;
         BumpLeaderEpoch(through);
         if (through > applied_epoch()) {
@@ -367,16 +377,23 @@ Status ReplicaApplier::SyncOnce(Transport* transport) {
         }
         heard_heartbeat = true;
         BumpLeaderEpoch(hb.value().current_epoch);
+        // A heartbeat after the leader served this round means it went
+        // idle while we still wait — evidence of a lost tail, so it
+        // counts against the stall budget like a timeout. An idle
+        // leader serves a queued Hello before its next heartbeat, so an
+        // earlier round's heartbeat was queued while we were idle —
+        // unless it arrives a full recv_timeout into the round: then
+        // the leader never got this Hello, and it counts too.
+        const bool counts =
+            hb.value().round == hello.round ||
+            std::chrono::steady_clock::now() - round_start >=
+                options_.recv_timeout;
         {
           std::lock_guard<std::mutex> lock(mu_);
           ++stats_.heartbeats_seen;
-          // A heartbeat mid-round means the leader went idle while we
-          // still wait — evidence of a lost tail, so it counts against
-          // the stall budget like a timeout.
-          ++stats_.heartbeat_misses;
+          if (counts) ++stats_.heartbeat_misses;
         }
-        ++non_data_waits;
-        if (non_data_waits >= std::max(options_.heartbeat_miss_budget, 1)) {
+        if (counts && ++non_data_waits >= budget) {
           return Status::Corruption("replica: sync round stalled");
         }
         break;

@@ -21,16 +21,21 @@
 //     and KLL side column. A partially assembled image survives the
 //     round, so the next Hello resumes the transfer at the first
 //     missing chunk.
-//   * kCaughtUp ends the round. A caught-up epoch beyond the applied
-//     one proves frames were lost or skipped — the round returns
-//     kCorruption and the next Hello resyncs from the applied state.
+//   * kCaughtUp ends the round. Each Hello carries a fresh round
+//     number and the leader echoes it, so a kCaughtUp from an earlier,
+//     abandoned round is skipped (dup_frames) instead of ending this
+//     one early. A caught-up epoch beyond the applied one proves frames
+//     were lost or skipped — the round returns kCorruption and the next
+//     Hello resyncs from the applied state.
 //
 // Stall detection: while waiting mid-round, receive timeouts and
-// leader heartbeats both count against a miss budget (a heartbeat
-// mid-round means the leader believes it finished while frames we
-// needed never arrived). Budget exhaustion aborts the round —
-// kCorruption (re-Hello) when heartbeats prove the leader alive,
-// kUnavailable (reconnect) when the link is silent.
+// leader heartbeats of the current round count against a miss budget
+// (such a heartbeat means the leader believes it finished while frames
+// we needed never arrived). Heartbeats from an earlier round queued up
+// while the follower was idle and count only once a wait has lasted a
+// full recv_timeout. Budget exhaustion aborts the round — kCorruption
+// (re-Hello) when heartbeats prove the leader alive, kUnavailable
+// (reconnect) when the link is silent.
 //
 // SyncWithRetry wraps rounds in bounded backoff. Link corruption is
 // round-retryable (the leader retransmits clean state on the next
@@ -184,6 +189,8 @@ class ReplicaApplier {
   SummaryRouter router_;
   SnapshotAssembly snap_;
   ReplicaApplierStats stats_;
+  /// Round number of the latest Hello (the leader echoes it).
+  uint64_t round_ = 0;
 
   std::atomic<uint64_t> applied_epoch_{0};
   std::atomic<uint64_t> leader_epoch_{0};

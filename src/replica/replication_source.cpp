@@ -60,38 +60,14 @@ void ReplicationSource::SetShape(int k, size_t num_dims, int kll_k) {
   num_dims_ = num_dims;
   kll_k_ = kll_k;
   shape_set_ = true;
-  if (shipped_dict_sizes_.empty()) shipped_dict_sizes_.resize(num_dims, 0);
 }
 
-void ReplicationSource::OnEpoch(uint64_t epoch,
-                                const std::vector<WalCellRef>& cells,
-                                const std::vector<Dictionary>& dicts) {
+void ReplicationSource::OnEpoch(uint64_t epoch, EpochRecord record) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (shipped_dict_sizes_.size() != dicts.size()) {
-    shipped_dict_sizes_.assign(dicts.size(), 0);
-  }
-  // Encode exactly like DurableLog::LogEpoch: the record carries the
-  // dictionary values beyond the shipped watermark, so a follower
-  // replaying records in epoch order re-interns ids identically.
-  std::vector<uint32_t> dict_start(dicts.size());
-  std::vector<std::vector<std::string>> dict_delta(dicts.size());
-  for (size_t d = 0; d < dicts.size(); ++d) {
-    dict_start[d] = shipped_dict_sizes_[d];
-    const uint32_t size = static_cast<uint32_t>(dicts[d].size());
-    dict_delta[d].reserve(size - dict_start[d]);
-    for (uint32_t id = dict_start[d]; id < size; ++id) {
-      dict_delta[d].push_back(dicts[d].ValueOf(id));
-    }
-  }
-  BytesWriter payload;
-  EncodeEpochRecord(epoch, dict_start, dict_delta, cells, &payload);
-  history_.push_back({epoch, payload.Take()});
+  history_.push_back({epoch, std::move(record)});
   while (history_.size() > options_.history_epochs) {
     history_.pop_front();
     ++stats_.history_evictions;
-  }
-  for (size_t d = 0; d < dicts.size(); ++d) {
-    shipped_dict_sizes_[d] = static_cast<uint32_t>(dicts[d].size());
   }
   current_epoch_.store(epoch, std::memory_order_release);
 }
@@ -158,10 +134,21 @@ Status ReplicationSource::ShipSnapshot(Transport* t,
                        EncodeFrame(FrameType::kSnapEnd, EncodeSnapEnd(end)));
 }
 
+Status ReplicationSource::SendCaughtUp(Transport* t, uint64_t through,
+                                       uint64_t round) {
+  CaughtUpFrame caught;
+  caught.through_epoch = through;
+  caught.round = round;
+  return SendWithRetry(
+      t, EncodeFrame(FrameType::kCaughtUp, EncodeCaughtUp(caught)));
+}
+
 Status ReplicationSource::ShipDeltasAndCaughtUp(Transport* t,
-                                                uint64_t after_epoch) {
-  // Copy the records to ship outside the lock (OnEpoch keeps running).
-  std::vector<std::vector<uint8_t>> records;
+                                                uint64_t after_epoch,
+                                                uint64_t round) {
+  // Take the records to ship under the lock, ship them outside it
+  // (OnEpoch keeps running); the records themselves are shared.
+  std::vector<EpochRecord> records;
   uint64_t through = after_epoch;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -175,16 +162,13 @@ Status ReplicationSource::ShipDeltasAndCaughtUp(Transport* t,
       through = e.epoch;
     }
   }
-  for (const std::vector<uint8_t>& rec : records) {
+  for (const EpochRecord& rec : records) {
     MSKETCH_RETURN_IF_ERROR(
-        SendWithRetry(t, EncodeFrame(FrameType::kDelta, rec)));
+        SendWithRetry(t, EncodeFrame(FrameType::kDelta, *rec)));
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.epochs_shipped;
   }
-  CaughtUpFrame caught;
-  caught.through_epoch = through;
-  return SendWithRetry(
-      t, EncodeFrame(FrameType::kCaughtUp, EncodeCaughtUp(caught)));
+  return SendCaughtUp(t, through, round);
 }
 
 Status ReplicationSource::HandleHello(Transport* t, const HelloFrame& hello) {
@@ -223,15 +207,12 @@ Status ReplicationSource::HandleHello(Transport* t, const HelloFrame& hello) {
   if (resume) {
     MSKETCH_RETURN_IF_ERROR(
         ShipSnapshot(t, resume_image, hello.resume_next_chunk));
-    return ShipDeltasAndCaughtUp(t, resume_image.epoch);
+    return ShipDeltasAndCaughtUp(t, resume_image.epoch, hello.round);
   }
 
   const uint64_t current = current_epoch();
   if (hello.have_epoch >= current) {
-    CaughtUpFrame caught;
-    caught.through_epoch = current;
-    return SendWithRetry(
-        t, EncodeFrame(FrameType::kCaughtUp, EncodeCaughtUp(caught)));
+    return SendCaughtUp(t, current, hello.round);
   }
 
   // Delta catch-up when the history still chains onto have_epoch.
@@ -241,7 +222,9 @@ Status ReplicationSource::HandleHello(Transport* t, const HelloFrame& hello) {
     deltas_cover = !history_.empty() &&
                    history_.front().epoch <= hello.have_epoch + 1;
   }
-  if (deltas_cover) return ShipDeltasAndCaughtUp(t, hello.have_epoch);
+  if (deltas_cover) {
+    return ShipDeltasAndCaughtUp(t, hello.have_epoch, hello.round);
+  }
 
   // Full resync: cut (and cache) a fresh snapshot, ship it chunked,
   // then the deltas the history holds beyond it.
@@ -261,12 +244,15 @@ Status ReplicationSource::HandleHello(Transport* t, const HelloFrame& hello) {
     ++stats_.snapshots_shipped;
   }
   MSKETCH_RETURN_IF_ERROR(ShipSnapshot(t, image.value(), 0));
-  return ShipDeltasAndCaughtUp(t, image.value().epoch);
+  return ShipDeltasAndCaughtUp(t, image.value().epoch, hello.round);
 }
 
 Status ReplicationSource::Serve(Transport* transport) {
   stop_requested_.store(false, std::memory_order_release);
   auto last_send = std::chrono::steady_clock::now();
+  // Heartbeats carry it so the follower can tell heartbeats that queued
+  // up before its current round from ones sent after serving it.
+  uint64_t served_round = 0;
   for (;;) {
     if (stop_requested_.load(std::memory_order_acquire)) {
       return Status::OK();
@@ -282,6 +268,7 @@ Status ReplicationSource::Serve(Transport* transport) {
       if (now - last_send >= options_.heartbeat_interval) {
         HeartbeatFrame hb;
         hb.current_epoch = current_epoch();
+        hb.round = served_round;
         Status st = SendWithRetry(
             transport,
             EncodeFrame(FrameType::kHeartbeat, EncodeHeartbeat(hb)));
@@ -306,6 +293,7 @@ Status ReplicationSource::Serve(Transport* transport) {
           ++stats_.corrupt_requests;
           break;
         }
+        served_round = hello.value().round;
         Status st = HandleHello(transport, hello.value());
         if (!st.ok() && !transport->connected()) return st;
         last_send = std::chrono::steady_clock::now();

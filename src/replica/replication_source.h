@@ -2,10 +2,10 @@
 // replication.
 //
 // The source is fed by the leader cube's publish pipeline — OnEpoch()
-// receives every published epoch's drained delta batch (the same
-// WalCellRef view the durable log gets) and encodes it into a bounded
-// in-memory history of WAL-format epoch records. Serve() answers one
-// follower connection with a follower-driven pull protocol (frame.h):
+// receives every published epoch's encoded record (the very bytes the
+// durable log appends) and keeps it in a bounded in-memory history.
+// Serve() answers one follower connection with a follower-driven pull
+// protocol (frame.h):
 //
 //   * a Hello whose have_epoch the delta history covers gets the
 //     missing kDelta records (consecutive epochs), then kCaughtUp;
@@ -15,8 +15,10 @@
 //     the deltas beyond the snapshot epoch, then kCaughtUp;
 //   * a resume Hello for the still-cached snapshot image restarts the
 //     chunk stream at the requested index instead of re-cutting;
-//   * idle gaps emit kHeartbeat so the follower can tell a quiet
-//     leader from a dead one.
+//   * every kCaughtUp echoes the Hello's round; idle gaps emit
+//     kHeartbeat carrying the last round served, so the follower can
+//     tell a quiet leader from a dead one, and a heartbeat queued
+//     before its round from one sent after it.
 //
 // Every send runs through bounded exponential backoff with jitter and
 // a retry budget (backoff.h); a dead transport ends Serve() — the
@@ -36,8 +38,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "cube/dictionary.h"
-#include "persist/wal.h"
 #include "replica/backoff.h"
 #include "replica/transport.h"
 
@@ -102,12 +102,14 @@ class ReplicationSource {
   /// misparse). kll_k = 0 means no KLL side column.
   void SetShape(int k, size_t num_dims, int kll_k);
 
-  /// Publish-pipeline tee: encodes epoch `epoch`'s drained batch (and
-  /// the dictionary delta beyond the shipped watermark) into the delta
-  /// history. Must be called in epoch order (the publisher hook
-  /// guarantees it). Never fails the publish.
-  void OnEpoch(uint64_t epoch, const std::vector<WalCellRef>& cells,
-               const std::vector<Dictionary>& dicts);
+  /// An encoded epoch record (persist/wal.h payload), shared between
+  /// the durable log, the delta history and in-flight ships.
+  using EpochRecord = std::shared_ptr<const std::vector<uint8_t>>;
+
+  /// Publish-pipeline tee: appends epoch `epoch`'s encoded record to
+  /// the delta history. Must be called in epoch order (the publisher
+  /// hook guarantees it). Never fails the publish.
+  void OnEpoch(uint64_t epoch, EpochRecord record);
 
   /// Serves one follower connection until the transport dies or
   /// RequestStop(). Returns why it stopped (kUnavailable = link down —
@@ -127,18 +129,21 @@ class ReplicationSource {
  private:
   struct HistoryEntry {
     uint64_t epoch = 0;
-    std::vector<uint8_t> record;  // wal.h epoch-record payload
+    EpochRecord record;
   };
 
   /// Sends one frame with bounded retry/backoff on retryable errors.
   Status SendWithRetry(Transport* t, const std::vector<uint8_t>& wire);
   /// Answers one Hello: deltas, snapshot + deltas, or caught-up.
   Status HandleHello(Transport* t, const struct HelloFrame& hello);
+  /// Sends kCaughtUp through `through` for the follower's `round`.
+  Status SendCaughtUp(Transport* t, uint64_t through, uint64_t round);
   /// Ships `image` chunks [first_chunk, num_chunks), then SnapEnd.
   Status ShipSnapshot(Transport* t, const SnapshotImage& image,
                       uint32_t first_chunk);
   /// Ships history deltas in (after_epoch, current] then kCaughtUp.
-  Status ShipDeltasAndCaughtUp(Transport* t, uint64_t after_epoch);
+  Status ShipDeltasAndCaughtUp(Transport* t, uint64_t after_epoch,
+                               uint64_t round);
 
   const ReplicationOptions options_;
 
@@ -149,9 +154,6 @@ class ReplicationSource {
   int kll_k_ = 0;
   bool shape_set_ = false;
   std::deque<HistoryEntry> history_;
-  /// Per-dimension count of dictionary values already encoded into the
-  /// history (the shipping twin of DurableLog::logged_dict_sizes_).
-  std::vector<uint32_t> shipped_dict_sizes_;
   /// Last cut snapshot image, kept for resumed transfers.
   SnapshotImage cached_snapshot_;
   ReplicationSourceStats stats_;

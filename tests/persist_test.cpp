@@ -15,6 +15,7 @@
 
 #include "common/bytes.h"
 #include "common/crc32c.h"
+#include "common/sealed_record.h"
 #include "core/compressed_sketch.h"
 #include "core/moments_sketch.h"
 #include "cube/cube_store.h"
@@ -26,6 +27,7 @@
 #include "persist/env.h"
 #include "persist/fault_env.h"
 #include "persist/wal.h"
+#include "sketches/kll_sketch.h"
 
 namespace msketch {
 namespace {
@@ -138,13 +140,22 @@ TEST(EnvTest, PosixRoundTrip) {
 
 // ----------------------------------------------------------------- wal
 
+// One-cell epoch record shaped like a live one: epoch E interns one new
+// value per dimension (ids E-1) and the cell carries a KLL delta, so
+// the adversarial cases below reach every section of the decoder.
 std::vector<uint8_t> EpochPayload(uint64_t epoch, const CubeCoords& coords,
                                   const MomentsSketch& sketch,
                                   size_t num_dims) {
+  KllSketch kll(8);
+  for (int i = 0; i < 40; ++i) kll.Accumulate(0.25 * i + epoch);
   BytesWriter w;
-  std::vector<WalCellRef> refs = {{&coords, &sketch}};
-  EncodeEpochRecord(epoch, std::vector<uint32_t>(num_dims, 0),
-                    std::vector<std::vector<std::string>>(num_dims), refs, &w);
+  std::vector<WalCellRef> refs = {{&coords, &sketch, &kll}};
+  EncodeEpochRecord(
+      epoch,
+      std::vector<uint32_t>(num_dims, static_cast<uint32_t>(epoch - 1)),
+      std::vector<std::vector<std::string>>(
+          num_dims, {"value-" + std::to_string(epoch)}),
+      refs, &w);
   return w.Take();
 }
 
@@ -211,6 +222,12 @@ TEST(WalTest, RoundTrip) {
     EXPECT_EQ(records[i].cells[0].sketch.count(), expect.count());
     EXPECT_EQ(records[i].cells[0].sketch.power_sums(), expect.power_sums());
     EXPECT_EQ(records[i].cells[0].sketch.log_sums(), expect.log_sums());
+    EXPECT_TRUE(records[i].cells[0].has_kll);
+    EXPECT_EQ(records[i].cells[0].kll.count(), 40u);
+    EXPECT_EQ(records[i].dict_start,
+              std::vector<uint32_t>(WalFixture::kDims, i));
+    EXPECT_EQ(records[i].dict_values[1],
+              std::vector<std::string>{"value-" + std::to_string(e)});
   }
 }
 
@@ -228,22 +245,49 @@ TEST(WalTest, EveryTornTailTruncatesToLastIntactRecord) {
     ASSERT_TRUE(CollectEpochs(torn, &records, &stats).ok()) << "len " << len;
     EXPECT_EQ(records.size(), 2u) << "len " << len;
     EXPECT_EQ(stats.bytes_truncated, len - two.size()) << "len " << len;
+    EXPECT_EQ(stats.checksum_failures, 0u) << "len " << len;
+  }
+  // A CRC-valid record whose payload is cut short (a sealed but
+  // truncated encode) must fail decoding with a Status at every length.
+  const std::vector<uint8_t> header = wal.WriteEpochs(0);
+  const std::vector<uint8_t> payload =
+      EpochPayload(3, {3, 0}, SketchOf({3.0, 6.0, -0.5}, WalFixture::kK),
+                   WalFixture::kDims);
+  for (size_t len = 0; len < payload.size(); ++len) {
+    std::vector<uint8_t> file = header;
+    SealRecord(kWalRecordEpoch,
+               std::vector<uint8_t>(payload.begin(), payload.begin() + len),
+               &file);
+    std::vector<WalEpochRecord> records;
+    EXPECT_FALSE(CollectEpochs(file, &records, nullptr).ok()) << "len " << len;
   }
 }
 
 TEST(WalTest, FlippedByteStopsBeforeCorruptRecord) {
   WalFixture wal;
   const std::vector<uint8_t> one = wal.WriteEpochs(1);
+  const std::vector<uint8_t> two = wal.WriteEpochs(2);
   const std::vector<uint8_t> three = wal.WriteEpochs(3);
-  // Damage the second record (byte range [one.size(), two.size())).
-  std::vector<uint8_t> bad = three;
-  bad[one.size() + 11] ^= 0x20;
-  std::vector<WalEpochRecord> records;
-  WalReadStats stats;
-  ASSERT_TRUE(CollectEpochs(bad, &records, &stats).ok());
-  EXPECT_EQ(records.size(), 1u);  // record 3 is unreachable past the damage
-  EXPECT_EQ(stats.checksum_failures, 1u);
-  EXPECT_EQ(stats.bytes_truncated, three.size() - one.size());
+  // Damage the second record (byte range [one.size(), two.size())) at
+  // every bit: the reader keeps record 1, cuts the rest, and never
+  // reaches record 3 past the damage.
+  const size_t tail = three.size() - one.size();
+  for (size_t bit = 0; bit < (two.size() - one.size()) * 8; ++bit) {
+    std::vector<uint8_t> bad = three;
+    bad[one.size() + bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    std::vector<WalEpochRecord> records;
+    WalReadStats stats;
+    ASSERT_TRUE(CollectEpochs(bad, &records, &stats).ok()) << "bit " << bit;
+    EXPECT_EQ(records.size(), 1u) << "bit " << bit;
+    EXPECT_EQ(stats.bytes_truncated, tail) << "bit " << bit;
+    // A length prefix flipped past the end of the file reads as an
+    // honest torn tail; every other flip is a checksum failure.
+    uint32_t length = 0;
+    std::memcpy(&length, bad.data() + one.size() + 4, sizeof(length));
+    const bool reads_torn =
+        length <= kMaxRecordLen && length > tail - kRecordHeaderLen;
+    EXPECT_EQ(stats.checksum_failures, reads_torn ? 0u : 1u) << "bit " << bit;
+  }
 }
 
 TEST(WalTest, AbsurdLengthPrefixIsCorruptionNotOverread) {
@@ -454,11 +498,11 @@ TEST(DurableLogTest, BrokenLogFailsFastAndCheckpointRepairs) {
   const CubeCoords coords = {0, 0};
   const MomentsSketch s = SketchOf({1.0, 2.0}, 5);
   ASSERT_TRUE(store.ApplyDelta(coords, s).ok());
-  ASSERT_TRUE(log.value()->LogEpoch(1, {{&coords, &s}}, dicts).ok());
+  ASSERT_TRUE(log.value()->LogEpoch(1, EpochPayload(1, coords, s, 2)).ok());
 
   // Exhaust the retry budget: epoch 2 fails, the log breaks.
   env.FailNextAppends(10);
-  ASSERT_FALSE(log.value()->LogEpoch(2, {{&coords, &s}}, dicts).ok());
+  ASSERT_FALSE(log.value()->LogEpoch(2, EpochPayload(2, coords, s, 2)).ok());
   DurabilityStats st = log.value()->stats();
   EXPECT_TRUE(st.log_broken);
   EXPECT_EQ(st.wal_append_failures, 1u);
@@ -468,7 +512,7 @@ TEST(DurableLogTest, BrokenLogFailsFastAndCheckpointRepairs) {
   // Fail-fast: no append is attempted while broken (the fault plan's
   // remaining failures stay unconsumed for the checkpoint to clear).
   const uint64_t ops_before = env.mutating_ops();
-  ASSERT_FALSE(log.value()->LogEpoch(3, {{&coords, &s}}, dicts).ok());
+  ASSERT_FALSE(log.value()->LogEpoch(3, EpochPayload(3, coords, s, 2)).ok());
   EXPECT_EQ(log.value()->stats().wal_append_failures, 1u);
   EXPECT_EQ(env.mutating_ops(), ops_before);
 
@@ -477,7 +521,7 @@ TEST(DurableLogTest, BrokenLogFailsFastAndCheckpointRepairs) {
   ASSERT_TRUE(store.ApplyDelta(coords, s).ok());  // state at epoch 3
   ASSERT_TRUE(log.value()->Checkpoint(3, store, dicts).ok());
   EXPECT_FALSE(log.value()->stats().log_broken);
-  ASSERT_TRUE(log.value()->LogEpoch(4, {{&coords, &s}}, dicts).ok());
+  ASSERT_TRUE(log.value()->LogEpoch(4, EpochPayload(4, coords, s, 2)).ok());
   EXPECT_EQ(log.value()->stats().epochs_logged, 2u);
 }
 

@@ -8,7 +8,10 @@
 // answering from the applied state throughout any outage.
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,6 +25,9 @@
 #include "cube/cube_store.h"
 #include "cube/dictionary.h"
 #include "ingest/streaming_cube.h"
+#include "persist/env.h"
+#include "persist/fault_env.h"
+#include "persist/wal.h"
 #include "replica/backoff.h"
 #include "replica/fault_transport.h"
 #include "replica/frame.h"
@@ -119,17 +125,23 @@ ReplicaOptions ApplierOptions() {
 
 /// A leader cube with replication enabled and a deterministic
 /// 2-string-dim workload published across several epochs.
+IngestOptions LeaderIngest() {
+  IngestOptions options;
+  options.num_shards = 2;
+  options.enable_kll = true;
+  options.kll_k = kKllK;
+  return options;
+}
+
 struct Leader {
   std::unique_ptr<ReplicationSource> source;
   std::unique_ptr<StreamingCube> cube;
 
-  explicit Leader(size_t epochs) {
-    IngestOptions options;
-    options.num_shards = 2;
-    options.enable_kll = true;
-    options.kll_k = kKllK;
-    cube = std::make_unique<StreamingCube>(kDims, MomentsSummary(kK), options);
-    source = std::make_unique<ReplicationSource>(SourceOptions());
+  explicit Leader(size_t epochs,
+                  const ReplicationOptions& options = SourceOptions()) {
+    cube = std::make_unique<StreamingCube>(kDims, MomentsSummary(kK),
+                                           LeaderIngest());
+    source = std::make_unique<ReplicationSource>(options);
     EXPECT_TRUE(cube->EnableReplication(source.get()).ok());
     AppendEpochs(epochs);
   }
@@ -295,26 +307,45 @@ TEST(FrameTest, DetectsTornFlippedAndUnknownFrames) {
   SnapEndFrame end;
   end.snapshot_epoch = 9;
   end.image_crc = 0x1234;
-  std::vector<uint8_t> wire =
-      EncodeFrame(FrameType::kSnapEnd, EncodeSnapEnd(end));
+  // A kDelta frame carrying an epoch record with a dictionary delta and
+  // a KLL cell: the same sealed bytes the WAL reader sees.
+  const CubeCoords coords = {1, 0};
+  MomentsSketch sketch(kK);
+  KllSketch kll(8);
+  for (int i = 0; i < 40; ++i) {
+    sketch.Accumulate(0.5 * i);
+    kll.Accumulate(0.5 * i);
+  }
+  BytesWriter record;
+  EncodeEpochRecord(4, {2, 0}, {{"ap-south"}, {"api", "db"}},
+                    {{&coords, &sketch, &kll}}, &record);
+  const std::vector<std::vector<uint8_t>> wires = {
+      EncodeFrame(FrameType::kSnapEnd, EncodeSnapEnd(end)),
+      EncodeFrame(FrameType::kDelta, record.bytes())};
 
-  // Torn: any strict prefix fails as Corruption, never parses.
-  for (size_t keep = 0; keep < wire.size(); ++keep) {
-    std::vector<uint8_t> torn(wire.begin(), wire.begin() + keep);
-    Result<Frame> f = DecodeFrame(torn);
-    ASSERT_FALSE(f.ok());
-    EXPECT_EQ(f.status().code(), StatusCode::kCorruption);
+  for (const std::vector<uint8_t>& wire : wires) {
+    ASSERT_TRUE(DecodeFrame(wire).ok());
+    // Torn: any strict prefix fails as Corruption, never parses.
+    for (size_t keep = 0; keep < wire.size(); ++keep) {
+      std::vector<uint8_t> torn(wire.begin(), wire.begin() + keep);
+      Result<Frame> f = DecodeFrame(torn);
+      ASSERT_FALSE(f.ok());
+      EXPECT_EQ(f.status().code(), StatusCode::kCorruption);
+    }
+    // Flipped: every single-bit flip fails as Corruption (the CRC, or
+    // a length prefix that no longer matches the frame).
+    for (size_t bit = 0; bit < wire.size() * 8; ++bit) {
+      std::vector<uint8_t> flipped = wire;
+      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      Result<Frame> f = DecodeFrame(flipped);
+      ASSERT_FALSE(f.ok()) << "bit " << bit;
+      EXPECT_EQ(f.status().code(), StatusCode::kCorruption) << "bit " << bit;
+    }
+    // Unknown type byte (offset 8 = after crc + len) fails closed.
+    std::vector<uint8_t> unknown = wire;
+    unknown[8] = 0x77;
+    EXPECT_FALSE(DecodeFrame(unknown).ok());
   }
-  // Flipped: every single-bit flip is caught by the CRC.
-  for (size_t bit = 0; bit < wire.size() * 8; bit += 13) {
-    std::vector<uint8_t> flipped = wire;
-    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-    EXPECT_FALSE(DecodeFrame(flipped).ok()) << "bit " << bit;
-  }
-  // Unknown type byte (offset 8 = after crc + len) fails closed.
-  std::vector<uint8_t> unknown = wire;
-  unknown[8] = 0x77;
-  EXPECT_FALSE(DecodeFrame(unknown).ok());
 }
 
 // ------------------------------------------------------------ transport
@@ -460,6 +491,244 @@ TEST(ReplicationTest, ShapeMismatchIsRefusedTerminally) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(IsRetryable(st));
+}
+
+// ------------------------------------------------------ round numbers
+
+TEST(ReplicationTest, HeartbeatsQueuedWhileIdleDoNotStallTheNextRound) {
+  Leader leader(/*epochs=*/2);
+  ReplicaApplier applier(kK, kDims, ApplierOptions());
+  auto pipe = MakeInProcessPipe();
+  std::thread serve([&] { (void)leader.source->Serve(pipe.first.get()); });
+  ASSERT_TRUE(applier.SyncWithRetry(pipe.second.get()).ok());
+  const uint64_t retries = applier.stats().round_retries;
+
+  // Idle on the live connection for eight heartbeat intervals: the
+  // leader's idle heartbeats queue up, all from the round it served.
+  std::this_thread::sleep_for(SourceOptions().heartbeat_interval * 8);
+  leader.AppendEpochs(1);
+  Status st = applier.SyncWithRetry(pipe.second.get());
+  leader.source->RequestStop();
+  pipe.second->Close();
+  serve.join();
+
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_GE(applier.stats().heartbeats_seen, 5u);
+  EXPECT_EQ(applier.stats().round_retries, retries);
+  EXPECT_EQ(applier.applied_epoch(), leader.epoch());
+  EXPECT_EQ(FollowerFingerprint(applier), leader.fingerprint());
+}
+
+TEST(ReplicationTest, ReplyToAStalledRoundDoesNotEndALaterRound) {
+  // No idle heartbeats, so the leader's send indices are exactly its
+  // replies.
+  ReplicationOptions quiet = SourceOptions();
+  quiet.heartbeat_interval = std::chrono::seconds(60);
+  Leader leader(/*epochs=*/2, quiet);
+  const ReplicaOptions options = ApplierOptions();
+  ReplicaApplier applier(kK, kDims, options);
+  auto pipe = MakeInProcessPipe();
+  FaultInjectingTransport leader_end(std::move(pipe.first));
+  std::thread serve([&] { (void)leader.source->Serve(&leader_end); });
+  ASSERT_TRUE(applier.SyncWithRetry(pipe.second.get()).ok());
+  const uint64_t retries = applier.stats().round_retries;
+
+  // Nothing new to ship: the whole reply to the next Hello is one
+  // kCaughtUp, held back past the follower's stall budget. The round
+  // stalls and a retry sends a second Hello, so two replies come back.
+  const int stall_ms = options.heartbeat_miss_budget *
+                       static_cast<int>(options.recv_timeout.count());
+  leader_end.DelayFrame(static_cast<int64_t>(leader_end.stats().frames_sent),
+                        stall_ms * 3 / 2);
+  ASSERT_TRUE(applier.SyncWithRetry(pipe.second.get()).ok());
+  EXPECT_GT(applier.stats().round_retries, retries);
+
+  // The stalled round's reply must not be taken for a later round's.
+  leader.AppendEpochs(1);
+  Status st = applier.SyncWithRetry(pipe.second.get());
+  leader.source->RequestStop();
+  pipe.second->Close();
+  serve.join();
+
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(applier.applied_epoch(), leader.epoch());
+  EXPECT_GE(applier.stats().dup_frames, 1u);
+  EXPECT_EQ(FollowerFingerprint(applier), leader.fingerprint());
+}
+
+TEST(ReplicationTest, LostHelloStillStallsAndRetries) {
+  // Heartbeats of the previous round keep arriving when the leader never
+  // read this round's Hello; they must still end the round in time.
+  Leader leader(/*epochs=*/2);
+  ReplicaApplier applier(kK, kDims, ApplierOptions());
+  auto pipe = MakeInProcessPipe();
+  FaultInjectingTransport follower_end(std::move(pipe.second));
+  std::thread serve([&] { (void)leader.source->Serve(pipe.first.get()); });
+  ASSERT_TRUE(applier.SyncWithRetry(&follower_end).ok());
+  const uint64_t retries = applier.stats().round_retries;
+
+  leader.AppendEpochs(1);
+  const uint64_t hello_index = follower_end.stats().frames_sent;
+  follower_end.DropFrame(static_cast<int64_t>(hello_index));
+  Status st = applier.SyncWithRetry(&follower_end);
+  leader.source->RequestStop();
+  follower_end.Close();
+  serve.join();
+
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(follower_end.stats().frames_dropped, 1u);
+  EXPECT_GT(applier.stats().round_retries, retries);
+  EXPECT_EQ(applier.applied_epoch(), leader.epoch());
+  EXPECT_EQ(FollowerFingerprint(applier), leader.fingerprint());
+}
+
+// ------------------------------------------- WAL and replica composed
+
+/// Forwards to a base env but never deletes, so every WAL file the
+/// durable log rotates away stays readable after the run.
+class KeepRetiredFilesEnv : public Env {
+ public:
+  explicit KeepRetiredFilesEnv(Env* base) : base_(base) {}
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    return base_->NewWritableFile(path);
+  }
+  Result<std::vector<uint8_t>> ReadFile(const std::string& path) override {
+    return base_->ReadFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status DeleteFile(const std::string&) override { return Status::OK(); }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Status CreateDir(const std::string& path) override {
+    return base_->CreateDir(path);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& path) override {
+    return base_->ListDir(path);
+  }
+  Status SyncDir(const std::string& path) override {
+    return base_->SyncDir(path);
+  }
+
+ private:
+  Env* const base_;
+};
+
+uint64_t RecordEpoch(const std::vector<uint8_t>& record) {
+  BytesReader reader(record);
+  uint64_t epoch = 0;
+  EXPECT_TRUE(reader.GetU64(&epoch).ok());
+  return epoch;
+}
+
+TEST(ReplicationTest, WalAndReplicaCarryTheSameRecordAcrossAFailedAppend) {
+  char tmpl[] = "/tmp/msketch_replica_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  FaultInjectingEnv faults(Env::Default());
+  KeepRetiredFilesEnv env(&faults);
+  DurabilityOptions durability;
+  durability.dir = dir;
+  durability.env = &env;
+  durability.checkpoint_every_epochs = 2;
+  durability.max_write_retries = 1;
+  durability.retry_backoff = milliseconds(0);
+  ReplicationOptions history = SourceOptions();
+  history.history_epochs = 64;  // every epoch ships as a kDelta frame
+
+  ReplicationSource source(history);
+  StreamingCube cube(kDims, MomentsSummary(kK), LeaderIngest());
+  ASSERT_TRUE(cube.EnableDurability(durability).ok());
+  ASSERT_TRUE(cube.EnableReplication(&source).ok());
+
+  std::mutex shipped_mu;
+  std::map<uint64_t, std::vector<uint8_t>> shipped;
+  ReplicaApplier applier(kK, kDims, ApplierOptions());
+  auto pipe = MakeInProcessPipe();
+  FaultInjectingTransport leader_end(std::move(pipe.first));
+  leader_end.SetSendObserver([&](const std::vector<uint8_t>& wire) {
+    Result<Frame> frame = DecodeFrame(wire);
+    if (!frame.ok() || frame.value().type != FrameType::kDelta) return;
+    std::lock_guard<std::mutex> lock(shipped_mu);
+    shipped[RecordEpoch(frame.value().payload)] = frame.value().payload;
+  });
+  std::thread serve([&] { (void)source.Serve(&leader_end); });
+
+  // Every epoch interns new values in dimension 0.
+  auto publish = [&](int epoch) {
+    static const char* kServices[] = {"api", "web", "db", "cache"};
+    for (int i = 0; i < 12; ++i) {
+      const std::string host =
+          "host-" + std::to_string(epoch) + "-" + std::to_string(i % 3);
+      EXPECT_TRUE(cube.AppendRow({host, kServices[i % 4]}, 0.5 * i + epoch)
+                      .ok());
+    }
+    cube.Flush();
+  };
+  for (int e = 1; e <= 3; ++e) publish(e);
+  ASSERT_TRUE(applier.SyncWithRetry(pipe.second.get()).ok());
+  // Epoch 4's append fails past its retry budget and breaks the log;
+  // the checkpoints that would repair it fail too until the disk
+  // heals, so the dictionary watermark passes three unlogged epochs.
+  faults.FailNextAppends(1000);
+  for (int e = 4; e <= 5; ++e) publish(e);
+  EXPECT_TRUE(cube.durability_stats().log_broken);
+  faults.FailNextAppends(0);
+  for (int e = 6; e <= 9; ++e) publish(e);
+  EXPECT_FALSE(cube.durability_stats().log_broken);
+  ASSERT_TRUE(applier.SyncWithRetry(pipe.second.get()).ok());
+  source.RequestStop();
+  pipe.second->Close();
+  serve.join();
+
+  // Every WAL record ever appended, read back through the WAL reader.
+  std::map<uint64_t, std::vector<uint8_t>> logged;
+  Result<std::vector<std::string>> names = Env::Default()->ListDir(dir);
+  ASSERT_TRUE(names.ok());
+  for (const std::string& name : names.value()) {
+    if (name.rfind("WAL-", 0) != 0) continue;
+    Result<std::vector<uint8_t>> file =
+        Env::Default()->ReadFile(JoinPath(dir, name));
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE(ReadWalRecords(
+                    file.value(),
+                    [&](uint8_t, BytesReader* payload) {
+                      const uint8_t* begin = payload->data() + payload->pos();
+                      std::vector<uint8_t> record(
+                          begin, begin + payload->remaining());
+                      logged[RecordEpoch(record)] = std::move(record);
+                      return Status::OK();
+                    },
+                    nullptr)
+                    .ok());
+  }
+  EXPECT_EQ(shipped.size(), 9u);
+  size_t in_both = 0;
+  for (const auto& [epoch, record] : logged) {
+    ASSERT_EQ(shipped.count(epoch), 1u) << "epoch " << epoch;
+    EXPECT_EQ(record, shipped.at(epoch)) << "epoch " << epoch;
+    ++in_both;
+  }
+  // All but epochs 4..6, published while the log was broken.
+  EXPECT_EQ(in_both, 6u);
+  for (uint64_t e = 4; e <= 6; ++e) EXPECT_EQ(logged.count(e), 0u);
+
+  const std::vector<uint8_t> leader_fp =
+      Fingerprint(cube.Snapshot()->store, LeaderDicts(cube));
+  EXPECT_EQ(applier.applied_epoch(), 9u);
+  EXPECT_EQ(FollowerFingerprint(applier), leader_fp);
+  DurabilityOptions reopen = durability;
+  reopen.env = nullptr;
+  Result<std::unique_ptr<StreamingCube>> recovered = StreamingCube::Recover(
+      kDims, MomentsSummary(kK), LeaderIngest(), reopen);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value()->last_published_epoch(), 9u);
+  EXPECT_EQ(Fingerprint(recovered.value()->Snapshot()->store,
+                        LeaderDicts(*recovered.value())),
+            leader_fp);
 }
 
 // ------------------------------------------------------------ the soak

@@ -2,8 +2,9 @@
 """Pretty-print and verify a moments-sketch WAL file (src/persist/wal.h).
 
 Walks the file exactly like the C++ reader (ReadWalRecords): verifies the
-header CRC, then each record's masked CRC32C, decoding epoch records
-(type 1) into epochs / dictionary deltas / cell sketches. A torn tail —
+header CRC, then each record's masked CRC32C through the framing loop
+(walk_records) that also audits replication captures, decoding epoch
+records (type 1) into epochs / dictionary deltas / cell sketches. A torn tail —
 a record cut short with no checksum lie — is the expected post-crash
 state and is reported but not an error; a checksum mismatch, an absurd
 length prefix, or a damaged header is corruption and exits non-zero.
@@ -209,6 +210,49 @@ def print_epoch(rec_index, offset, epoch, dicts, cells, show_cells):
             print(line)
 
 
+def walk_records(data, pos, on_record):
+    """The one framing loop, for WAL records and wire frames alike.
+
+    Both are sealed by src/common/sealed_record.h:
+    u32 masked-CRC32C(type + payload) | u32 len | u8 type | payload.
+    Calls on_record(index, offset, type, payload) for every intact
+    record from `pos` on; a ValueError it raises marks that record
+    invalid. Returns (records, end, outcome, message): outcome is
+    "clean" (the data ends on a record boundary), "torn" (it ends
+    inside a header or payload) or "corrupt" (CRC mismatch, a length
+    prefix beyond the bound, or a record on_record rejected); `end` is
+    the offset of the first byte not accepted.
+    """
+    records = 0
+    while pos < len(data):
+        left = len(data) - pos
+        if left < 9:
+            return records, pos, "torn", f"torn header @ {pos} ({left} bytes)"
+        masked_crc, length, rtype = struct.unpack_from("<IIB", data, pos)
+        if length > MAX_RECORD_LEN:
+            return (records, pos, "corrupt",
+                    f"@ {pos}: length prefix {length} exceeds max "
+                    f"{MAX_RECORD_LEN}")
+        if left - 9 < length:
+            return (records, pos, "torn",
+                    f"torn payload @ {pos} (type {rtype}, {left - 9} of "
+                    f"{length} payload bytes)")
+        payload = data[pos + 9 : pos + 9 + length]
+        actual = crc32c(payload, crc32c(bytes([rtype])))
+        if unmask(masked_crc) != actual:
+            return (records, pos, "corrupt",
+                    f"{records} @ {pos}: CRC mismatch (stored "
+                    f"{unmask(masked_crc):#010x}, actual {actual:#010x})")
+        try:
+            on_record(records, pos, rtype, payload)
+        except ValueError as e:
+            return (records, pos, "corrupt",
+                    f"{records} @ {pos}: checksum OK but invalid: {e}")
+        pos += 9 + length
+        records += 1
+    return records, pos, "clean", None
+
+
 # Replication frame types (src/replica/frame.h FrameType).
 FRAME_NAMES = {
     1: "hello",
@@ -236,147 +280,134 @@ def dump_frames(path, show_cells):
         data = f.read()
     print(f"{path}: {len(data)} bytes (replication frame capture)")
 
-    corrupt = False
-    pos = 0
-    frames = 0
     snap = None          # in-flight chunk assembly
     snap_epoch = None    # epoch of the last completed snapshot
     delta_epochs = []
     caught_up = None
-    while pos < len(data):
-        if len(data) - pos < 9:
-            print(f"CORRUPT: torn frame header @ {pos} "
-                  f"({len(data) - pos} bytes); captures are written whole")
-            corrupt = True
-            break
-        masked_crc, length, ftype = struct.unpack_from("<IIB", data, pos)
-        if length > MAX_RECORD_LEN:
-            print(f"CORRUPT: frame @ {pos}: length prefix {length} "
-                  f"exceeds max {MAX_RECORD_LEN}")
-            corrupt = True
-            break
-        if len(data) - pos - 9 < length:
-            print(f"CORRUPT: torn frame payload @ {pos} "
-                  f"({len(data) - pos - 9} of {length} payload bytes)")
-            corrupt = True
-            break
-        payload = data[pos + 9 : pos + 9 + length]
-        actual = crc32c(payload, crc32c(bytes([ftype])))
-        if unmask(masked_crc) != actual:
-            print(f"CORRUPT: frame {frames} @ {pos}: CRC mismatch "
-                  f"(stored {unmask(masked_crc):#010x}, "
-                  f"actual {actual:#010x})")
-            corrupt = True
-            break
+
+    def on_frame(index, pos, ftype, payload):
+        nonlocal snap, snap_epoch, caught_up
         name = FRAME_NAMES.get(ftype)
         if name is None:
-            print(f"CORRUPT: frame {frames} @ {pos}: unknown type {ftype}")
-            corrupt = True
-            break
+            raise ValueError(f"unknown frame type {ftype}")
+        r = Reader(payload)
+        if name == "snap_begin":
+            epoch = r.u64("snapshot epoch")
+            total = r.u64("total bytes")
+            num_chunks = r.u32("chunk count")
+            chunk_bytes = r.u32("chunk size")
+            first_chunk = r.u32("first chunk")
+            print(f"  frame {index} snap_begin: epoch {epoch}, "
+                  f"{total} bytes in {num_chunks} x {chunk_bytes}B "
+                  f"chunks from #{first_chunk}")
+            if chunk_bytes == 0 or num_chunks == 0 or \
+                    first_chunk >= num_chunks:
+                raise ValueError("implausible snapshot geometry")
+            if first_chunk != 0:
+                print(f"    (resumed transfer; capture lacks chunks "
+                      f"0..{first_chunk - 1}, image CRC not checkable)")
+            snap = {
+                "epoch": epoch,
+                "total": total,
+                "num_chunks": num_chunks,
+                "chunk_bytes": chunk_bytes,
+                "next": first_chunk,
+                "resumed": first_chunk != 0,
+                "buf": bytearray(),
+            }
+        elif name == "snap_chunk":
+            chunk_index = r.u32("chunk index")
+            chunk = payload[4:]
+            if snap is None:
+                raise ValueError("snap_chunk outside a transfer")
+            if chunk_index != snap["next"]:
+                raise ValueError(f"chunk #{chunk_index} out of order "
+                                 f"(expected #{snap['next']})")
+            last = chunk_index == snap["num_chunks"] - 1
+            if not last and len(chunk) != snap["chunk_bytes"]:
+                raise ValueError(f"chunk #{chunk_index} is {len(chunk)}B, "
+                                 f"expected {snap['chunk_bytes']}B")
+            snap["next"] += 1
+            snap["buf"].extend(chunk)
+        elif name == "snap_end":
+            epoch = r.u64("snapshot epoch")
+            image_crc = r.u32("image crc")
+            if snap is None:
+                raise ValueError("snap_end outside a transfer")
+            if epoch != snap["epoch"]:
+                raise ValueError(f"snap_end epoch {epoch} != "
+                                 f"begin epoch {snap['epoch']}")
+            if snap["next"] != snap["num_chunks"]:
+                raise ValueError(f"snap_end after {snap['next']} of "
+                                 f"{snap['num_chunks']} chunks")
+            if not snap["resumed"]:
+                image = bytes(snap["buf"])
+                if len(image) != snap["total"]:
+                    raise ValueError(f"assembled {len(image)}B, "
+                                     f"advertised {snap['total']}B")
+                if unmask(image_crc) != crc32c(image):
+                    raise ValueError(
+                        f"image CRC mismatch (trailer "
+                        f"{unmask(image_crc):#010x}, assembled "
+                        f"{crc32c(image):#010x})")
+                if image[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+                    raise ValueError(
+                        f"image magic {image[:8]!r} is not a "
+                        f"checkpoint image")
+            print(f"  frame {index} snap_end: epoch {epoch}, "
+                  f"{snap['num_chunks']} chunks verified")
+            snap_epoch = epoch
+            snap = None
+        elif name == "delta":
+            epoch, dicts, cells = decode_epoch_record(r, None, 2)
+            expected = None
+            if delta_epochs:
+                expected = delta_epochs[-1] + 1
+            elif snap_epoch is not None:
+                expected = snap_epoch + 1
+            if expected is not None and epoch != expected:
+                raise ValueError(f"delta epoch {epoch} breaks the "
+                                 f"chain (expected {expected})")
+            print_epoch(index, pos, epoch, dicts, cells, show_cells)
+            delta_epochs.append(epoch)
+        elif name == "caught_up":
+            caught_up = r.u64("through epoch")
+            served = r.u64("round")
+            shipped = delta_epochs[-1] if delta_epochs else snap_epoch
+            if shipped is not None and caught_up < shipped:
+                raise ValueError(f"caught_up through {caught_up} < "
+                                 f"last shipped epoch {shipped}")
+            print(f"  frame {index} caught_up: round {served}, "
+                  f"through {caught_up}")
+        elif name == "heartbeat":
+            epoch = r.u64("current epoch")
+            served = r.u64("round")
+            print(f"  frame {index} heartbeat: last served round "
+                  f"{served}, epoch {epoch}")
+        elif name == "hello":
+            have = r.u64("have epoch")
+            r.u32("k")
+            r.u32("dims")
+            r.u32("kll k")
+            resume = r.u8("resume flag")
+            resume_epoch = r.u64("resume epoch")
+            resume_chunk = r.u32("resume chunk")
+            hello_round = r.u64("round")
+            print(f"  frame {index} hello: round {hello_round}, have epoch "
+                  f"{have}"
+                  + (f", resume snapshot {resume_epoch} at chunk "
+                     f"#{resume_chunk}" if resume else ""))
+        elif name == "error":
+            code = r.u32("status code")
+            print(f"  frame {index} error: code {code}")
 
-        try:
-            r = Reader(payload)
-            if name == "snap_begin":
-                epoch = r.u64("snapshot epoch")
-                total = r.u64("total bytes")
-                num_chunks = r.u32("chunk count")
-                chunk_bytes = r.u32("chunk size")
-                first_chunk = r.u32("first chunk")
-                print(f"  frame {frames} snap_begin: epoch {epoch}, "
-                      f"{total} bytes in {num_chunks} x {chunk_bytes}B "
-                      f"chunks from #{first_chunk}")
-                if chunk_bytes == 0 or num_chunks == 0 or \
-                        first_chunk >= num_chunks:
-                    raise ValueError("implausible snapshot geometry")
-                if first_chunk != 0:
-                    print(f"    (resumed transfer; capture lacks chunks "
-                          f"0..{first_chunk - 1}, image CRC not checkable)")
-                snap = {
-                    "epoch": epoch,
-                    "total": total,
-                    "num_chunks": num_chunks,
-                    "chunk_bytes": chunk_bytes,
-                    "next": first_chunk,
-                    "resumed": first_chunk != 0,
-                    "buf": bytearray(),
-                }
-            elif name == "snap_chunk":
-                index = r.u32("chunk index")
-                chunk = payload[4:]
-                if snap is None:
-                    raise ValueError("snap_chunk outside a transfer")
-                if index != snap["next"]:
-                    raise ValueError(f"chunk #{index} out of order "
-                                     f"(expected #{snap['next']})")
-                last = index == snap["num_chunks"] - 1
-                if not last and len(chunk) != snap["chunk_bytes"]:
-                    raise ValueError(f"chunk #{index} is {len(chunk)}B, "
-                                     f"expected {snap['chunk_bytes']}B")
-                snap["next"] += 1
-                snap["buf"].extend(chunk)
-            elif name == "snap_end":
-                epoch = r.u64("snapshot epoch")
-                image_crc = r.u32("image crc")
-                if snap is None:
-                    raise ValueError("snap_end outside a transfer")
-                if epoch != snap["epoch"]:
-                    raise ValueError(f"snap_end epoch {epoch} != "
-                                     f"begin epoch {snap['epoch']}")
-                if snap["next"] != snap["num_chunks"]:
-                    raise ValueError(f"snap_end after {snap['next']} of "
-                                     f"{snap['num_chunks']} chunks")
-                if not snap["resumed"]:
-                    image = bytes(snap["buf"])
-                    if len(image) != snap["total"]:
-                        raise ValueError(f"assembled {len(image)}B, "
-                                         f"advertised {snap['total']}B")
-                    if unmask(image_crc) != crc32c(image):
-                        raise ValueError(
-                            f"image CRC mismatch (trailer "
-                            f"{unmask(image_crc):#010x}, assembled "
-                            f"{crc32c(image):#010x})")
-                    if image[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-                        raise ValueError(
-                            f"image magic {image[:8]!r} is not a "
-                            f"checkpoint image")
-                print(f"  frame {frames} snap_end: epoch {epoch}, "
-                      f"{snap['num_chunks']} chunks verified")
-                snap_epoch = epoch
-                snap = None
-            elif name == "delta":
-                epoch, dicts, cells = decode_epoch_record(r, None, 2)
-                expected = None
-                if delta_epochs:
-                    expected = delta_epochs[-1] + 1
-                elif snap_epoch is not None:
-                    expected = snap_epoch + 1
-                if expected is not None and epoch != expected:
-                    raise ValueError(f"delta epoch {epoch} breaks the "
-                                     f"chain (expected {expected})")
-                print_epoch(frames, pos, epoch, dicts, cells, show_cells)
-                delta_epochs.append(epoch)
-            elif name == "caught_up":
-                caught_up = r.u64("through epoch")
-                shipped = delta_epochs[-1] if delta_epochs else snap_epoch
-                if shipped is not None and caught_up < shipped:
-                    raise ValueError(f"caught_up through {caught_up} < "
-                                     f"last shipped epoch {shipped}")
-                print(f"  frame {frames} caught_up: through {caught_up}")
-            elif name == "heartbeat":
-                r.u64("current epoch")
-            elif name == "hello":
-                print(f"  frame {frames} hello ({length}B)")
-            elif name == "error":
-                code = r.u32("status code")
-                print(f"  frame {frames} error: code {code}")
-        except ValueError as e:
-            print(f"CORRUPT: frame {frames} ({name}) @ {pos}: checksum OK "
-                  f"but protocol-invalid: {e}")
-            corrupt = True
-            break
-        pos += 9 + length
-        frames += 1
-
+    frames, _, outcome, message = walk_records(data, 0, on_frame)
+    corrupt = outcome != "clean"
+    if outcome == "torn":
+        # A capture is written whole: a torn tail is corruption here.
+        print(f"CORRUPT: {message}; captures are written whole")
+    elif corrupt:
+        print(f"CORRUPT: frame {message}")
     if snap is not None and not corrupt:
         print(f"CORRUPT: capture ends mid-snapshot ({snap['next']} of "
               f"{snap['num_chunks']} chunks)")
@@ -425,52 +456,27 @@ def main(argv):
     print(f"{path}: {len(data)} bytes, version={version}, k={k}, "
           f"num_dims={num_dims}")
 
-    pos = header_len
-    records = 0
     epochs = []
-    corrupt = False
-    while pos < len(data):
-        if len(data) - pos < 9:
-            print(f"  torn record header @ {pos} "
-                  f"({len(data) - pos} bytes)")
-            break
-        masked_crc, length, rtype = struct.unpack_from("<IIB", data, pos)
-        if length > MAX_RECORD_LEN:
-            print(f"CORRUPT: record @ {pos}: length prefix {length} "
-                  f"exceeds max {MAX_RECORD_LEN}")
-            corrupt = True
-            break
-        if len(data) - pos - 9 < length:
-            print(f"  torn record payload @ {pos} (type {rtype}, "
-                  f"{len(data) - pos - 9} of {length} payload bytes)")
-            break
-        payload = data[pos + 9 : pos + 9 + length]
-        actual = crc32c(payload, crc32c(bytes([rtype])))
-        if unmask(masked_crc) != actual:
-            print(f"CORRUPT: record @ {pos}: CRC mismatch "
-                  f"(stored {unmask(masked_crc):#010x}, "
-                  f"actual {actual:#010x})")
-            corrupt = True
-            break
-        if rtype == RECORD_EPOCH:
-            try:
-                epoch, dicts, cells = decode_epoch_record(
-                    Reader(payload), num_dims, version
-                )
-            except ValueError as e:
-                print(f"CORRUPT: record @ {pos}: checksum OK but payload "
-                      f"undecodable: {e}")
-                corrupt = True
-                break
-            print_epoch(records, pos, epoch, dicts, cells,
-                        "--cells" in flags)
-            epochs.append(epoch)
-        else:
-            print(f"  record {records} @ {pos}: unknown type {rtype}, "
-                  f"{length} bytes (skipped)")
-        pos += 9 + length
-        records += 1
 
+    def on_record(index, pos, rtype, payload):
+        if rtype != RECORD_EPOCH:
+            print(f"  record {index} @ {pos}: unknown type {rtype}, "
+                  f"{len(payload)} bytes (skipped)")
+            return
+        epoch, dicts, cells = decode_epoch_record(
+            Reader(payload), num_dims, version
+        )
+        print_epoch(index, pos, epoch, dicts, cells, "--cells" in flags)
+        epochs.append(epoch)
+
+    records, pos, outcome, message = walk_records(data, header_len,
+                                                  on_record)
+    # A torn tail is the expected post-crash state, not corruption.
+    corrupt = outcome == "corrupt"
+    if outcome == "torn":
+        print(f"  {message}")
+    elif corrupt:
+        print(f"CORRUPT: record {message}")
     truncated = len(data) - pos
     # The writer guarantees consecutive epochs within one WAL file; a gap
     # in a CRC-clean log means records were lost, not torn.
