@@ -108,14 +108,14 @@ int main(int argc, char** argv) {
                 static_cast<double>(groups.size()) * reps / t.Seconds());
     t.Reset();
     for (const auto& g : groups) {
-      RankBounds b = MarkovBound(g, t99);
+      RankBounds b = RankBoundOracle(g).MarkovBound(t99);
       (void)b;
     }
     std::printf("  %-10s %12.0f\n", "Markov",
                 static_cast<double>(groups.size()) / t.Seconds());
     t.Reset();
     for (const auto& g : groups) {
-      RankBounds b = RttBound(g, t99);
+      RankBounds b = RankBoundOracle(g).RttBound(t99);
       (void)b;
     }
     std::printf("  %-10s %12.0f\n", "RTT",

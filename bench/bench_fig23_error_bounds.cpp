@@ -42,8 +42,9 @@ int main(int argc, char** argv) {
       auto est = EstimateQuantiles(sketch, phis);
       double acc = 0.0;
       if (est.ok()) {
+        const RankBoundOracle oracle(sketch);
         for (size_t i = 0; i < phis.size(); ++i) {
-          acc += QuantileErrorBound(sketch, phis[i], est.value()[i]);
+          acc += oracle.QuantileErrorBound(phis[i], est.value()[i]);
         }
         acc /= static_cast<double>(phis.size());
         std::printf("%-10s %-10s %8d %9zu %12.4f\n", name, "M-Sketch", k,

@@ -21,6 +21,14 @@
 //                pipeline with the router's chain around its solves).
 //                Rows carry the same `certified` / `contains_truth`
 //                flags; the samples time the whole GROUP BY call.
+//   small        pinned 150–1200-row milan / retail selections
+//                (GenerateDataset seeds) where the conditioning
+//                pre-screen rejects the moments and the moment interval,
+//                trusted, excluded every exact quantile. One row per
+//                selection over its pinned phis; `contains_truth` means
+//                the certificate holds an exact quantile: some row q
+//                with #{x < q} <= phi*n <= #{x <= q}, within
+//                1e-5 * (|min| + |max| + 1).
 //   counters     one row of cumulative RouterStats over the whole run
 //                (solver failures absorbed, conditioning rejects,
 //                fallback depths) so a latency regression can be read
@@ -41,6 +49,7 @@
 #include "cube/batch_query.h"
 #include "cube/cube_store.h"
 #include "cube/summary_router.h"
+#include "datasets/datasets.h"
 #include "numerics/stats.h"
 #include "sketches/kll_sketch.h"
 
@@ -102,6 +111,25 @@ CellRun RunCell(SummaryRouter* router, const MomentsSketch& s,
     run.answers = router->QueryMany(s, kll, phis);
   });
   return run;
+}
+
+// True when the interval holds an exact phi-quantile of the sorted rows:
+// some row q with #{x < q} <= phi*n <= #{x <= q}, within `slack`.
+bool HoldsExactQuantile(const QuantileInterval& iv,
+                        const std::vector<double>& sorted, double phi,
+                        double slack) {
+  const double target = phi * static_cast<double>(sorted.size());
+  for (double q : sorted) {
+    const double below = static_cast<double>(
+        std::lower_bound(sorted.begin(), sorted.end(), q) - sorted.begin());
+    const double at_or_below = static_cast<double>(
+        std::upper_bound(sorted.begin(), sorted.end(), q) - sorted.begin());
+    if (below <= target && target <= at_or_below &&
+        iv.lower <= q + slack && iv.upper >= q - slack) {
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -234,6 +262,61 @@ int main(int argc, char** argv) {
                                   ? -1.0
                                   : static_cast<double>(
                                         grp.answers[2].backend)}},
+                 {{"certified", certified},
+                  {"contains_truth", contains_truth}});
+    }
+  }
+
+  // Pinned small heavy-tailed selections (see the header comment).
+  {
+    struct SmallCase {
+      DatasetId data;
+      uint64_t n;
+      uint64_t seed;
+      std::vector<double> phis;
+    };
+    const SmallCase cases[] = {
+        {DatasetId::kMilan, 300, 918904, {0.9, 0.95, 0.99}},
+        {DatasetId::kMilan, 150, 1766087, {0.99}},
+        {DatasetId::kMilan, 600, 3073172, {0.9}},
+        {DatasetId::kRetail, 1200, 191256, {0.95, 0.99}},
+        {DatasetId::kRetail, 300, 245789, {0.95}},
+        {DatasetId::kRetail, 300, 784281, {0.99}},
+        {DatasetId::kRetail, 150, 902916, {0.99}},
+        {DatasetId::kRetail, 300, 1006013, {0.95}},
+        {DatasetId::kRetail, 150, 1061296, {0.99}},
+    };
+    for (const SmallCase& c : cases) {
+      std::vector<double> sorted = GenerateDataset(c.data, c.n, c.seed);
+      MomentsSketch s(10);
+      KllSketch kll(64);
+      for (double v : sorted) {
+        s.Accumulate(v);
+        kll.Accumulate(v);
+      }
+      std::sort(sorted.begin(), sorted.end());
+      const double slack =
+          1e-5 * (std::abs(s.min()) + std::abs(s.max()) + 1.0);
+      std::vector<CertifiedQuantile> answers;
+      const std::vector<double> samples_ms = TimeReps(reps, [&] {
+        answers = router.QueryMany(s, &kll, c.phis);
+      });
+      bool certified = answers.size() == c.phis.size();
+      bool contains_truth = certified;
+      for (size_t i = 0; i < answers.size(); ++i) {
+        certified = certified && answers[i].status.ok() && answers[i].certified;
+        contains_truth = contains_truth &&
+                         HoldsExactQuantile(answers[i].interval, sorted,
+                                            c.phis[i], slack);
+      }
+      report.Add("small",
+                 DatasetName(c.data) + "_n" + std::to_string(c.n) + "_s" +
+                     std::to_string(c.seed),
+                 samples_ms,
+                 {{"rows", static_cast<double>(c.n)},
+                  {"backend", answers.empty()
+                                  ? -1.0
+                                  : static_cast<double>(answers[0].backend)}},
                  {{"certified", certified},
                   {"contains_truth", contains_truth}});
     }

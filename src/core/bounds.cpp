@@ -9,7 +9,6 @@
 #include "core/chebyshev_moments.h"
 #include "numerics/eigen.h"
 #include "numerics/matrix.h"
-#include "numerics/root_finding.h"
 #include "numerics/stats.h"
 
 namespace msketch {
@@ -68,64 +67,83 @@ double BestMarkovTailProb(const std::vector<double>& nonneg_moments,
   return std::max(best, 0.0);
 }
 
-// Markov bounds in one domain given raw moments of data within [lo, hi].
-RankBounds MarkovBoundInDomain(const std::vector<double>& mu, double lo,
-                               double hi, double t, double n) {
-  RankBounds b{0.0, n};
-  // Upper bound on 1 - F(t): P(x - lo >= t - lo).
-  const double p_tail =
-      BestMarkovTailProb(ShiftedMoments(mu, lo), t - lo);
-  b.lower = std::max(b.lower, n * (1.0 - p_tail));
-  // Upper bound on F(t): P(hi - x >= hi - t) >= P(x <= t) ... note
-  // rank counts strict inferiors; F(t-) <= P(hi - x >= hi - t).
-  const double p_head =
-      BestMarkovTailProb(ReflectedMoments(mu, hi), hi - t);
-  b.upper = std::min(b.upper, n * p_head);
-  return b;
-}
-
 // ---------------------------------------------------------------------
 // RTT bounds machinery: orthonormal polynomials from the Hankel moment
 // matrix, kernel polynomial roots, canonical-representation weights.
 
-struct OrthoBasis {
-  Matrix chol;  // lower Cholesky factor of the (r+1)x(r+1) Hankel matrix
-  int r = 0;    // polynomial degree (number of non-anchor nodes)
-
-  // Orthonormal polynomial values p_0..p_r at x: solve L p~ = v(x).
-  std::vector<double> Evaluate(double x) const {
-    std::vector<double> v(r + 1);
-    double p = 1.0;
-    for (int i = 0; i <= r; ++i) {
-      v[i] = p;
-      p *= x;
-    }
-    return ForwardSubstitute(chol, v);
+Matrix HankelOf(const std::vector<double>& moments, int r) {
+  Matrix hankel(r + 1, r + 1);
+  for (int i = 0; i <= r; ++i) {
+    for (int j = 0; j <= r; ++j) hankel(i, j) = moments[i + j];
   }
-};
-
-// Largest r with positive definite Hankel matrix of shifted moments.
-Result<OrthoBasis> BuildOrthoBasis(const std::vector<double>& moments,
-                                   int max_r) {
-  for (int r = max_r; r >= 1; --r) {
-    Matrix hankel(r + 1, r + 1);
-    for (int i = 0; i <= r; ++i) {
-      for (int j = 0; j <= r; ++j) hankel(i, j) = moments[i + j];
-    }
-    Result<Matrix> chol = CholeskyFactor(hankel, 1e-14);
-    if (chol.ok()) {
-      OrthoBasis basis;
-      basis.chol = std::move(chol).value();
-      basis.r = r;
-      return basis;
-    }
-  }
-  return Status::Singular("RTT: Hankel matrix not positive definite");
+  return hankel;
 }
 
+// Orthonormal polynomial values p_0..p_r at x: solve L p~ = v(x).
+std::vector<double> OrthonormalValues(const Matrix& chol, double x) {
+  const int r = static_cast<int>(chol.rows()) - 1;
+  std::vector<double> v(r + 1);
+  double p = 1.0;
+  for (int i = 0; i <= r; ++i) {
+    v[i] = p;
+    p *= x;
+  }
+  return ForwardSubstitute(chol, v);
+}
 
-// Sharp rank bounds in one (scaled) domain. `moments` are E[u^j] for the
-// scaled variable u in [-1, 1]; tq is the scaled threshold.
+}  // namespace
+
+RankBoundOracle::MarkovDomain::MarkovDomain(std::vector<double> moments,
+                                             double range_lo,
+                                             double range_hi)
+    : lo(range_lo),
+      hi(range_hi),
+      mu(std::move(moments)),
+      shifted(ShiftedMoments(mu, lo)),
+      reflected(ReflectedMoments(mu, hi)) {}
+
+RankBounds RankBoundOracle::MarkovDomain::Bound(double x, double n) const {
+  RankBounds b{0.0, n};
+  // Upper bound on 1 - F(t): P(x - lo >= t - lo).
+  const double p_tail = BestMarkovTailProb(shifted, x - lo);
+  b.lower = std::max(b.lower, n * (1.0 - p_tail));
+  // Upper bound on F(t): P(hi - x >= hi - t) >= P(x <= t) ... note
+  // rank counts strict inferiors; F(t-) <= P(hi - x >= hi - t).
+  const double p_head = BestMarkovTailProb(reflected, hi - x);
+  b.upper = std::min(b.upper, n * p_head);
+  return b;
+}
+
+RankBoundOracle::RttDomain::RttDomain(const MarkovDomain& domain)
+    : map(MakeScaleMap(domain.lo, domain.hi)) {
+  // Bounds run on the domain scaled onto [-1, 1] (conditioning).
+  const std::vector<double> scaled = ShiftPowerMoments(domain.mu, map);
+  const int max_r = (static_cast<int>(scaled.size()) - 1) / 2;
+  if (max_r < 1) return;
+  hankel = HankelOf(scaled, max_r);
+  // Largest r with a positive definite Hankel matrix of scaled moments.
+  for (int r = max_r; r >= 1; --r) {
+    Result<Matrix> l =
+        CholeskyFactor(r == max_r ? hankel : HankelOf(scaled, r), 1e-14);
+    if (!l.ok()) continue;
+    chol = std::move(l).value();
+    // Three-term recurrence coefficients of the orthonormal polynomials
+    // from the Cholesky factor of the Hankel matrix:
+    //   b_i = L[i+1][i+1] / L[i][i],
+    //   a_i = L[i+1][i] / L[i][i] - L[i][i-1] / L[i-1][i-1].
+    diag.assign(r + 1, 0.0);
+    off.assign(r, 0.0);
+    for (int i = 0; i < r; ++i) {
+      off[i] = chol(i + 1, i + 1) / chol(i, i);
+      diag[i] = chol(i + 1, i) / chol(i, i) -
+                (i > 0 ? chol(i, i - 1) / chol(i - 1, i - 1) : 0.0);
+    }
+    return;
+  }
+}
+
+// Sharp rank bounds in one (scaled) domain at x, whose scaled image tq
+// lies in [-1, 1].
 //
 // The canonical representation anchored at tq is computed as a
 // Gauss-Radau rule (Golub 1973): the Jacobi matrix of the moment
@@ -133,37 +151,27 @@ Result<OrthoBasis> BuildOrthoBasis(const std::vector<double>& moments,
 // eigenvalue. Nodes are the eigenvalues, weights come from the squared
 // first eigenvector components — no polynomial root finding, which is
 // what makes this numerically dependable when nodes cluster.
-Result<RankBounds> RttBoundScaled(const std::vector<double>& moments,
-                                  double tq, double n) {
-  const int k = static_cast<int>(moments.size()) - 1;
-  const int max_r = k / 2;
-  if (max_r < 1) return Status::InvalidArgument("RTT: need >= 2 moments");
-  MSKETCH_ASSIGN_OR_RETURN(OrthoBasis basis, BuildOrthoBasis(moments, max_r));
-  const int r = basis.r;
-
-  // Three-term recurrence coefficients of the orthonormal polynomials
-  // from the Cholesky factor of the Hankel matrix:
-  //   b_i = L[i+1][i+1] / L[i][i],
-  //   a_i = L[i+1][i] / L[i][i] - L[i][i-1] / L[i-1][i-1].
-  const Matrix& l = basis.chol;
-  std::vector<double> diag(r + 1, 0.0), off(r, 0.0);
-  for (int i = 0; i < r; ++i) {
-    off[i] = l(i + 1, i + 1) / l(i, i);
-    diag[i] = l(i + 1, i) / l(i, i) -
-              (i > 0 ? l(i, i - 1) / l(i - 1, i - 1) : 0.0);
+Result<RankBounds> RankBoundOracle::RttDomain::Bound(double x,
+                                                     double n) const {
+  if (off.empty()) {
+    return Status::Singular("RTT: Hankel matrix not positive definite");
+  }
+  const int r = static_cast<int>(off.size());
+  double tq = map.Forward(x);
+  std::vector<double> pt = OrthonormalValues(chol, tq);
+  while (std::fabs(pt[r]) < 1e-280) {
+    // tq is (numerically) a Gauss node already; nudge it by a hair.
+    tq += 3e-12;
+    pt = OrthonormalValues(chol, tq);
   }
   // Anchor the rule at tq: last diagonal a*_r = tq - b_{r-1} *
   // p_{r-1}(tq) / p_r(tq).
-  const std::vector<double> pt = basis.Evaluate(tq);
-  if (std::fabs(pt[r]) < 1e-280) {
-    // tq is (numerically) a Gauss node already; nudge it by a hair.
-    return RttBoundScaled(moments, tq + 3e-12, n);
-  }
-  diag[r] = tq - off[r - 1] * pt[r - 1] / pt[r];
+  std::vector<double> anchored = diag;
+  anchored[r] = tq - off[r - 1] * pt[r - 1] / pt[r];
 
   std::vector<double> first;
   MSKETCH_ASSIGN_OR_RETURN(std::vector<double> nodes,
-                           TridiagonalEigen(diag, off, &first));
+                           TridiagonalEigen(std::move(anchored), off, &first));
   double below = 0.0, at = 0.0;
   for (size_t j = 0; j < nodes.size(); ++j) {
     const double w = first[j] * first[j];  // times m0 = 1
@@ -179,49 +187,54 @@ Result<RankBounds> RttBoundScaled(const std::vector<double>& moments,
   return b;
 }
 
-}  // namespace
+RankBoundOracle::RankBoundOracle(const MomentsSketch& sketch)
+    : n_(static_cast<double>(sketch.count())),
+      min_(sketch.min()),
+      max_(sketch.max()) {
+  if (sketch.count() == 0) return;
+  markov_.emplace_back(sketch.StandardMoments(), min_, max_);
+  if (sketch.LogMomentsUsable()) {
+    markov_.emplace_back(sketch.LogMoments(), std::log(min_),
+                         std::log(max_));
+  }
+}
 
-RankBounds MarkovBound(const MomentsSketch& sketch, double t) {
-  const double n = static_cast<double>(sketch.count());
-  RankBounds b{0.0, n};
-  if (sketch.count() == 0) return b;
-  if (t <= sketch.min()) return RankBounds{0.0, 0.0};
-  if (t > sketch.max()) return RankBounds{n, n};
+const std::vector<RankBoundOracle::RttDomain>& RankBoundOracle::Rtt() const {
+  if (rtt_.empty()) {
+    for (const MarkovDomain& d : markov_) rtt_.emplace_back(d);
+  }
+  return rtt_;
+}
 
-  b.Intersect(MarkovBoundInDomain(sketch.StandardMoments(), sketch.min(),
-                                  sketch.max(), t, n));
-  if (sketch.LogMomentsUsable() && t > 0.0) {
-    b.Intersect(MarkovBoundInDomain(sketch.LogMoments(),
-                                    std::log(sketch.min()),
-                                    std::log(sketch.max()), std::log(t), n));
+RankBounds RankBoundOracle::MarkovBound(double t) const {
+  RankBounds b{0.0, n_};
+  if (n_ == 0.0) return b;
+  if (t <= min_) return RankBounds{0.0, 0.0};
+  if (t > max_) return RankBounds{n_, n_};
+
+  b.Intersect(markov_[0].Bound(t, n_));
+  if (markov_.size() > 1 && t > 0.0) {
+    b.Intersect(markov_[1].Bound(std::log(t), n_));
   }
   return b;
 }
 
-RankBounds RttBound(const MomentsSketch& sketch, double t) {
-  const double n = static_cast<double>(sketch.count());
-  RankBounds b{0.0, n};
-  if (sketch.count() == 0) return b;
-  if (t <= sketch.min()) return RankBounds{0.0, 0.0};
-  if (t > sketch.max()) return RankBounds{n, n};
+RankBounds RankBoundOracle::RttBound(double t) const {
+  RankBounds b{0.0, n_};
+  if (n_ == 0.0) return b;
+  if (t <= min_) return RankBounds{0.0, 0.0};
+  if (t > max_) return RankBounds{n_, n_};
 
-  // Standard-moment bounds on the scaled domain (conditioning).
-  {
-    ScaleMap map = MakeScaleMap(sketch.min(), sketch.max());
-    auto scaled = ShiftPowerMoments(sketch.StandardMoments(), map);
-    auto rb = RttBoundScaled(scaled, map.Forward(t), n);
-    if (rb.ok()) b.Intersect(rb.value());
-  }
+  const std::vector<RttDomain>& rtt = Rtt();
+  if (auto rb = rtt[0].Bound(t, n_); rb.ok()) b.Intersect(rb.value());
   // Log-moment bounds (paper: run both, take the tighter).
-  if (sketch.LogMomentsUsable() && t > 0.0) {
-    ScaleMap map =
-        MakeScaleMap(std::log(sketch.min()), std::log(sketch.max()));
-    auto scaled = ShiftPowerMoments(sketch.LogMoments(), map);
-    auto rb = RttBoundScaled(scaled, map.Forward(std::log(t)), n);
-    if (rb.ok()) b.Intersect(rb.value());
+  if (rtt.size() > 1 && t > 0.0) {
+    if (auto rb = rtt[1].Bound(std::log(t), n_); rb.ok()) {
+      b.Intersect(rb.value());
+    }
   }
   // Guarantee validity even if both solves degenerated.
-  RankBounds markov = MarkovBound(sketch, t);
+  RankBounds markov = MarkovBound(t);
   b.Intersect(markov);
   // Crossing bounds mean one domain's solve went numerically bad; fall
   // back to the always-sound Markov bounds.
@@ -229,81 +242,69 @@ RankBounds RttBound(const MomentsSketch& sketch, double t) {
   return b;
 }
 
-double QuantileErrorBound(const MomentsSketch& sketch, double phi,
-                          double estimate) {
-  if (sketch.count() == 0) return 0.0;
-  const double n = static_cast<double>(sketch.count());
-  RankBounds b = RttBound(sketch, estimate);
-  const double lo = b.lower / n;
-  const double hi = b.upper / n;
+double RankBoundOracle::QuantileErrorBound(double phi,
+                                           double estimate) const {
+  if (n_ == 0.0) return 0.0;
+  RankBounds b = RttBound(estimate);
+  const double lo = b.lower / n_;
+  const double hi = b.upper / n_;
   return std::max({phi - lo, hi - phi, 0.0});
+}
+
+// One endpoint of the certified interval. Target rank r (1-based): the
+// r-th smallest element. rank(t) counts strict inferiors, so rank(t) < r
+// certifies Q >= t and rank(t) >= r certifies Q <= t (the r-th smallest
+// is preceded by >= r elements). The lower endpoint is the largest probe
+// whose certified rank upper bound stays below r; the upper endpoint the
+// smallest probe whose certified rank lower bound already reaches r. The
+// search only ever moves past a certified probe, so the returned end is
+// the last certified probe (or the range end) regardless of bound
+// monotonicity.
+double RankBoundOracle::BisectEndpoint(double r, int steps,
+                                       bool lower_end) const {
+  double lo = min_, hi = max_;
+  for (int i = 0; i < steps; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (!(mid > lo && mid < hi)) break;  // interval exhausted in fp
+    const RankBounds b = RttBound(mid);
+    if (lower_end) {
+      (b.upper < r ? lo : hi) = mid;
+    } else {
+      (b.lower >= r ? hi : lo) = mid;
+    }
+  }
+  return lower_end ? lo : hi;
+}
+
+msketch::QuantileInterval RankBoundOracle::QuantileInterval(
+    double phi, int steps) const {
+  if (n_ == 0.0) return {0.0, 0.0};
+  const msketch::QuantileInterval whole{min_, max_};
+  if (min_ >= max_ || steps <= 0) return whole;
+
+  double r = std::ceil(phi * n_);
+  r = std::max(1.0, std::min(r, n_));
+  const msketch::QuantileInterval out{BisectEndpoint(r, steps, true),
+                                      BisectEndpoint(r, steps, false)};
+  // Both endpoints are individually certified, so crossing can only come
+  // from floating-point damage inside the bound solves; never hand a
+  // crossed certificate to a caller.
+  if (out.lower > out.upper) return whole;
+  return out;
+}
+
+double RankBoundOracle::HankelConditionNumber() const {
+  if (n_ == 0.0 || !(min_ < max_)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const Matrix& hankel = Rtt()[0].hankel;
+  if (hankel.rows() == 0) return std::numeric_limits<double>::infinity();
+  return SymmetricConditionNumber(hankel);
 }
 
 QuantileInterval CertifiedQuantileInterval(const MomentsSketch& sketch,
                                            double phi, int steps) {
-  if (sketch.count() == 0) return QuantileInterval{0.0, 0.0};
-  QuantileInterval out{sketch.min(), sketch.max()};
-  if (sketch.min() >= sketch.max() || steps <= 0) return out;
-
-  const double n = static_cast<double>(sketch.count());
-  // Target rank r (1-based): the r-th smallest element. rank(t) counts
-  // strict inferiors, so rank(t) < r certifies Q >= t and rank(t) >= r
-  // certifies Q <= t (the r-th smallest is preceded by >= r elements).
-  double r = std::ceil(phi * n);
-  r = std::max(1.0, std::min(r, n));
-
-  // Lower endpoint: largest probe t whose certified rank upper bound
-  // stays below r. Each accepted probe is individually sound, so the
-  // running max is a certificate regardless of bound monotonicity.
-  {
-    double lo = sketch.min(), hi = sketch.max();
-    for (int i = 0; i < steps; ++i) {
-      const double mid = 0.5 * (lo + hi);
-      if (!(mid > lo && mid < hi)) break;  // interval exhausted in fp
-      if (RttBound(sketch, mid).upper < r) {
-        out.lower = std::max(out.lower, mid);
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-  }
-  // Upper endpoint: smallest probe t whose certified rank lower bound
-  // already reaches r.
-  {
-    double lo = sketch.min(), hi = sketch.max();
-    for (int i = 0; i < steps; ++i) {
-      const double mid = 0.5 * (lo + hi);
-      if (!(mid > lo && mid < hi)) break;
-      if (RttBound(sketch, mid).lower >= r) {
-        out.upper = std::min(out.upper, mid);
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-    }
-  }
-  // Both endpoints are individually certified, so crossing can only come
-  // from floating-point damage inside the bound solves; never hand a
-  // crossed certificate to a caller.
-  if (out.lower > out.upper) return QuantileInterval{sketch.min(), sketch.max()};
-  return out;
-}
-
-double HankelConditionNumber(const MomentsSketch& sketch) {
-  if (sketch.count() == 0 || !(sketch.min() < sketch.max())) {
-    return std::numeric_limits<double>::infinity();
-  }
-  ScaleMap map = MakeScaleMap(sketch.min(), sketch.max());
-  const std::vector<double> mu =
-      ShiftPowerMoments(sketch.StandardMoments(), map);
-  const int r = (static_cast<int>(mu.size()) - 1) / 2;
-  if (r < 1) return std::numeric_limits<double>::infinity();
-  Matrix hankel(r + 1, r + 1);
-  for (int i = 0; i <= r; ++i) {
-    for (int j = 0; j <= r; ++j) hankel(i, j) = mu[i + j];
-  }
-  return SymmetricConditionNumber(hankel);
+  return RankBoundOracle(sketch).QuantileInterval(phi, steps);
 }
 
 }  // namespace msketch

@@ -25,8 +25,10 @@ ThresholdCascade::Decision ThresholdCascade::CheckBounds(
 
   // rank(t) upper bound < n phi  =>  q_phi >= t       => predicate true
   // rank(t) lower bound > n phi  =>  q_phi < t        => predicate false
+  if (!opt_.use_markov && !opt_.use_rtt) return Decision::kUnresolved;
+  const RankBoundOracle oracle(sketch);
   if (opt_.use_markov) {
-    *bounds_out = MarkovBound(sketch, t);
+    *bounds_out = oracle.MarkovBound(t);
     if (bounds_out->upper < rt) {
       ++stats_.resolved_markov;
       return Decision::kTrue;
@@ -37,7 +39,7 @@ ThresholdCascade::Decision ThresholdCascade::CheckBounds(
     }
   }
   if (opt_.use_rtt) {
-    RankBounds rtt = RttBound(sketch, t);
+    RankBounds rtt = oracle.RttBound(t);
     rtt.Intersect(*bounds_out);
     *bounds_out = rtt;
     if (bounds_out->upper < rt) {
@@ -121,14 +123,6 @@ bool ThresholdCascade::Threshold(const MomentsSketch& sketch, double phi,
       return false;
     case Decision::kUnresolved:
       break;
-  }
-
-  if (!opt_.memoize_solution) {
-    // No memo bookkeeping (sketch copy + stored distribution) when the
-    // caller opted out; DecideWithDistribution counts the resolution.
-    Result<MaxEntDistribution> dist = SolveMaxEnt(sketch, opt_.maxent);
-    return DecideWithDistribution(dist.ok() ? &dist.value() : nullptr,
-                                  sketch, phi, t, bounds);
   }
 
   ++stats_.resolved_maxent;

@@ -28,9 +28,6 @@ struct CascadeOptions {
   bool use_simple_check = true;  // [xmin, xmax] range filter
   bool use_markov = true;
   bool use_rtt = true;
-  /// Reuse the solved maxent distribution while consecutive queries hit
-  /// the same sketch — multi-(phi, t) alert sweeps solve once.
-  bool memoize_solution = true;
   MaxEntOptions maxent;
 };
 
@@ -65,14 +62,20 @@ class ThresholdCascade {
   /// Algorithm 2: returns whether the phi-quantile of the sketch's dataset
   /// exceeds the threshold t. When the maximum entropy stage is reached
   /// but fails to converge, decides by the midpoint of the RTT rank
-  /// bounds (the bounds remain valid for any matching dataset).
+  /// bounds (the bounds remain valid for any matching dataset). The
+  /// solved distribution is memoized while consecutive queries hit the
+  /// same sketch, so a multi-(phi, t) alert sweep solves once.
   bool Threshold(const MomentsSketch& sketch, double phi, double t);
 
   /// Outcome of the bounds-only prefix of Algorithm 2.
   enum class Decision { kTrue, kFalse, kUnresolved };
 
   /// Runs the range / Markov / RTT stages without the maxent fallback and
-  /// updates the per-stage counters (including `total`). The tightest
+  /// updates the per-stage counters (including `total`). A query the
+  /// range check settles builds no bound state; the Markov and RTT
+  /// stages share one RankBoundOracle, and the RTT stage's Hankel
+  /// factorization is only built when the Markov stage leaves the query
+  /// open. The tightest
   /// rank bounds seen are written to `*bounds_out`, so an unresolved
   /// caller can finish the decision with its own estimator — the batch
   /// layer does this to route the final solve through its warm-start

@@ -449,8 +449,8 @@ std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
                   kll_of[i] = &klls[i];
                 }
               }
-              if (RoutePreSolve(options, g.sketch, kll_of[i], phis,
-                                &out[i].answers, &router_stats)) {
+              if (RoutePreSolve(g.sketch, kll_of[i], phis, &out[i].answers,
+                                &router_stats)) {
                 return;
               }
               solver->Solve(g.sketch,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "core/atomic_fit.h"
 #include "obs/metrics.h"
@@ -20,33 +21,43 @@ obs::Counter* BackendCounter(const char* backend) {
       "Certified answers by producing backend");
 }
 
-// Certified interval for one phi: moments bounds, intersected with the
-// KLL certificate when present.
-QuantileInterval IntervalFor(const RouterOptions& opt,
-                             const MomentsSketch& moments,
-                             const KllSketch* kll, double phi,
+// Hankel condition number above which the maxent solve and the moment
+// interval are skipped when a KLL backend exists (the solve would diverge
+// or fit garbage; the conditioning monitor routes around it). The paper's
+// kappa_max (1e4) gates per-moment selection; this gates the whole
+// solve, so it is orders looser.
+constexpr double kKappaRoute = 1e12;
+
+// Certified interval for one phi. A rejected moment vector (`trusted`
+// false) gets the KLL certificate alone; otherwise the moment interval,
+// intersected with the KLL certificate when present. The moment
+// interval is the fallback wherever the KLL certificate is unavailable.
+QuantileInterval IntervalFor(const RankBoundOracle& oracle,
+                             const KllSketch* kll, bool trusted, double phi,
                              RouterStats* stats) {
-  QuantileInterval iv = CertifiedQuantileInterval(moments, phi,
-                                                  opt.interval_steps);
+  std::optional<KllInterval> kiv;
   if (kll != nullptr && kll->count() > 0) {
-    auto kiv = kll->CertifiedInterval(phi);
-    if (kiv.ok()) {
-      // Both enclosures should contain the true quantile, and then so
-      // does their intersection. The moment bounds can miss it on
-      // ill-conditioned selections (a few heavy-tailed rows); the KLL
-      // interval cannot — its rank error bound is a deterministic sum of
-      // compaction weights. So when the two are disjoint, the moment
-      // interval is the unsound one: keep the KLL certificate.
-      const double lo = std::max(iv.lower, kiv.value().lower);
-      const double hi = std::min(iv.upper, kiv.value().upper);
-      if (lo > hi) {
-        iv.lower = kiv.value().lower;
-        iv.upper = kiv.value().upper;
-      } else if (lo > iv.lower || hi < iv.upper) {
-        ++stats->intersected_certificates;
-        iv.lower = lo;
-        iv.upper = hi;
-      }
+    if (auto k = kll->CertifiedInterval(phi); k.ok()) kiv = k.value();
+  }
+  if (!trusted && kiv) return {kiv->lower, kiv->upper};
+  QuantileInterval iv =
+      oracle.QuantileInterval(phi, RouterOptions::interval_steps);
+  if (kiv) {
+    // Both enclosures should contain the true quantile, and then so
+    // does their intersection. The moment bounds can miss it on
+    // ill-conditioned selections (a few heavy-tailed rows); the KLL
+    // interval cannot — its rank error bound is a deterministic sum of
+    // compaction weights. So when the two are disjoint, the moment
+    // interval is the unsound one: keep the KLL certificate.
+    const double lo = std::max(iv.lower, kiv->lower);
+    const double hi = std::min(iv.upper, kiv->upper);
+    if (lo > hi) {
+      iv.lower = kiv->lower;
+      iv.upper = kiv->upper;
+    } else if (lo > iv.lower || hi < iv.upper) {
+      ++stats->intersected_certificates;
+      iv.lower = lo;
+      iv.upper = hi;
     }
   }
   return iv;
@@ -128,8 +139,8 @@ const char* QuantileBackendName(QuantileBackend backend) {
   return "unknown";
 }
 
-bool RoutePreSolve(const RouterOptions& options, const MomentsSketch& moments,
-                   const KllSketch* kll, const std::vector<double>& phis,
+bool RoutePreSolve(const MomentsSketch& moments, const KllSketch* kll,
+                   const std::vector<double>& phis,
                    std::vector<CertifiedQuantile>* out, RouterStats* stats) {
   out->assign(phis.size(), CertifiedQuantile{});
   stats->queries += phis.size();
@@ -153,7 +164,16 @@ bool RoutePreSolve(const RouterOptions& options, const MomentsSketch& moments,
     return true;
   }
 
-  // Certificates first: they hold no matter which estimator answers.
+  // Conditioning pre-screen: a moment vector near the boundary of the
+  // moment cone makes the maxent solve diverge or fit garbage, and the
+  // rank-bound solves behind its moment interval are no more reliable.
+  // When a rank sketch exists, skip both instead of paying for (or
+  // trusting) them.
+  const RankBoundOracle oracle(moments);
+  const bool rejected = kll != nullptr && kll->count() > 0 &&
+                        !(oracle.HankelConditionNumber() <= kKappaRoute);
+
+  // Certificates: they hold no matter which estimator answers.
   // Certified-interval widths feed a mergeable histogram — the width
   // distribution is the router's accuracy story, and a mean would hide
   // the wide-interval tail exactly where degradation kicks in.
@@ -164,24 +184,18 @@ bool RoutePreSolve(const RouterOptions& options, const MomentsSketch& moments,
           obs::HistogramUnit::kValue);
   for (size_t i = 0; i < phis.size(); ++i) {
     CertifiedQuantile& r = (*out)[i];
-    r.interval = IntervalFor(options, moments, kll, phis[i], stats);
+    r.interval = IntervalFor(oracle, kll, !rejected, phis[i], stats);
     r.certified = true;
     width_hist->Observe(r.interval.upper - r.interval.lower);
   }
 
-  // Conditioning pre-screen: a moment vector near the boundary of the
-  // moment cone makes the maxent solve diverge or fit garbage. When a
-  // rank sketch exists, skip the solve instead of paying for its failure.
-  if (kll != nullptr && kll->count() > 0) {
-    const double cond = HankelConditionNumber(moments);
-    if (!(cond <= options.kappa_route)) {
-      ++stats->conditioning_rejects;
-      for (size_t i = 0; i < phis.size(); ++i) {
-        AnswerFromKll(*kll, phis[i], &(*out)[i]);
-      }
-      stats->kll_answers += phis.size();
-      return true;
+  if (rejected) {
+    ++stats->conditioning_rejects;
+    for (size_t i = 0; i < phis.size(); ++i) {
+      AnswerFromKll(*kll, phis[i], &(*out)[i]);
     }
+    stats->kll_answers += phis.size();
+    return true;
   }
   return false;
 }
@@ -251,7 +265,7 @@ std::vector<CertifiedQuantile> SummaryRouter::QueryMany(
   obs::Span span("query.router");
   RouterStats call;
   std::vector<CertifiedQuantile> out;
-  if (!RoutePreSolve(opt_, moments, kll, phis, &out, &call)) {
+  if (!RoutePreSolve(moments, kll, phis, &out, &call)) {
     // Warm -> cold -> drop-moments backoff happen inside SolveMaxEnt; the
     // post-solve stage only sees success or refusal.
     const WarmStart* seed = hint != nullptr && hint->valid() ? hint : nullptr;

@@ -9,8 +9,8 @@
 // quantile provably lies in — assembled from whichever backends the cell
 // has:
 //
-//   moments   maxent estimate + RttBound-certified value interval
-//             (core/bounds.h CertifiedQuantileInterval);
+//   moments   maxent estimate + RTT-certified value interval
+//             (core/bounds.h RankBoundOracle::QuantileInterval);
 //   KLL       rank-sketch estimate + deterministic rank-error interval
 //             (sketches/kll_sketch.h CertifiedInterval);
 //   both      the intersection — two sound certificates intersect to a
@@ -18,14 +18,24 @@
 //             disjoint the moments interval was unsound and the KLL
 //             interval, sound by construction, is kept.
 //
+// The moment interval is only trusted from a well-conditioned moment
+// vector. Each rank bound behind it is a floating-point solve on the
+// Hankel system, and on a moment vector the conditioning pre-screen
+// rejects, those solves can exclude the exact quantile while still
+// meeting the KLL interval. So a rejected moment vector with a KLL
+// present gets the KLL certificate alone, and no moment probe runs.
+//
 // The solve path is a bounded retry/fallback chain, split into a
 // pre-solve and a post-solve stage so point queries (SummaryRouter) and
 // certified GROUP BY (cube/batch_query.h, lane-batched solves) run the
 // same chain; no query ever returns an unbounded-error or failed answer
-// on non-empty data:
+// on non-empty data. One RankBoundOracle per sketch serves the
+// pre-screen and every phi's moment interval:
 //
-//   1. conditioning pre-screen: Hankel condition number above
-//      kappa_route with a KLL present routes straight to KLL;
+//   1. conditioning pre-screen, before any certificate: a Hankel
+//      condition number above 1e12 with a KLL present routes straight
+//      to KLL, certificate included (the moment interval is the
+//      fallback only where the KLL certificate is unavailable);
 //   2. warm maxent solve (hint) -> cold restart on seed failure
 //      (inside SolveMaxEnt) -> drop-moments backoff;
 //   3. solver refused/diverged: atomic-fit estimate (near-discrete
@@ -62,15 +72,9 @@ const char* QuantileBackendName(QuantileBackend backend);
 
 struct RouterOptions {
   MaxEntOptions maxent;
-  /// Hankel condition number above which the maxent solve is skipped
-  /// outright when a KLL backend exists (the solve would diverge or fit
-  /// garbage; the conditioning monitor routes around it). The paper's
-  /// kappa_max (1e4) gates per-moment selection; this gates the whole
-  /// solve, so it is orders looser.
-  double kappa_route = 1e12;
-  /// Bisection probes per certified-interval endpoint (each one RttBound
-  /// evaluation).
-  int interval_steps = 24;
+  /// Bisection probes per certified-interval endpoint (each one RTT
+  /// bound evaluation).
+  static constexpr int interval_steps = 24;
 };
 
 /// One certified quantile answer. `interval` always encloses the true
@@ -116,13 +120,14 @@ struct RouterStats {
 /// The fallback chain in two stages around the maxent solve, so the
 /// point-query router and the batch GROUP BY pipeline share one chain.
 ///
-/// Pre-solve: fills every answer's certificate and settles the answers
-/// that need no solve — empty input (error status), a point mass
-/// (exact), or a Hankel condition number above kappa_route with a KLL
-/// present (KLL estimate). Returns true when `out` is final; otherwise
-/// the caller solves and hands the outcome to RoutePostSolve.
-bool RoutePreSolve(const RouterOptions& options, const MomentsSketch& moments,
-                   const KllSketch* kll, const std::vector<double>& phis,
+/// Pre-solve: settles the answers that need no solve — empty input
+/// (error status), a point mass (exact), or a moment vector the
+/// conditioning pre-screen rejects with a KLL present (KLL estimate and
+/// KLL certificate) — and fills every other answer's certificate.
+/// Returns true when `out` is final; otherwise the caller solves and
+/// hands the outcome to RoutePostSolve.
+bool RoutePreSolve(const MomentsSketch& moments, const KllSketch* kll,
+                   const std::vector<double>& phis,
                    std::vector<CertifiedQuantile>* out, RouterStats* stats);
 
 /// Post-solve: estimates from `dist`, or — when the solve failed (`dist`

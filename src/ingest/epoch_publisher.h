@@ -103,8 +103,7 @@ struct IngestOptions {
 
 /// One published, immutable-while-published cube state. `epoch` is the
 /// publish sequence number; `epoch_delta` is the merged sketch of the
-/// rows that entered in this epoch (the sliding-window pane feed —
-/// window/epoch_feed.h). Readers hold the snapshot via shared_ptr; the
+/// rows that entered in this epoch. Readers hold the snapshot via shared_ptr; the
 /// backing buffer is recycled when the last holder releases it.
 struct CubeSnapshot {
   CubeSnapshot(size_t num_dims, int k)

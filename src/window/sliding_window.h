@@ -11,10 +11,8 @@
 #define MSKETCH_WINDOW_SLIDING_WINDOW_H_
 
 #include <algorithm>
-#include <cstdint>
 #include <deque>
 #include <limits>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/status.h"
@@ -70,123 +68,6 @@ class TurnstileWindow {
 
   size_t window_panes_;
   std::deque<MomentsSketch> panes_;
-  MomentsSketch agg_;
-};
-
-/// Columnar turnstile window: panes live in a struct-of-arrays slab (one
-/// contiguous column per moment order, one slot per pane) instead of a
-/// deque of sketch objects. Sliding subtracts the outgoing slot and adds
-/// the incoming one straight from the packed columns via the flat merge
-/// kernel — same O(k) arithmetic as TurnstileWindow, but the pane state
-/// is one cache-resident slab with zero per-pane allocations, and the
-/// update is bit-identical to the object-per-pane path.
-class SlabWindow {
- public:
-  SlabWindow(int k, size_t window_panes)
-      : k_(k),
-        window_panes_(window_panes),
-        capacity_(window_panes + 1),  // spare slot: merge before evict
-        agg_(k) {
-    MSKETCH_CHECK(window_panes >= 1);
-    power_cols_.assign(k_, std::vector<double>(capacity_, 0.0));
-    log_cols_.assign(k_, std::vector<double>(capacity_, 0.0));
-    counts_.assign(capacity_, 0);
-    log_counts_.assign(capacity_, 0);
-    mins_.assign(capacity_, 0.0);
-    maxs_.assign(capacity_, 0.0);
-    power_ptrs_.resize(k_);
-    log_ptrs_.resize(k_);
-  }
-
-  /// Slides the window forward by one pane. Merge happens before the
-  /// eviction subtract — the same operation order as TurnstileWindow, so
-  /// the aggregates stay bit-identical to the object-per-pane path.
-  /// Single-slot updates route through the SIMD kernels' scalar tails
-  /// (a one-element batch never enters the lane-structured main loop),
-  /// which is what preserves that bit-identity.
-  Status PushPane(const MomentsSketch& pane) {
-    if (pane.k() != k_) {
-      return Status::InvalidArgument("SlabWindow: mismatched order k");
-    }
-    const uint32_t slot = static_cast<uint32_t>(head_);
-    for (int i = 0; i < k_; ++i) {
-      power_cols_[i][slot] = pane.power_sums()[i];
-      log_cols_[i][slot] = pane.log_sums()[i];
-    }
-    counts_[slot] = pane.count();
-    log_counts_[slot] = pane.log_count();
-    mins_[slot] = pane.min();
-    maxs_[slot] = pane.max();
-    Status s = agg_.MergeFlatFast(Columns(), &slot, 1);
-    if (!s.ok()) return s;
-    head_ = (head_ + 1) % capacity_;
-    ++live_;
-    if (live_ > window_panes_) {
-      const uint32_t oldest = static_cast<uint32_t>(tail_);
-      s = agg_.SubtractFlatFast(Columns(), &oldest, 1);
-      if (!s.ok()) return s;
-      tail_ = (tail_ + 1) % capacity_;
-      --live_;
-    }
-    RefreshRange();
-    return Status::OK();
-  }
-
-  bool Full() const { return live_ == window_panes_; }
-  size_t size() const { return live_; }
-
-  /// The aggregate sketch for the current window.
-  const MomentsSketch& Current() const { return agg_; }
-
- private:
-  // Rebuilt on every call (cheap: k pointer stores) rather than cached,
-  // so a copied window points at its own columns, not the source's.
-  FlatMomentColumns Columns() {
-    for (int i = 0; i < k_; ++i) {
-      power_ptrs_[i] = power_cols_[i].data();
-      log_ptrs_[i] = log_cols_[i].data();
-    }
-    FlatMomentColumns cols;
-    cols.k = k_;
-    cols.num_cells = capacity_;
-    cols.power_sums = power_ptrs_.data();
-    cols.log_sums = log_ptrs_.data();
-    cols.counts = counts_.data();
-    cols.log_counts = log_counts_.data();
-    cols.mins = mins_.data();
-    cols.maxs = maxs_.data();
-    return cols;
-  }
-
-  void RefreshRange() {
-    // Subtraction leaves agg_'s min/max stale; re-reduce over the live
-    // slots' packed extrema.
-    double mn = std::numeric_limits<double>::infinity();
-    double mx = -std::numeric_limits<double>::infinity();
-    for (size_t j = 0; j < live_; ++j) {
-      const size_t slot = (tail_ + j) % capacity_;
-      if (counts_[slot] == 0) continue;
-      mn = std::min(mn, mins_[slot]);
-      mx = std::max(mx, maxs_[slot]);
-    }
-    if (agg_.count() > 0) agg_.SetRange(mn, mx);
-  }
-
-  int k_;
-  size_t window_panes_;
-  size_t capacity_;  // window_panes_ + 1 ring slots
-  size_t head_ = 0;  // next slot to write
-  size_t tail_ = 0;  // oldest live slot
-  size_t live_ = 0;
-  // Pane slab: column i, slot s = pane s's sum(x^(i+1)) and sum(log(x)^(i+1)).
-  std::vector<std::vector<double>> power_cols_;
-  std::vector<std::vector<double>> log_cols_;
-  std::vector<uint64_t> counts_;
-  std::vector<uint64_t> log_counts_;
-  std::vector<double> mins_;
-  std::vector<double> maxs_;
-  std::vector<const double*> power_ptrs_;
-  std::vector<const double*> log_ptrs_;
   MomentsSketch agg_;
 };
 

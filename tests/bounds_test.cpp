@@ -41,16 +41,17 @@ TEST_P(RankBoundPropertyTest, TrueRankAlwaysInsideBounds) {
   probes.push_back(data.back() + 1.0);
   probes.push_back(0.5 * (data.front() + data.back()));
 
+  const RankBoundOracle oracle(sketch);
   for (double t : probes) {
     const double rank = static_cast<double>(RankOfSorted(data, t));
-    RankBounds markov = MarkovBound(sketch, t);
+    RankBounds markov = oracle.MarkovBound(t);
     // Tolerance: bounds are computed from ~1e-9-precise moments.
     EXPECT_LE(markov.lower, rank + n * 1e-6)
         << GetParam().dataset << " t=" << t;
     EXPECT_GE(markov.upper, rank - n * 1e-6)
         << GetParam().dataset << " t=" << t;
 
-    RankBounds rtt = RttBound(sketch, t);
+    RankBounds rtt = oracle.RttBound(t);
     EXPECT_LE(rtt.lower, rank + n * 1e-4)
         << GetParam().dataset << " RTT t=" << t;
     EXPECT_GE(rtt.upper, rank - n * 1e-4)
@@ -120,30 +121,31 @@ TEST(HankelConditionTest, SeparatesSmoothFromAtomic) {
   Rng rng(31);
   MomentsSketch smooth(10);
   for (int i = 0; i < 50000; ++i) smooth.Accumulate(rng.NextDouble());
-  const double cond_smooth = HankelConditionNumber(smooth);
+  const double cond_smooth = RankBoundOracle(smooth).HankelConditionNumber();
   EXPECT_TRUE(std::isfinite(cond_smooth));
 
   MomentsSketch atomic(10);
   for (int i = 0; i < 50000; ++i) atomic.Accumulate(i % 2 == 0 ? 1.0 : 3.0);
-  const double cond_atomic = HankelConditionNumber(atomic);
+  const double cond_atomic = RankBoundOracle(atomic).HankelConditionNumber();
   // A two-atom measure has a (numerically) singular k=10 Hankel matrix.
   EXPECT_GT(cond_atomic, 1e6);
   EXPECT_GT(cond_atomic, cond_smooth * 100.0);
 
   MomentsSketch empty(10);
-  EXPECT_TRUE(std::isinf(HankelConditionNumber(empty)));
+  EXPECT_TRUE(std::isinf(RankBoundOracle(empty).HankelConditionNumber()));
   MomentsSketch point(10);
   point.Accumulate(5.0);
-  EXPECT_TRUE(std::isinf(HankelConditionNumber(point)));
+  EXPECT_TRUE(std::isinf(RankBoundOracle(point).HankelConditionNumber()));
 }
 
 TEST(MarkovBoundTest, TrivialOutOfRange) {
   MomentsSketch s(6);
   for (int i = 1; i <= 100; ++i) s.Accumulate(i);
-  RankBounds below = MarkovBound(s, 0.5);
+  const RankBoundOracle oracle(s);
+  RankBounds below = oracle.MarkovBound(0.5);
   EXPECT_DOUBLE_EQ(below.lower, 0.0);
   EXPECT_DOUBLE_EQ(below.upper, 0.0);
-  RankBounds above = MarkovBound(s, 1000.0);
+  RankBounds above = oracle.MarkovBound(1000.0);
   EXPECT_DOUBLE_EQ(above.lower, 100.0);
   EXPECT_DOUBLE_EQ(above.upper, 100.0);
 }
@@ -154,7 +156,7 @@ TEST(MarkovBoundTest, TightForPointMassTail) {
   MomentsSketch s(10);
   for (int i = 0; i < 99; ++i) s.Accumulate(1.0);
   s.Accumulate(100.0);
-  RankBounds b = MarkovBound(s, 50.0);
+  RankBounds b = RankBoundOracle(s).MarkovBound(50.0);
   // rank(50) = 99. Lower bound should push well above 90.
   EXPECT_GE(b.lower, 90.0);
   EXPECT_GE(b.upper, 99.0);
@@ -165,11 +167,12 @@ TEST(RttBoundTest, TighterThanMarkovOnAverage) {
   MomentsSketch sketch(10);
   for (double x : data) sketch.Accumulate(x);
   std::sort(data.begin(), data.end());
+  const RankBoundOracle oracle(sketch);
   double markov_width = 0.0, rtt_width = 0.0;
   for (double phi : DefaultPhiGrid()) {
     const double t = QuantileOfSorted(data, phi);
-    RankBounds m = MarkovBound(sketch, t);
-    RankBounds r = RttBound(sketch, t);
+    RankBounds m = oracle.MarkovBound(t);
+    RankBounds r = oracle.RttBound(t);
     markov_width += m.upper - m.lower;
     rtt_width += r.upper - r.lower;
   }
@@ -182,7 +185,7 @@ TEST(RttBoundTest, DegenerateSketchStillSound) {
   MomentsSketch s(10);
   for (int i = 0; i < 50; ++i) s.Accumulate(1.0);
   for (int i = 0; i < 50; ++i) s.Accumulate(2.0);
-  RankBounds b = RttBound(s, 1.5);
+  RankBounds b = RankBoundOracle(s).RttBound(1.5);
   EXPECT_LE(b.lower, 50.0 + 1e-3);
   EXPECT_GE(b.upper, 50.0 - 1e-3);
 }
@@ -192,12 +195,13 @@ TEST(QuantileErrorBoundTest, BoundCoversTrueError) {
   MomentsSketch sketch(10);
   for (double x : data) sketch.Accumulate(x);
   std::sort(data.begin(), data.end());
+  const RankBoundOracle oracle(sketch);
   for (double phi : {0.1, 0.5, 0.9, 0.99}) {
     const double truth = QuantileOfSorted(data, phi);
     // Perturb the estimate; the certified bound must cover the actual
     // rank error of the perturbed estimate.
     const double estimate = truth * 1.05;
-    const double certified = QuantileErrorBound(sketch, phi, estimate);
+    const double certified = oracle.QuantileErrorBound(phi, estimate);
     const double actual = QuantileError(data, phi, estimate);
     EXPECT_GE(certified + 1e-4, actual) << "phi=" << phi;
   }

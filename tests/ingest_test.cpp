@@ -20,8 +20,6 @@
 #include "ingest/ingest_shard.h"
 #include "ingest/streaming_cube.h"
 #include "parallel/parallel_for.h"
-#include "window/epoch_feed.h"
-#include "window/sliding_window.h"
 
 namespace msketch {
 namespace {
@@ -672,52 +670,6 @@ TEST(StreamingCubeTest, ChunkOverflowPreservesTotalsAcrossEpochs) {
   EXPECT_GT(stats.publisher.max_publish_ms, 0.0);
   EXPECT_GT(stats.publisher.max_drain_ms, 0.0);
   EXPECT_GE(stats.full_ring_high_water, 1u);
-}
-
-// --------------------------------------------------------- pane feed
-
-// Epoch deltas feed a sliding window: after W epochs the window holds
-// exactly the rows of the last W epochs, and the feed skips empty
-// publishes.
-TEST(StreamingCubeTest, EpochPaneFeedDrivesSlabWindow) {
-  const size_t kWindow = 3;
-  SlabWindow window(10, kWindow);
-  EpochPaneFeed<SlabWindow> feed(&window);
-  StreamingCube cube(kDims, MomentsSummary(10));
-  cube.SetEpochSink([&](const CubeSnapshot& snap) {
-    ASSERT_TRUE(feed.OnEpochDelta(snap.epoch_delta).ok());
-  });
-
-  Rng rng(71);
-  const uint64_t kRowsPerEpoch = 500;
-  for (int e = 0; e < 6; ++e) {
-    for (uint64_t i = 0; i < kRowsPerEpoch; ++i) {
-      cube.Append(RandomCoords(&rng), rng.NextLognormal(0.0, 0.5));
-    }
-    cube.Flush();
-  }
-  EXPECT_EQ(feed.panes_pushed(), 6u);
-  EXPECT_TRUE(window.Full());
-  EXPECT_EQ(window.Current().count(), kWindow * kRowsPerEpoch);
-}
-
-TEST(EpochPaneFeedTest, CoalescesSmallEpochsIntoPanes) {
-  TurnstileWindow window(10, 4);
-  EpochPaneFeed<TurnstileWindow> feed(&window, /*min_pane_rows=*/100);
-  MomentsSketch small(10);
-  for (int i = 0; i < 60; ++i) small.Accumulate(1.0 + i);
-  ASSERT_TRUE(feed.OnEpochDelta(small).ok());
-  EXPECT_EQ(feed.panes_pushed(), 0u);  // 60 rows buffered
-  ASSERT_TRUE(feed.OnEpochDelta(small).ok());
-  EXPECT_EQ(feed.panes_pushed(), 1u);  // 120 rows -> one pane
-  EXPECT_EQ(window.Current().count(), 120u);
-  MomentsSketch empty(10);
-  ASSERT_TRUE(feed.OnEpochDelta(empty).ok());  // skipped
-  EXPECT_EQ(feed.pending_rows(), 0u);
-  ASSERT_TRUE(feed.OnEpochDelta(small).ok());
-  ASSERT_TRUE(feed.FlushPane().ok());  // partial pane on demand
-  EXPECT_EQ(feed.panes_pushed(), 2u);
-  EXPECT_EQ(window.Current().count(), 180u);
 }
 
 }  // namespace

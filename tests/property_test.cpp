@@ -127,11 +127,12 @@ TEST_P(BoundFuzzTest, RandomThresholdsAlwaysContained) {
   MomentsSketch sketch(10);
   for (double x : data) sketch.Accumulate(x);
   std::sort(data.begin(), data.end());
+  const RankBoundOracle oracle(sketch);
   for (int probe = 0; probe < 40; ++probe) {
     const double t = rng.Uniform(data.front() * 0.5, data.back() * 1.1);
     const double rank = static_cast<double>(RankOfSorted(data, t));
-    RankBounds markov = MarkovBound(sketch, t);
-    RankBounds rtt = RttBound(sketch, t);
+    RankBounds markov = oracle.MarkovBound(t);
+    RankBounds rtt = oracle.RttBound(t);
     EXPECT_LE(markov.lower, rank + n * 1e-6) << "seed=" << GetParam();
     EXPECT_GE(markov.upper, rank - n * 1e-6);
     EXPECT_LE(rtt.lower, rank + n * 1e-4);
@@ -305,7 +306,7 @@ TEST(EdgeCaseTest, SingleElementSketch) {
   ASSERT_TRUE(dist.ok());
   EXPECT_DOUBLE_EQ(dist->Quantile(0.01), 42.5);
   EXPECT_DOUBLE_EQ(dist->Quantile(0.99), 42.5);
-  RankBounds b = MarkovBound(s, 42.5);
+  RankBounds b = RankBoundOracle(s).MarkovBound(42.5);
   EXPECT_LE(b.lower, 0.0 + 1e-9);
 }
 

@@ -23,6 +23,7 @@
 #include "cube/batch_query.h"
 #include "cube/cube_store.h"
 #include "cube/summary_router.h"
+#include "datasets/datasets.h"
 #include "ingest/streaming_cube.h"
 #include "numerics/stats.h"
 #include "persist/durable_log.h"
@@ -119,6 +120,25 @@ void ExpectCertified(const CertifiedQuantile& a, double truth, double slack,
       << what << " lower bound above truth " << truth;
   EXPECT_GE(a.interval.upper, truth - slack)
       << what << " upper bound below truth " << truth;
+}
+
+// True when the interval holds an exact phi-quantile of the sorted rows:
+// some row q with #{x < q} <= phi*n <= #{x <= q}, within `slack`.
+bool HoldsExactQuantile(const QuantileInterval& iv,
+                        const std::vector<double>& sorted, double phi,
+                        double slack) {
+  const double target = phi * static_cast<double>(sorted.size());
+  for (double q : sorted) {
+    const double below = static_cast<double>(
+        std::lower_bound(sorted.begin(), sorted.end(), q) - sorted.begin());
+    const double at_or_below = static_cast<double>(
+        std::upper_bound(sorted.begin(), sorted.end(), q) - sorted.begin());
+    if (below <= target && target <= at_or_below &&
+        iv.lower <= q + slack && iv.upper >= q - slack) {
+      return true;
+    }
+  }
+  return false;
 }
 
 // --------------------------------------------------------- unit tests
@@ -370,6 +390,50 @@ TEST(RouterAdversarialSweep, EveryAnswerCertifiedAndContainsTruth) {
                 router.stats().conditioning_rejects +
                 router.stats().degenerate_answers,
             0u);
+}
+
+// Small heavy-tailed selections where the conditioning pre-screen rejects
+// the moments. The rank-bound solves behind the moment interval are as
+// unreliable there as the maxent solve: intersected with the KLL
+// certificate, they used to exclude every exact quantile. Each pinned
+// case is one that missed; the KLL certificate alone holds.
+TEST(RouterAdversarialSweep, SmallHeavyTailedSelectionsHoldAnExactQuantile) {
+  struct Case {
+    DatasetId data;
+    uint64_t n;
+    uint64_t seed;
+    std::vector<double> phis;
+  };
+  const Case cases[] = {
+      {DatasetId::kMilan, 300, 918904, {0.9, 0.95, 0.99}},
+      {DatasetId::kMilan, 150, 1766087, {0.99}},
+      {DatasetId::kMilan, 600, 3073172, {0.9}},
+      {DatasetId::kRetail, 1200, 191256, {0.95, 0.99}},
+      {DatasetId::kRetail, 300, 245789, {0.95}},
+      {DatasetId::kRetail, 300, 784281, {0.99}},
+      {DatasetId::kRetail, 150, 902916, {0.99}},
+      {DatasetId::kRetail, 300, 1006013, {0.95}},
+      {DatasetId::kRetail, 150, 1061296, {0.99}},
+  };
+  SummaryRouter router;
+  for (const Case& c : cases) {
+    std::vector<double> rows = GenerateDataset(c.data, c.n, c.seed);
+    MomentsSketch s = SketchOf(rows);
+    KllSketch kll = KllOf(rows);
+    std::sort(rows.begin(), rows.end());
+    const double slack = 1e-5 * (std::abs(s.min()) + std::abs(s.max()) + 1.0);
+    for (double phi : c.phis) {
+      const std::string what = DatasetName(c.data) + " n=" +
+                                std::to_string(c.n) + " seed=" +
+                                std::to_string(c.seed) +
+                                " phi=" + std::to_string(phi);
+      CertifiedQuantile a = router.Query(s, &kll, phi);
+      ASSERT_TRUE(a.status.ok() && a.certified) << what;
+      EXPECT_TRUE(HoldsExactQuantile(a.interval, rows, phi, slack))
+          << what << ": [" << a.interval.lower << ", " << a.interval.upper
+          << "]";
+    }
+  }
 }
 
 // --------------------------------------------- certified GROUP BY

@@ -201,37 +201,6 @@ TEST(SlidingWindowTest, DetectsInjectedSpike) {
   EXPECT_LE(fired, 7);
 }
 
-// SlabWindow performs the same scalar operations as TurnstileWindow in
-// the same order (per-order add of the incoming pane, subtract of the
-// outgoing), so the aggregates must be bit-identical at every step.
-TEST(SlidingWindowTest, SlabWindowIdenticalToTurnstile) {
-  Rng rng(78);
-  const size_t w = 6;
-  TurnstileWindow turnstile(10, w);
-  SlabWindow slab(10, w);
-  for (int step = 0; step < 40; ++step) {
-    MomentsSketch pane = MakePane(&rng, 1.0 + 0.1 * (step % 5));
-    ASSERT_TRUE(turnstile.PushPane(pane).ok());
-    ASSERT_TRUE(slab.PushPane(pane).ok());
-    EXPECT_EQ(slab.Full(), turnstile.Full());
-    EXPECT_EQ(slab.size(), turnstile.size());
-    EXPECT_TRUE(slab.Current().IdenticalTo(turnstile.Current()))
-        << "step " << step;
-  }
-}
-
-TEST(SlidingWindowTest, SlabWindowQuantilesUsable) {
-  Rng rng(79);
-  SlabWindow window(10, 4);
-  for (int step = 0; step < 9; ++step) {
-    ASSERT_TRUE(window.PushPane(MakePane(&rng, 1.0)).ok());
-  }
-  ASSERT_TRUE(window.Full());
-  auto dist = SolveMaxEnt(window.Current());
-  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  EXPECT_NEAR(dist->Quantile(0.5), 1.0, 0.15);
-}
-
 // An empty pane whose tracked range is stale (real-looking numbers left
 // over from subtraction / SetRange) contributes no data and must not
 // poison the window extrema.
@@ -249,18 +218,14 @@ TEST(SlidingWindowTest, EmptyPaneStaleRangeDoesNotPoisonExtrema) {
 
 TEST(SlidingWindowTest, PushPaneReportsMismatchedOrder) {
   TurnstileWindow turnstile(10, 4);
-  SlabWindow slab(10, 4);
   MomentsSketch wrong(6);
   wrong.Accumulate(1.0);
   EXPECT_FALSE(turnstile.PushPane(wrong).ok());
-  EXPECT_FALSE(slab.PushPane(wrong).ok());
-  // The failed push left both windows usable.
+  // The failed push left the window usable.
   MomentsSketch good(10);
   good.Accumulate(3.0);
   EXPECT_TRUE(turnstile.PushPane(good).ok());
-  EXPECT_TRUE(slab.PushPane(good).ok());
   EXPECT_EQ(turnstile.Current().count(), 1u);
-  EXPECT_TRUE(slab.Current().IdenticalTo(turnstile.Current()));
 }
 
 // ------------------------------------------------------------- Parallel

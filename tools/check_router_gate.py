@@ -12,7 +12,11 @@ adversarial rows are the reason the gate exists: they are the cells
 where the maxent solver fails and the degradation chain must still
 produce a bounded answer. The "groupby" section (the same datasets
 answered by one certified GROUP BY, i.e. the batch pipeline's certify
-stage) is checked the same way and must be present.
+stage) is checked the same way and must be present. So is the "small"
+section: pinned 150-1200-row heavy-tailed selections where the
+conditioning pre-screen rejects the moments, each of which must be
+present by name (SMALL_ROWS), certified, and hold an exact quantile.
+The large cells of the other sections never reach that regime.
 
 Usage: check_router_gate.py BENCH_router.json
 """
@@ -20,6 +24,20 @@ Usage: check_router_gate.py BENCH_router.json
 import sys
 
 from gate_common import load_sections
+
+
+# bench_router's pinned small selections: dataset, rows and seed.
+SMALL_ROWS = (
+    "milan_n300_s918904",
+    "milan_n150_s1766087",
+    "milan_n600_s3073172",
+    "retail_n1200_s191256",
+    "retail_n300_s245789",
+    "retail_n300_s784281",
+    "retail_n150_s902916",
+    "retail_n300_s1006013",
+    "retail_n150_s1061296",
+)
 
 
 def main(argv):
@@ -33,12 +51,15 @@ def main(argv):
         return rc
     checked = 0
     failures = []
-    sections = ("smooth", "adversarial", "groupby")
+    sections = ("smooth", "adversarial", "groupby", "small")
     seen = {section: 0 for section in sections}
+    small_names = set()
     for row in rows:
         if row.get("section") not in sections:
             continue
         seen[row.get("section")] += 1
+        if row.get("section") == "small":
+            small_names.add(row.get("name"))
         checked += 1
         name = f'{row.get("section")}/{row.get("name")}'
         if row.get("certified") is not True:
@@ -51,6 +72,9 @@ def main(argv):
         print(f"FAIL: {path} has no {'/'.join(missing)} rows — "
               f"bench_router output format changed?")
         return 1
+    for name in SMALL_ROWS:
+        if name not in small_names:
+            failures.append(f"small/{name}: pinned row missing")
     for f in failures:
         print(f"FAIL: {f}")
     if failures:
