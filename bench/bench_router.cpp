@@ -29,6 +29,15 @@
 //                the certificate holds an exact quantile: some row q
 //                with #{x < q} <= phi*n <= #{x <= q}, within
 //                1e-5 * (|min| + |max| + 1).
+//   exact        selections an uncompacted KLL holds whole: 1/2/17/63-row
+//                milan / retail cells, and two selections of small cells
+//                of a CubeStore merged by MergeKllWhere (the lossless
+//                union): 300 rows over 20 cells, and 2048 one-row cells
+//                (the union's cap of 32 * kll_k rows). The router answers each phi from the
+//                KLL's point certificate. Rows carry `certified`,
+//                `contains_truth` (as in `small`), `width` (the widest
+//                certificate, upper - lower) and `solves` (maxent solves
+//                recorded); the gate fails any nonzero width or solve.
 //   counters     one row of cumulative RouterStats over the whole run
 //                (solver failures absorbed, conditioning rejects,
 //                fallback depths) so a latency regression can be read
@@ -40,6 +49,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -322,6 +332,71 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Exact selections (see the header comment).
+  {
+    const std::vector<double> phis(kPhiGrid, kPhiGrid + 5);
+    auto add_exact = [&](const std::string& name, const MomentsSketch& s,
+                         const KllSketch& kll, std::vector<double> sorted) {
+      std::sort(sorted.begin(), sorted.end());
+      const double slack =
+          1e-5 * (std::abs(sorted.front()) + std::abs(sorted.back()) + 1.0);
+      auto solves = [&] {
+        return router.stats().solve.warm_solves +
+               router.stats().solve.cold_solves;
+      };
+      const uint64_t solves_before = solves();
+      std::vector<CertifiedQuantile> answers;
+      const std::vector<double> samples_ms = TimeReps(reps, [&] {
+        answers = router.QueryMany(s, &kll, phis);
+      });
+      bool certified = answers.size() == phis.size();
+      bool contains_truth = certified;
+      double width = 0.0;
+      for (size_t i = 0; i < answers.size(); ++i) {
+        certified = certified && answers[i].status.ok() && answers[i].certified;
+        contains_truth = contains_truth &&
+                         HoldsExactQuantile(answers[i].interval, sorted,
+                                            phis[i], slack);
+        width = std::max(width, answers[i].interval.width());
+      }
+      report.Add("exact", name, samples_ms,
+                 {{"rows", static_cast<double>(sorted.size())},
+                  {"width", width},
+                  {"solves", static_cast<double>(solves() - solves_before)}},
+                 {{"certified", certified},
+                  {"contains_truth", contains_truth}});
+    };
+    for (DatasetId data : {DatasetId::kMilan, DatasetId::kRetail}) {
+      for (uint64_t n : {1, 2, 17, 63}) {
+        const std::vector<double> rows = GenerateDataset(data, n, 7000 + n);
+        MomentsSketch s(10);
+        KllSketch kll(64);
+        for (double v : rows) {
+          s.Accumulate(v);
+          kll.Accumulate(v);
+        }
+        add_exact(DatasetName(data) + "_n" + std::to_string(n), s, kll, rows);
+      }
+    }
+    // 300 rows over 20 cells, and 2048 one-row cells: the lossless
+    // union's cap of 32 * kll_k rows.
+    for (auto [n, cells] : {std::pair<uint64_t, uint32_t>{300, 20},
+                            std::pair<uint64_t, uint32_t>{2048, 2048}}) {
+      const std::vector<double> rows =
+          GenerateDataset(DatasetId::kMilan, n, 7000 + n);
+      CubeStore store(2, 10);
+      store.EnableKll(64);
+      for (size_t i = 0; i < rows.size(); ++i) {
+        store.Ingest({0, static_cast<uint32_t>(i % cells)}, rows[i]);
+      }
+      const CubeFilter all = {0, kAnyValue};
+      Result<KllSketch> kll = store.MergeKllWhere(all);
+      MSKETCH_CHECK(kll.ok());
+      add_exact("store_milan_n" + std::to_string(n), store.QueryWhere(all),
+                kll.value(), rows);
+    }
+  }
+
   const RouterStats& st = router.stats();
   report.Add("counters", "totals", {0.0},
              {{"queries", static_cast<double>(st.queries)},
@@ -331,6 +406,7 @@ int main(int argc, char** argv) {
               {"bounds_fallbacks", static_cast<double>(st.bounds_fallbacks)},
               {"degenerate_answers",
                static_cast<double>(st.degenerate_answers)},
+              {"exact_answers", static_cast<double>(st.exact_answers)},
               {"intersected_certificates",
                static_cast<double>(st.intersected_certificates)},
               {"conditioning_rejects",

@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -428,8 +429,9 @@ std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
   std::vector<Group> groups = CollectGroups(store, group_dims);
   const size_t n = groups.size();
   std::vector<GroupQuantilesCertified> out(n);
-  // Each group's rank sketch, merged once (null without a KLL column).
-  std::vector<KllSketch> klls(store.kll_enabled() ? n : 0);
+  // Each group's rank sketch, merged once (null without a KLL column)
+  // and kept only while its group waits for a solve.
+  std::vector<std::optional<KllSketch>> klls(n);
   std::vector<const KllSketch*> kll_of(n, nullptr);
   BatchOptions batch;
   batch.maxent = options.maxent;
@@ -446,11 +448,12 @@ std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
                     store.MergeKllWhere(GroupFilter(store, group_dims, g.key));
                 if (merged.ok()) {
                   klls[i] = std::move(merged).value();
-                  kll_of[i] = &klls[i];
+                  kll_of[i] = &*klls[i];
                 }
               }
               if (RoutePreSolve(g.sketch, kll_of[i], phis, &out[i].answers,
                                 &router_stats)) {
+                klls[i].reset();
                 return;
               }
               solver->Solve(g.sketch,
@@ -459,6 +462,7 @@ std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
                                   groups[i].sketch, kll_of[i], phis,
                                   dist.ok() ? dist.value().get() : nullptr,
                                   &out[i].answers, &router_stats);
+                              klls[i].reset();
                             });
             });
   std::sort(out.begin(), out.end(),

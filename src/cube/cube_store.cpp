@@ -33,6 +33,16 @@ constexpr uint64_t kScanCostFactor = 12;
 // adversarial ones far above.
 constexpr double kMaxCancellationBits = 12.0;
 
+// MergeKllCells keeps every row of an all-uncompacted selection up to
+// this many rows per unit of kll_k (2048 rows at k = 64). At 2048 rows
+// in 8-row cells, the lossless union plus its exact answer (5 phis)
+// takes 0.2-0.6 ms against 1.2-3.2 ms for the kll_k merge plus a
+// maxent solve on milan, hepmass, retail, exponential and gauss rows;
+// by 4096 rows a smooth selection's solve catches up (1.4 ms each way
+// on hepmass and gauss; 4-core x86 container). Above the cap the merge
+// keeps its O(k log n) size.
+constexpr uint64_t kLosslessRowsPerK = 32;
+
 }  // namespace
 
 const char* QueryPlanName(QueryPlan plan) {
@@ -219,6 +229,28 @@ Result<KllSketch> CubeStore::MergeKllCells(const uint32_t* cell_ids,
                                            size_t n) const {
   if (!kll_enabled_) {
     return Status::Unsupported("MergeKllCells: KLL column disabled");
+  }
+  // Every selected cell uncompacted, and few rows in all: each cell
+  // holds all its rows at level 0, and a sketch whose capacity exceeds
+  // their total never compacts, so the union is lossless (rank error 0).
+  // Up to kll_k_ - 1 rows it is the kll_k_ merge itself.
+  const uint64_t max_rows = kLosslessRowsPerK * static_cast<uint64_t>(kll_k_);
+  uint64_t rows = 0;
+  bool lossless = true;
+  for (size_t i = 0; i < n && lossless; ++i) {
+    MSKETCH_DCHECK(cell_ids[i] < kll_cells_.size());
+    const KllSketch& cell = kll_cells_[cell_ids[i]];
+    rows += cell.count();
+    lossless = cell.rank_error_bound() == 0 && rows <= max_rows;
+  }
+  if (lossless) {
+    KllSketch out(static_cast<int>(
+        std::max<uint64_t>(static_cast<uint64_t>(kll_k_), rows + 1)));
+    for (size_t i = 0; i < n; ++i) {
+      const std::vector<double>& cell_rows = kll_cells_[cell_ids[i]].level(0);
+      out.AccumulateBatch(cell_rows.data(), cell_rows.size());
+    }
+    return out;
   }
   KllSketch out(kll_k_);
   for (size_t i = 0; i < n; ++i) {

@@ -258,7 +258,12 @@ class CubeStore {
   Result<KllSketch> MergeKllWhere(const CubeFilter& filter,
                                   QueryStats* stats = nullptr) const;
 
-  /// Merged rank sketch over an explicit cell set.
+  /// Merged rank sketch over an explicit cell set. When every cell is
+  /// uncompacted (rank_error_bound() == 0) and they hold at most
+  /// 32 * kll_k() rows, the result is their lossless union: it holds
+  /// every row, has rank_error_bound() == 0, and its k exceeds its row
+  /// count (so it is not kll_k() from kll_k() rows on). Otherwise it is
+  /// the cell-by-cell KllSketch(kll_k()) merge.
   Result<KllSketch> MergeKllCells(const uint32_t* cell_ids, size_t n) const;
 
   /// Monotone column version: bumped by every Ingest. Snapshot it next

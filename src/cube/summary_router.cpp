@@ -21,6 +21,17 @@ obs::Counter* BackendCounter(const char* backend) {
       "Certified answers by producing backend");
 }
 
+// Certified-interval widths feed a mergeable histogram — the width
+// distribution is the router's accuracy story, and a mean would hide the
+// wide-interval tail exactly where degradation kicks in.
+obs::Histogram* WidthHistogram() {
+  static obs::Histogram* const hist = obs::GlobalRegistry().GetHistogram(
+      "msk_router_interval_width", {},
+      "Certified-interval widths (upper - lower) per answer",
+      obs::HistogramUnit::kValue);
+  return hist;
+}
+
 // Hankel condition number above which the maxent solve and the moment
 // interval are skipped when a KLL backend exists (the solve would diverge
 // or fit garbage; the conditioning monitor routes around it). The paper's
@@ -40,27 +51,9 @@ QuantileInterval IntervalFor(const RankBoundOracle& oracle,
     if (auto k = kll->CertifiedInterval(phi); k.ok()) kiv = k.value();
   }
   if (!trusted && kiv) return {kiv->lower, kiv->upper};
-  QuantileInterval iv =
+  const QuantileInterval iv =
       oracle.QuantileInterval(phi, RouterOptions::interval_steps);
-  if (kiv) {
-    // Both enclosures should contain the true quantile, and then so
-    // does their intersection. The moment bounds can miss it on
-    // ill-conditioned selections (a few heavy-tailed rows); the KLL
-    // interval cannot — its rank error bound is a deterministic sum of
-    // compaction weights. So when the two are disjoint, the moment
-    // interval is the unsound one: keep the KLL certificate.
-    const double lo = std::max(iv.lower, kiv->lower);
-    const double hi = std::min(iv.upper, kiv->upper);
-    if (lo > hi) {
-      iv.lower = kiv->lower;
-      iv.upper = kiv->upper;
-    } else if (lo > iv.lower || hi < iv.upper) {
-      ++stats->intersected_certificates;
-      iv.lower = lo;
-      iv.upper = hi;
-    }
-  }
-  return iv;
+  return kiv ? IntersectCertificates(iv, *kiv, stats) : iv;
 }
 
 // Estimate from the KLL sketch, or the certificate midpoint when the
@@ -75,6 +68,23 @@ void AnswerFromKll(const KllSketch& kll, double phi, CertifiedQuantile* r) {
 
 }  // namespace
 
+QuantileInterval IntersectCertificates(const QuantileInterval& moments,
+                                       const KllInterval& kll,
+                                       RouterStats* stats) {
+  // Both enclosures should contain the true quantile, and then so does
+  // their intersection. The moment bounds can miss it on ill-conditioned
+  // selections (a few heavy-tailed rows); the KLL interval cannot. So
+  // when the two are disjoint, keep the KLL certificate.
+  const double lo = std::max(moments.lower, kll.lower);
+  const double hi = std::min(moments.upper, kll.upper);
+  if (lo > hi) return {kll.lower, kll.upper};
+  if (lo > moments.lower || hi < moments.upper) {
+    ++stats->intersected_certificates;
+    return {lo, hi};
+  }
+  return moments;
+}
+
 void PublishRouterStats(const RouterStats& s) {
   if (s.queries == 0) return;
   obs::MetricsRegistry& reg = obs::GlobalRegistry();
@@ -85,6 +95,9 @@ void PublishRouterStats(const RouterStats& s) {
   static obs::Counter* const atomic_c = BackendCounter("atomic");
   static obs::Counter* const bounds = BackendCounter("bounds");
   static obs::Counter* const degenerate = BackendCounter("degenerate");
+  static obs::Counter* const exact = reg.GetCounter(
+      "msk_router_exact_answers_total", {},
+      "KLL answers from an uncompacted rank sketch (exact, no solve)");
   static obs::Counter* const intersected = reg.GetCounter(
       "msk_router_intersected_certificates_total", {},
       "Certificates tightened by moments ∩ KLL intersection");
@@ -113,6 +126,7 @@ void PublishRouterStats(const RouterStats& s) {
   atomic_c->Add(s.atomic_answers);
   bounds->Add(s.bounds_fallbacks);
   degenerate->Add(s.degenerate_answers);
+  exact->Add(s.exact_answers);
   intersected->Add(s.intersected_certificates);
   cond_rejects->Add(s.conditioning_rejects);
   solver_failures->Add(s.solver_failures);
@@ -164,6 +178,26 @@ bool RoutePreSolve(const MomentsSketch& moments, const KllSketch* kll,
     return true;
   }
 
+  // Exact path: a rank sketch that never compacted holds every row, so
+  // its certificate is the point at the ceil(phi*n)-th smallest row, an
+  // exact phi-quantile. No oracle, no moment interval and no solve can
+  // improve on it. Out-of-range phis clamp like the moment bounds do.
+  if (kll != nullptr && kll->count() > 0 && kll->rank_error_bound() == 0) {
+    for (size_t i = 0; i < phis.size(); ++i) {
+      const KllInterval iv =
+          kll->CertifiedInterval(Clamp(phis[i], 0.0, 1.0)).value();
+      CertifiedQuantile& r = (*out)[i];
+      r.estimate = iv.lower;
+      r.interval = {iv.lower, iv.upper};
+      r.backend = QuantileBackend::kKll;
+      r.certified = true;
+      WidthHistogram()->Observe(0.0);
+    }
+    stats->kll_answers += phis.size();
+    stats->exact_answers += phis.size();
+    return true;
+  }
+
   // Conditioning pre-screen: a moment vector near the boundary of the
   // moment cone makes the maxent solve diverge or fit garbage, and the
   // rank-bound solves behind its moment interval are no more reliable.
@@ -174,19 +208,11 @@ bool RoutePreSolve(const MomentsSketch& moments, const KllSketch* kll,
                         !(oracle.HankelConditionNumber() <= kKappaRoute);
 
   // Certificates: they hold no matter which estimator answers.
-  // Certified-interval widths feed a mergeable histogram — the width
-  // distribution is the router's accuracy story, and a mean would hide
-  // the wide-interval tail exactly where degradation kicks in.
-  static obs::Histogram* const width_hist =
-      obs::GlobalRegistry().GetHistogram(
-          "msk_router_interval_width", {},
-          "Certified-interval widths (upper - lower) per answer",
-          obs::HistogramUnit::kValue);
   for (size_t i = 0; i < phis.size(); ++i) {
     CertifiedQuantile& r = (*out)[i];
     r.interval = IntervalFor(oracle, kll, !rejected, phis[i], stats);
     r.certified = true;
-    width_hist->Observe(r.interval.upper - r.interval.lower);
+    WidthHistogram()->Observe(r.interval.upper - r.interval.lower);
   }
 
   if (rejected) {

@@ -32,6 +32,15 @@
 // on non-empty data. One RankBoundOracle per sketch serves the
 // pre-screen and every phi's moment interval:
 //
+//   0. exact path, before any oracle: a KLL that never compacted
+//      (rank_error_bound() == 0) holds every row, so each phi is
+//      answered by the point certificate at the ceil(phi*n)-th smallest
+//      row, estimate included (backend kKll, counted in exact_answers);
+//      no moment interval, no pre-screen, no solve. That is KLL's rank
+//      convention, not the paper's floor(phi*n) + 1 (QuantileOfSorted).
+//      Both are exact phi-quantiles: rows q with
+//      #{x < q} <= phi*n <= #{x <= q}. They differ only when phi*n is
+//      whole, where KLL takes the lower of the two candidate rows;
 //   1. conditioning pre-screen, before any certificate: a Hankel
 //      condition number above 1e12 with a KLL present routes straight
 //      to KLL, certificate included (the moment interval is the
@@ -98,6 +107,7 @@ struct RouterStats {
   uint64_t atomic_answers = 0;
   uint64_t bounds_fallbacks = 0;
   uint64_t degenerate_answers = 0;
+  uint64_t exact_answers = 0;  // subset of kll_answers: uncompacted KLL
   uint64_t intersected_certificates = 0;  // moments interval ∩ KLL interval
   uint64_t conditioning_rejects = 0;  // pre-screen skipped the solve
   uint64_t solver_failures = 0;       // maxent refused/diverged (absorbed)
@@ -110,6 +120,7 @@ struct RouterStats {
     atomic_answers += other.atomic_answers;
     bounds_fallbacks += other.bounds_fallbacks;
     degenerate_answers += other.degenerate_answers;
+    exact_answers += other.exact_answers;
     intersected_certificates += other.intersected_certificates;
     conditioning_rejects += other.conditioning_rejects;
     solver_failures += other.solver_failures;
@@ -121,7 +132,8 @@ struct RouterStats {
 /// point-query router and the batch GROUP BY pipeline share one chain.
 ///
 /// Pre-solve: settles the answers that need no solve — empty input
-/// (error status), a point mass (exact), or a moment vector the
+/// (error status), a point mass (exact), an uncompacted KLL (exact, the
+/// ceil(phi*n)-th smallest row), or a moment vector the
 /// conditioning pre-screen rejects with a KLL present (KLL estimate and
 /// KLL certificate) — and fills every other answer's certificate.
 /// Returns true when `out` is final; otherwise the caller solves and
@@ -138,6 +150,15 @@ void RoutePostSolve(const MomentsSketch& moments, const KllSketch* kll,
                     const std::vector<double>& phis,
                     const MaxEntDistribution* dist,
                     std::vector<CertifiedQuantile>* out, RouterStats* stats);
+
+/// One phi's certificate from a moment interval and a KLL certificate:
+/// their intersection (counted in intersected_certificates when it
+/// narrows `moments`), or the KLL certificate alone when the two are
+/// disjoint. The KLL bound is a deterministic sum of compaction
+/// weights, so of two disjoint enclosures the moment one is unsound.
+QuantileInterval IntersectCertificates(const QuantileInterval& moments,
+                                       const KllInterval& kll,
+                                       RouterStats* stats);
 
 /// Adds `stats` to the process-wide msk_router_* counter families.
 void PublishRouterStats(const RouterStats& stats);

@@ -190,7 +190,8 @@ Result<KllInterval> KllSketch::CertifiedInterval(double phi) const {
   // values. Each probe is individually sound: if even the optimistic
   // estimate R<(v)+err of the true rank-below is short of r, fewer than r
   // elements precede v, so the r-th smallest is >= v. Symmetrically for
-  // the upper end with R<=(v)-err.
+  // the upper end with R<=(v)-err. With err == 0 both ends stop at the
+  // r-th smallest, so the certificate is that point.
   KllInterval out{min_, max_};
   const std::vector<WeightedItem> items = SortedItems();
   uint64_t below = 0;     // weighted count of items strictly below cursor
@@ -279,13 +280,26 @@ Result<KllSketch> KllSketch::Deserialize(BytesReader* r) {
   out.max_ = mx;
   out.levels_.clear();
   out.levels_.resize(std::max<uint32_t>(num_levels, 1));
-  uint64_t retained = 0;
+  // Compaction keeps the weighted retained count equal to the row count,
+  // and only compaction lifts items above level 0 or raises the error
+  // bound. The exact-answer path trusts both invariants.
+  uint64_t weighted = 0;
   for (uint32_t h = 0; h < num_levels; ++h) {
     MSKETCH_RETURN_NOT_OK(r->GetDoubles(&out.levels_[h]));
-    retained += out.levels_[h].size();
+    const uint64_t size = out.levels_[h].size();
+    if (size == 0) continue;
+    if (err == 0 && h > 0) {
+      return Status::Serialization(
+          "KllSketch: items above level 0 with a zero error bound");
+    }
+    if (size > (std::numeric_limits<uint64_t>::max() - weighted) >> h) {
+      return Status::Serialization("KllSketch: weighted count overflows");
+    }
+    weighted += size << h;
   }
-  if (retained > n) {
-    return Status::Serialization("KllSketch: more retained items than count");
+  if (weighted != n) {
+    return Status::Serialization(
+        "KllSketch: weighted retained count differs from count");
   }
   return out;
 }

@@ -58,9 +58,11 @@ class KllSketch {
   /// Point estimate of the phi-quantile, phi in [0, 1].
   Result<double> EstimateQuantile(double phi) const;
 
-  /// Certified enclosure of the true phi-quantile. Never fails on a
-  /// non-empty sketch; worst case it returns [min, max], which is still a
-  /// sound certificate.
+  /// Certified enclosure of the true phi-quantile: the ceil(phi*n)-th
+  /// smallest row up to the rank error bound. Never fails on a non-empty
+  /// sketch; worst case it returns [min, max], which is still a sound
+  /// certificate. An uncompacted sketch (rank_error_bound() == 0) holds
+  /// every row, so its certificate is the point at that exact row.
   Result<KllInterval> CertifiedInterval(double phi) const;
 
   /// Weighted count of retained items strictly below / at-or-below x.
@@ -79,6 +81,9 @@ class KllSketch {
   double epsilon() const;
   size_t num_retained() const;
   size_t num_levels() const { return levels_.size(); }
+  /// Items retained at level `h` (weight 2^h). With rank_error_bound()
+  /// == 0 every row sits at level 0, in arrival order.
+  const std::vector<double>& level(size_t h) const { return levels_[h]; }
   size_t SizeBytes() const;
 
   KllSketch CloneEmpty() const { return KllSketch(k_); }

@@ -11,6 +11,7 @@
 #include "cube/data_cube.h"
 #include "cube/dictionary.h"
 #include "cube/dim_index.h"
+#include "cube/summary_router.h"
 #include "numerics/stats.h"
 #include "sketches/exact_sketch.h"
 
@@ -596,6 +597,125 @@ TEST(CubeStoreTest, DataCubeRollupGroupByAgrees) {
     ASSERT_TRUE(accelerated[g].status.ok());
     EXPECT_NEAR(accelerated[g].quantiles[0], baseline[g].quantiles[0],
                 2e-2 * (1.0 + std::fabs(baseline[g].quantiles[0])));
+  }
+}
+
+// ------------------------------------------------- KLL side column
+
+// Dim 0 picks a block of small cells (dim 1 spreads each block over
+// `cells` cells of `per_cell` lognormal rows); block 2 also gets one
+// cell past the KLL capacity, so it compacts.
+struct KllStore {
+  CubeStore store{2, 10};
+  std::vector<std::vector<double>> block_rows;
+
+  KllStore(uint32_t cells, int per_cell) : block_rows(3) {
+    store.EnableKll(64);
+    Rng rng(0x6b11ULL);
+    for (uint32_t b = 0; b < 3; ++b) {
+      for (uint32_t c = 0; c < cells; ++c) {
+        for (int i = 0; i < per_cell; ++i) Add(b, c, rng.NextLognormal(0, 2));
+      }
+    }
+    for (int i = 0; i < 200; ++i) Add(2, cells, rng.NextLognormal(0, 2));
+  }
+
+  void Add(uint32_t block, uint32_t cell, double v) {
+    store.Ingest({block, cell}, v);
+    block_rows[block].push_back(v);
+  }
+
+  std::vector<uint32_t> BlockCells(uint32_t block) const {
+    return store.MatchingCells({block, kAnyValue});
+  }
+};
+
+TEST(CubeStoreKllTest, UncompactedCellsMergeLosslessly) {
+  KllStore s(/*cells=*/20, /*per_cell=*/15);  // 300 rows per block
+  for (uint32_t block : {0u, 1u}) {
+    for (uint32_t id : s.BlockCells(block)) {
+      ASSERT_EQ(s.store.CellKll(id)->rank_error_bound(), 0u);
+    }
+    Result<KllSketch> merged = s.store.MergeKllWhere({block, kAnyValue});
+    ASSERT_TRUE(merged.ok());
+    std::vector<double> sorted = s.block_rows[block];
+    ASSERT_GE(sorted.size(), 64u);
+    EXPECT_EQ(merged->rank_error_bound(), 0u);
+    EXPECT_EQ(merged->count(), sorted.size());
+    std::sort(sorted.begin(), sorted.end());
+    // The router answers from the union alone: a zero-width certificate
+    // at the ceil(phi*n)-th smallest row, an exact quantile.
+    SummaryRouter router;
+    const MomentsSketch moments = s.store.QueryWhere({block, kAnyValue});
+    for (double phi : {0.0, 0.01, 0.5, 0.9, 0.99, 1.0}) {
+      size_t r = static_cast<size_t>(
+          std::ceil(phi * static_cast<double>(sorted.size())));
+      r = std::max<size_t>(1, r);
+      const CertifiedQuantile a = router.Query(moments, &merged.value(), phi);
+      ASSERT_TRUE(a.certified) << "phi=" << phi;
+      EXPECT_EQ(a.interval.lower, sorted[r - 1]) << "phi=" << phi;
+      EXPECT_EQ(a.interval.upper, sorted[r - 1]) << "phi=" << phi;
+      EXPECT_EQ(a.estimate, sorted[r - 1]) << "phi=" << phi;
+    }
+    EXPECT_EQ(router.stats().exact_answers, 6u);
+  }
+  // Below the capacity the lossless union is the kll_k merge itself.
+  const std::vector<uint32_t> ids = s.BlockCells(0);
+  Result<KllSketch> few = s.store.MergeKllCells(ids.data(), 4);
+  ASSERT_TRUE(few.ok());
+  KllSketch reference(64);
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(reference.Merge(*s.store.CellKll(ids[i])).ok());
+  }
+  EXPECT_TRUE(few->IdenticalTo(reference));
+}
+
+TEST(CubeStoreKllTest, OneCompactedCellKeepsTheKllKMerge) {
+  KllStore s(/*cells=*/20, /*per_cell=*/15);
+  const std::vector<uint32_t> ids = s.BlockCells(2);
+  KllSketch reference(s.store.kll_k());
+  bool compacted = false;
+  for (uint32_t id : ids) {
+    compacted = compacted || s.store.CellKll(id)->rank_error_bound() > 0;
+    ASSERT_TRUE(reference.Merge(*s.store.CellKll(id)).ok());
+  }
+  ASSERT_TRUE(compacted);
+  Result<KllSketch> merged = s.store.MergeKllWhere({2, kAnyValue});
+  ASSERT_TRUE(merged.ok());
+  EXPECT_GT(merged->rank_error_bound(), 0u);
+  EXPECT_TRUE(merged->IdenticalTo(reference));
+}
+
+// The lossless union stops at 32 * kll_k rows: one row past it, an
+// all-uncompacted selection gets the kll_k merge.
+TEST(CubeStoreKllTest, LosslessUnionIsCappedAt32KllKRows) {
+  CubeStore store(2, 10);
+  store.EnableKll(64);
+  Rng rng(0xca9ULL);
+  // Block 0: 128 cells of 16 rows (2048 rows, the cap). Block 1: the
+  // same plus one more row.
+  for (uint32_t b = 0; b < 2; ++b) {
+    for (uint32_t c = 0; c < 128; ++c) {
+      for (int i = 0; i < 16; ++i) store.Ingest({b, c}, rng.NextLognormal(0, 2));
+    }
+  }
+  store.Ingest({1, 128}, 1.0);
+  for (uint32_t b = 0; b < 2; ++b) {
+    const std::vector<uint32_t> ids = store.MatchingCells({b, kAnyValue});
+    KllSketch reference(store.kll_k());
+    for (uint32_t id : ids) {
+      ASSERT_EQ(store.CellKll(id)->rank_error_bound(), 0u);
+      ASSERT_TRUE(reference.Merge(*store.CellKll(id)).ok());
+    }
+    ASSERT_GT(reference.rank_error_bound(), 0u);
+    Result<KllSketch> merged = store.MergeKllWhere({b, kAnyValue});
+    ASSERT_TRUE(merged.ok());
+    EXPECT_EQ(merged->count(), b == 0 ? 2048u : 2049u);
+    if (b == 0) {
+      EXPECT_EQ(merged->rank_error_bound(), 0u);
+    } else {
+      EXPECT_TRUE(merged->IdenticalTo(reference));
+    }
   }
 }
 

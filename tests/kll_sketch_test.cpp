@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,10 +162,52 @@ TEST(KllSketchTest, SerializeRoundTripsBitExact) {
   EXPECT_TRUE(s.IdenticalTo(s2));
 }
 
+// A well-formed image (the bytes a writer would frame under a valid CRC)
+// whose header and levels may disagree.
+std::vector<uint8_t> KllImage(uint64_t n, uint64_t err,
+                              const std::vector<std::vector<double>>& levels) {
+  BytesWriter w;
+  w.PutU32(64);
+  w.PutU64(n);
+  w.PutU64(err);
+  w.PutU64(0);
+  w.PutDouble(0.0);
+  w.PutDouble(1.0);
+  w.PutU32(static_cast<uint32_t>(levels.size()));
+  for (const auto& level : levels) w.PutDoubles(level);
+  return w.Take();
+}
+
 TEST(KllSketchTest, DeserializeRejectsGarbage) {
   std::vector<uint8_t> junk(16, 0xAB);
   BytesReader r(junk);
   EXPECT_FALSE(KllSketch::Deserialize(&r).ok());
+
+  // Lying images: CRC framing cannot catch them, the decoder must. The
+  // exact-answer path reads rank_error_bound() == 0 as "every row is at
+  // level 0", so both invariants behind that reading are checked.
+  std::vector<std::vector<double>> top_heavy(64);
+  top_heavy[63] = {0.5, 0.6};
+  const std::vector<std::pair<const char*, std::vector<uint8_t>>> lies = {
+      // Weighted retained count (sum of 2^h * |level h|) short of n.
+      {"count above retained", KllImage(5, 0, {{0.1, 0.2, 0.3}})},
+      // Fewer items than n, but their weights overshoot it.
+      {"weights above count", KllImage(10, 4, {{0.1}, {}, {0.2, 0.3, 0.4}})},
+      // Two items at level 63 weigh 2^64, which would wrap to n = 0.
+      {"weight overflow", KllImage(0, 1, top_heavy)},
+      // Consistent weights, but a zero error bound with a compacted item.
+      {"compacted item with zero error", KllImage(4, 0, {{0.1, 0.2}, {0.3}})},
+  };
+  for (const auto& [what, bytes] : lies) {
+    BytesReader lr(bytes);
+    EXPECT_FALSE(KllSketch::Deserialize(&lr).ok()) << what;
+  }
+  // The same shapes with consistent headers decode.
+  for (const auto& bytes : {KllImage(3, 0, {{0.1, 0.2, 0.3}}),
+                            KllImage(4, 2, {{0.1, 0.2}, {0.3}})}) {
+    BytesReader ok(bytes);
+    EXPECT_TRUE(KllSketch::Deserialize(&ok).ok());
+  }
 }
 
 TEST(KllSketchTest, DeterministicAcrossRuns) {

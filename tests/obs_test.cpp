@@ -12,12 +12,14 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "cube/summary_router.h"
 #include "ingest/streaming_cube.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "persist/durable_log.h"
+#include "sketches/kll_sketch.h"
 
 namespace msketch {
 namespace obs {
@@ -481,6 +483,26 @@ TEST(ObsIntegrationTest, LongLivedRouterPublishesWhileAlive) {
   }
   EXPECT_EQ(routed() - before, kQueries);
   EXPECT_EQ(router.stats().queries, kQueries);
+}
+
+// An answer from an uncompacted KLL reaches the exact-answer counter.
+TEST(ObsIntegrationTest, ExactAnswersArePublished) {
+  MSKETCH_REQUIRE_OBS();
+  auto exact = [] {
+    const MetricsSnapshot scrape = GlobalRegistry().Scrape();
+    const Sample* s = scrape.Find("msk_router_exact_answers_total");
+    return s == nullptr ? uint64_t{0} : s->counter_value;
+  };
+  MomentsSketch cell(10);
+  KllSketch kll(64);
+  for (int i = 1; i <= 40; ++i) {
+    cell.Accumulate(i);
+    kll.Accumulate(i);
+  }
+  const uint64_t before = exact();
+  SummaryRouter router;
+  (void)router.QueryMany(cell, &kll, {0.1, 0.5, 0.9});
+  EXPECT_EQ(exact() - before, 3u);
 }
 
 }  // namespace

@@ -222,9 +222,11 @@ TEST(SummaryRouterTest, KllIntersectionNeverWidensTheCertificate) {
 }
 
 // Twelve heavy-tailed rows where the moment-bound interval excludes the
-// exact 0.9-quantile and does not even meet the (exact) KLL certificate.
-// Of two disjoint certificates only the KLL one is sound by construction,
-// so the answer must carry it.
+// exact 0.9-quantile and does not even meet the KLL certificate. Of two
+// disjoint certificates only the KLL one is sound by construction, so
+// the combined certificate must be the KLL one. Twelve rows never
+// compact a k = 64 KLL, so the router answers them on the exact path;
+// the rule for compacted sketches is checked on IntersectCertificates.
 TEST(SummaryRouterTest, DisjointCertificatesKeepTheKllInterval) {
   const std::vector<double> rows = {
       1497.1075385661322, 21.93080052510501,     140.84918729346307,
@@ -247,11 +249,40 @@ TEST(SummaryRouterTest, DisjointCertificatesKeepTheKllInterval) {
   ASSERT_GT(moments_iv.lower, kll_iv.value().upper);
   ASSERT_GT(moments_iv.lower, truth);
 
+  RouterStats stats;
+  const QuantileInterval combined =
+      IntersectCertificates(moments_iv, kll_iv.value(), &stats);
+  EXPECT_EQ(combined.lower, kll_iv.value().lower);
+  EXPECT_EQ(combined.upper, kll_iv.value().upper);
+  EXPECT_EQ(stats.intersected_certificates, 0u);
+  // Mirrored: a moment interval wholly below the KLL certificate.
+  const QuantileInterval below = {sorted[0], sorted[1]};
+  const QuantileInterval mirrored =
+      IntersectCertificates(below, kll_iv.value(), &stats);
+  EXPECT_EQ(mirrored.lower, kll_iv.value().lower);
+  EXPECT_EQ(mirrored.upper, kll_iv.value().upper);
+
   SummaryRouter router;
   CertifiedQuantile a = router.Query(s, &kll, phi);
   ExpectCertified(a, truth, Slack(s), "twelve rows phi=0.9");
   EXPECT_EQ(a.interval.lower, kll_iv.value().lower);
   EXPECT_EQ(a.interval.upper, kll_iv.value().upper);
+}
+
+// Overlapping certificates meet in their intersection, counted once
+// per narrowed moment interval.
+TEST(SummaryRouterTest, OverlappingCertificatesIntersect) {
+  RouterStats stats;
+  const QuantileInterval narrowed =
+      IntersectCertificates({1.0, 5.0}, KllInterval{3.0, 8.0}, &stats);
+  EXPECT_EQ(narrowed.lower, 3.0);
+  EXPECT_EQ(narrowed.upper, 5.0);
+  EXPECT_EQ(stats.intersected_certificates, 1u);
+  const QuantileInterval inside =
+      IntersectCertificates({3.5, 4.0}, KllInterval{3.0, 8.0}, &stats);
+  EXPECT_EQ(inside.lower, 3.5);
+  EXPECT_EQ(inside.upper, 4.0);
+  EXPECT_EQ(stats.intersected_certificates, 1u);
 }
 
 TEST(SummaryRouterTest, BackendCountersAccountForEveryQuery) {
@@ -268,6 +299,7 @@ TEST(SummaryRouterTest, BackendCountersAccountForEveryQuery) {
   EXPECT_EQ(st.moments_answers + st.kll_answers + st.atomic_answers +
                 st.bounds_fallbacks + st.degenerate_answers,
             st.queries);
+  EXPECT_LE(st.exact_answers, st.kll_answers);
 }
 
 // ------------------------------------- satellite 3: property suite
@@ -436,6 +468,82 @@ TEST(RouterAdversarialSweep, SmallHeavyTailedSelectionsHoldAnExactQuantile) {
   }
 }
 
+// ------------------------------------------------------ exact path
+
+// The ceil(phi*n)-th smallest row: KLL's rank convention, the row an
+// uncompacted KLL's point certificate sits on.
+double KllRankRow(const std::vector<double>& sorted, double phi) {
+  size_t r = static_cast<size_t>(
+      std::ceil(phi * static_cast<double>(sorted.size())));
+  r = std::max<size_t>(1, std::min(r, sorted.size()));
+  return sorted[r - 1];
+}
+
+// An uncompacted KLL holds every row, so every answer is the point at
+// the ceil(phi*n)-th smallest row and no solve runs. One row is a point
+// mass, settled by the check before the exact path.
+TEST(RouterExactPathTest, UncompactedKllAnswersExactlyWithoutASolve) {
+  const std::vector<double> phis = {0.0, 0.01, 0.5, 0.9, 0.99, 1.0};
+  for (const std::string name : {"milan", "lognormal", "pareto_heavy"}) {
+    for (size_t n : {1, 2, 3, 17, 63}) {
+      std::vector<double> rows =
+          name == "milan" ? GenerateDataset(DatasetId::kMilan, n, 1000 + n)
+                          : NamedData(name, n);
+      MomentsSketch s = SketchOf(rows);
+      KllSketch kll = KllOf(rows);
+      ASSERT_EQ(kll.rank_error_bound(), 0u);
+      std::sort(rows.begin(), rows.end());
+      const bool point_mass = rows.front() == rows.back();
+      SummaryRouter router;
+      const std::vector<CertifiedQuantile> answers =
+          router.QueryMany(s, &kll, phis);
+      ASSERT_EQ(answers.size(), phis.size());
+      for (size_t i = 0; i < phis.size(); ++i) {
+        const std::string what = name + " n=" + std::to_string(n) +
+                                 " phi=" + std::to_string(phis[i]);
+        const CertifiedQuantile& a = answers[i];
+        ASSERT_TRUE(a.status.ok() && a.certified) << what;
+        EXPECT_EQ(a.interval.lower, KllRankRow(rows, phis[i])) << what;
+        EXPECT_EQ(a.interval.upper, KllRankRow(rows, phis[i])) << what;
+        EXPECT_EQ(a.estimate, KllRankRow(rows, phis[i])) << what;
+        EXPECT_TRUE(HoldsExactQuantile(a.interval, rows, phis[i], 0.0))
+            << what;
+        EXPECT_EQ(a.backend, point_mass ? QuantileBackend::kDegenerate
+                                        : QuantileBackend::kKll)
+            << what;
+      }
+      const RouterStats& st = router.stats();
+      const std::string what = name + " n=" + std::to_string(n);
+      EXPECT_EQ(st.solve.warm_solves + st.solve.cold_solves, 0u) << what;
+      EXPECT_EQ(st.solver_failures + st.conditioning_rejects, 0u) << what;
+      EXPECT_EQ(st.exact_answers, point_mass ? 0u : phis.size()) << what;
+      EXPECT_EQ(st.kll_answers, st.exact_answers) << what;
+    }
+  }
+}
+
+// The two rank conventions part where phi*n is whole. The exact path
+// takes KLL's ceil(phi*n)-th smallest row; the paper's QuantileOfSorted
+// takes the floor(phi*n) + 1-th. Both are exact phi-quantiles.
+TEST(RouterExactPathTest, RankConventionWherePhiNIsWhole) {
+  const std::vector<double> rows = {7, 3, 10, 1, 5, 9, 2, 8, 6, 4};
+  std::vector<double> sorted = rows;
+  std::sort(sorted.begin(), sorted.end());
+  const double phi = 0.5;  // phi * n = 5
+  SummaryRouter router;
+  const KllSketch kll = KllOf(rows);
+  const CertifiedQuantile a = router.Query(SketchOf(rows), &kll, phi);
+  ASSERT_TRUE(a.certified);
+  EXPECT_EQ(a.interval.lower, 5.0);  // 5th smallest: KLL's rank
+  EXPECT_EQ(a.interval.upper, 5.0);
+  EXPECT_EQ(a.estimate, 5.0);
+  EXPECT_EQ(QuantileOfSorted(sorted, phi), 6.0);  // 6th smallest: paper's
+  EXPECT_TRUE(HoldsExactQuantile({5.0, 5.0}, sorted, phi, 0.0));
+  EXPECT_TRUE(HoldsExactQuantile({6.0, 6.0}, sorted, phi, 0.0));
+  EXPECT_FALSE(HoldsExactQuantile({4.0, 4.0}, sorted, phi, 0.0));
+  EXPECT_FALSE(HoldsExactQuantile({7.0, 7.0}, sorted, phi, 0.0));
+}
+
 // --------------------------------------------- certified GROUP BY
 
 TEST(GroupByCertifiedTest, GroupsMatchPerGroupTruth) {
@@ -501,6 +609,51 @@ TEST(GroupByCertifiedTest, GroupsMatchPerGroupTruth) {
     }
   }
   EXPECT_EQ(stats.queries, 3 * phis.size());
+}
+
+// Groups whose cells never compacted are answered in pre-solve from
+// their lossless KLL union; only the compacted group reaches the lane
+// solver.
+TEST(GroupByCertifiedTest, AllExactGroupsSkipTheLaneSolver) {
+  CubeStore store(2, 10);
+  store.EnableKll(64);
+  Rng rng(0xe8ac7ULL);
+  std::vector<std::vector<double>> rows_by_group(4);
+  for (uint32_t g = 0; g < 4; ++g) {
+    // Groups 0-2: ten cells of 12 rows (120 rows, every cell exact).
+    // Group 3: two cells of 500 smooth rows (both compacted).
+    const uint32_t cells = g < 3 ? 10 : 2;
+    const int per_cell = g < 3 ? 12 : 500;
+    for (uint32_t c = 0; c < cells; ++c) {
+      for (int i = 0; i < per_cell; ++i) {
+        const double v =
+            g < 3 ? rng.NextLognormal(0.0, 2.0) : rng.NextDouble();
+        store.Ingest({g, c}, v);
+        rows_by_group[g].push_back(v);
+      }
+    }
+  }
+  RouterStats stats;
+  const std::vector<double> phis(kPhis, kPhis + 5);
+  auto groups =
+      GroupByQuantilesCertified(store, {0}, phis, RouterOptions{}, &stats);
+  ASSERT_EQ(groups.size(), 4u);
+  for (uint32_t g = 0; g < 3; ++g) {
+    std::vector<double> sorted = rows_by_group[g];
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_EQ(groups[g].answers.size(), phis.size());
+    for (size_t i = 0; i < phis.size(); ++i) {
+      const CertifiedQuantile& a = groups[g].answers[i];
+      EXPECT_EQ(a.backend, QuantileBackend::kKll);
+      EXPECT_EQ(a.interval.lower, KllRankRow(sorted, phis[i]));
+      EXPECT_EQ(a.interval.upper, KllRankRow(sorted, phis[i]));
+      EXPECT_EQ(a.estimate, KllRankRow(sorted, phis[i]));
+    }
+  }
+  EXPECT_EQ(stats.exact_answers, 3 * phis.size());
+  EXPECT_EQ(stats.kll_answers, 3 * phis.size());
+  EXPECT_EQ(stats.moments_answers, phis.size());
+  EXPECT_EQ(stats.solve.warm_solves + stats.solve.cold_solves, 1u);
 }
 
 // ------------------------------------------- streaming dual-write

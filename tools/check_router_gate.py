@@ -16,7 +16,13 @@ stage) is checked the same way and must be present. So is the "small"
 section: pinned 150-1200-row heavy-tailed selections where the
 conditioning pre-screen rejects the moments, each of which must be
 present by name (SMALL_ROWS), certified, and hold an exact quantile.
-The large cells of the other sections never reach that regime.
+The large cells of the other sections never reach that regime. The
+"exact" section holds selections an uncompacted KLL holds whole (1-63-row
+cells and two lossless unions of small cube cells, the larger at the
+union's 32 * kll_k row cap): each pinned row
+(EXACT_ROWS) must be present and certified, hold an exact quantile, and
+report zero certificate `width` and zero maxent `solves` — the exact
+path answers from the rank sketch's point certificate and never solves.
 
 Usage: check_router_gate.py BENCH_router.json
 """
@@ -39,6 +45,12 @@ SMALL_ROWS = (
     "retail_n150_s1061296",
 )
 
+# bench_router's exact selections: per-dataset row counts, then the
+# lossless union of small CubeStore cells.
+EXACT_ROWS = tuple(
+    f"{data}_n{n}" for data in ("milan", "retail") for n in (1, 2, 17, 63)
+) + ("store_milan_n300", "store_milan_n2048")
+
 
 def main(argv):
     if len(argv) < 2:
@@ -51,30 +63,38 @@ def main(argv):
         return rc
     checked = 0
     failures = []
-    sections = ("smooth", "adversarial", "groupby", "small")
+    sections = ("smooth", "adversarial", "groupby", "small", "exact")
     seen = {section: 0 for section in sections}
-    small_names = set()
+    names = {section: set() for section in sections}
     for row in rows:
-        if row.get("section") not in sections:
+        section = row.get("section")
+        if section not in sections:
             continue
-        seen[row.get("section")] += 1
-        if row.get("section") == "small":
-            small_names.add(row.get("name"))
+        seen[section] += 1
+        names[section].add(row.get("name"))
         checked += 1
-        name = f'{row.get("section")}/{row.get("name")}'
+        name = f'{section}/{row.get("name")}'
         if row.get("certified") is not True:
             failures.append(f"{name}: answer escaped uncertified")
         if row.get("contains_truth") is not True:
             failures.append(f"{name}: certificate misses the true quantile")
+        if section == "exact":
+            if row.get("width") != 0:
+                failures.append(f"{name}: exact answer has width "
+                                f"{row.get('width')}")
+            if row.get("solves") != 0:
+                failures.append(f"{name}: exact answer ran "
+                                f"{row.get('solves')} solve(s)")
 
     missing = [section for section in sections if seen[section] == 0]
     if missing:
         print(f"FAIL: {path} has no {'/'.join(missing)} rows — "
               f"bench_router output format changed?")
         return 1
-    for name in SMALL_ROWS:
-        if name not in small_names:
-            failures.append(f"small/{name}: pinned row missing")
+    for section, pinned in (("small", SMALL_ROWS), ("exact", EXACT_ROWS)):
+        for name in pinned:
+            if name not in names[section]:
+                failures.append(f"{section}/{name}: pinned row missing")
     for f in failures:
         print(f"FAIL: {f}")
     if failures:
