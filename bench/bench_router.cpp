@@ -38,6 +38,17 @@
 //                `contains_truth` (as in `small`), `width` (the widest
 //                certificate, upper - lower) and `solves` (maxent solves
 //                recorded); the gate fails any nonzero width or solve.
+//   solver       pinned small milan / retail selections (GenerateDataset
+//                seeds) whose cold SolveMaxEnt has Newton runs that end
+//                at the iteration cap, most of them at a fixed point
+//                (theta stops moving) long before it. One row per
+//                selection with `objective_evals` (function + Hessian
+//                evaluations over every Newton run, failed ones
+//                included), `iteration_capped`, `backoff_drops` and a
+//                `solved` flag; the samples time the solve. The counts
+//                are deterministic; the gate fails a row that no longer
+//                reaches the cap or that spends more evaluations than
+//                its ceiling.
 //   counters     one row of cumulative RouterStats over the whole run
 //                (solver failures absorbed, conditioning rejects,
 //                fallback depths) so a latency regression can be read
@@ -55,6 +66,7 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "common/macros.h"
+#include "core/maxent_solver.h"
 #include "core/moments_sketch.h"
 #include "cube/batch_query.h"
 #include "cube/cube_store.h"
@@ -394,6 +406,44 @@ int main(int argc, char** argv) {
       MSKETCH_CHECK(kll.ok());
       add_exact("store_milan_n" + std::to_string(n), store.QueryWhere(all),
                 kll.value(), rows);
+    }
+  }
+
+  // Capped-solve selections (see the header comment).
+  {
+    struct SolverCase {
+      DatasetId data;
+      uint64_t n;
+      uint64_t seed;
+    };
+    const SolverCase cases[] = {
+        {DatasetId::kMilan, 300, 27},
+        {DatasetId::kMilan, 150, 37},
+        {DatasetId::kMilan, 50, 30},
+        {DatasetId::kRetail, 100, 41},
+    };
+    MaxEntOptions cold;
+    cold.use_solver_cache = false;
+    for (const SolverCase& c : cases) {
+      MomentsSketch s(10);
+      for (double v : GenerateDataset(c.data, c.n, c.seed)) s.Accumulate(v);
+      Result<MaxEntDistribution> dist = Status::Internal("not run");
+      const std::vector<double> samples_ms =
+          TimeReps(reps, [&] { dist = SolveMaxEnt(s, cold); });
+      MaxEntDiagnostics diag;
+      if (dist.ok()) diag = dist->diagnostics();
+      report.Add("solver",
+                 DatasetName(c.data) + "_n" + std::to_string(c.n) + "_s" +
+                     std::to_string(c.seed),
+                 samples_ms,
+                 {{"rows", static_cast<double>(c.n)},
+                  {"objective_evals",
+                   static_cast<double>(diag.function_evals +
+                                       diag.hessian_evals)},
+                  {"iteration_capped",
+                   static_cast<double>(diag.iteration_capped)},
+                  {"backoff_drops", static_cast<double>(diag.backoff_drops)}},
+                 {{"solved", dist.ok()}});
     }
   }
 

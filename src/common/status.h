@@ -35,6 +35,7 @@ enum class StatusCode : int {
 enum class StatusReason : uint8_t {
   kNone = 0,
   kAtomicMeasure = 1,  // maxent refused: moments match a near-discrete measure
+  kIterationCap = 2,   // Newton ended at its iteration cap (or its fixed point)
 };
 
 /// Lightweight status object. Ok status carries no allocation.

@@ -182,8 +182,9 @@ struct LaneNewtonOutcome {
   std::array<int, kL> hessian_evals{};
   /// Failed by the lane iteration cap with a healthy trajectory — the
   /// lane theta is mid-basin and worth seeding the scalar continuation
-  /// with. Stagnation/divergence failures leave this false (their theta
-  /// is at a floor the scalar line search would grind against too).
+  /// with. Stagnation/divergence failures leave this false: their theta
+  /// is at a floating point floor, where a seeded scalar run would only
+  /// stop at its fixed point and restart from the cold seed anyway.
   std::array<bool, kL> capped{};
 };
 
@@ -533,9 +534,10 @@ void LaneMaxEntSolver::SolveBucket(Bucket* bucket) {
       // Continue on the scalar loop. Iteration-capped lanes seed it
       // from their own advanced theta (mid-basin; the scalar Newton
       // finishes in a few iterations). Stagnated and diverged lanes
-      // restart from the cold seed — any near-plateau seed would park
-      // the scalar line search on the same floating point floor and
-      // burn max_backtracks evaluations per iteration. A seeded start
+      // restart from the cold seed — a near-plateau seed would park the
+      // scalar line search on the same floating point floor, where the
+      // run stops at its fixed point with the cap's status, and the cold
+      // restart would follow after that wasted run. A seeded start
       // that does not transfer falls back to the cold seed inside
       // SolveFrom, which is exactly the hint-free SolveMaxEnt behavior
       // (including the drop-moments backoff chain), so answers never

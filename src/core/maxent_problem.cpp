@@ -247,6 +247,8 @@ Result<OptimResult> MaxEntProblem::RunNewton(std::vector<double> theta0,
   std::vector<double> ebuf(npts), fbuf(npts);
   ObjectiveFn objective = [&, d](const std::vector<double>& theta,
                                  bool need_hessian, ObjectiveEval* out) {
+    // Counted per call, so failed runs' work shows too.
+    ++(need_hessian ? total_hessian_evals_ : total_function_evals_);
     double* MSKETCH_GCC_RESTRICT e = ebuf.data();
     double* MSKETCH_GCC_RESTRICT f = fbuf.data();
     const double t0v = theta[0];
@@ -472,8 +474,7 @@ Result<MaxEntDistribution> MaxEntProblem::SolveFrom(std::vector<double> theta,
   for (;;) {
     Result<OptimResult> res = RunNewton(theta, warm);
     if (!res.ok()) {
-      if (res.status().message().find("max iterations") !=
-          std::string::npos) {
+      if (res.status().reason() == StatusReason::kIterationCap) {
         ++iteration_capped_;
       }
       if (warm) {
@@ -498,8 +499,6 @@ Result<MaxEntDistribution> MaxEntProblem::SolveFrom(std::vector<double> theta,
       return res.status();
     }
     total_newton_iters_ += res->iterations;
-    total_function_evals_ += res->function_evals;
-    total_hessian_evals_ += res->hessian_evals;
     theta = res->x;
     if (GridResolved(theta) || grid_n_ >= opt_.max_grid) break;
     BuildGridInternal(grid_n_ * 2);

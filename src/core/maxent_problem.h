@@ -123,7 +123,9 @@ class MaxEntProblem {
   /// always did).
   void BuildGrid(int n);
 
-  /// Scalar Newton on the selected rows from theta0.
+  /// Scalar Newton on the selected rows from theta0. Every objective
+  /// call, in converged and failed runs alike, adds to the evaluation
+  /// counts Package exports.
   Result<OptimResult> RunNewton(std::vector<double> theta0, bool warm);
 
   /// Folds a lane-executed Newton run into the diagnostics this problem

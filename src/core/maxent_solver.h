@@ -58,8 +58,8 @@ struct MaxEntDiagnostics {
   int k2 = 0;              // log moments used
   int newton_iterations = 0;
   /// Objective evaluations without / with the Hessian, across every
-  /// Newton run of the solve (line-search backtracks land in
-  /// function_evals).
+  /// Newton run of the solve, failed runs included (line-search
+  /// backtracks land in function_evals).
   int function_evals = 0;
   int hessian_evals = 0;
   int grid_size = 0;       // final N
@@ -69,7 +69,9 @@ struct MaxEntDiagnostics {
   /// Robustness counters for the fallback chain (surfaced through
   /// SolveCounters by the batch pipeline and the summary router).
   int cold_restarts = 0;     // warm seed failed; restarted from cold seed
-  int iteration_capped = 0;  // Newton runs stopped at max_newton_iter
+  /// Newton runs that ended with StatusReason::kIterationCap: stopped at
+  /// max_newton_iter, or at a fixed point, whose outcome is the cap's.
+  int iteration_capped = 0;
   int backoff_drops = 0;     // drop-moments retries after divergence
 };
 
@@ -81,7 +83,7 @@ struct SolveCounters {
   uint64_t cold_solves = 0;
   uint64_t newton_iterations = 0;  // summed over warm + cold solves
   uint64_t cold_restarts = 0;      // warm seeds that failed to transfer
-  uint64_t iteration_capped = 0;   // Newton runs stopped at the cap
+  uint64_t iteration_capped = 0;   // capped runs, fixed-point stops included
   uint64_t atomic_screen_hits = 0;  // refusals by the atomic screen
 
   void Record(const MaxEntDiagnostics& diag) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <deque>
 
 #include "common/macros.h"
@@ -37,7 +38,6 @@ Result<OptimResult> NewtonMinimize(const ObjectiveFn& objective,
   OptimResult result;
   result.x = std::move(x0);
   result.value = eval.value;
-  result.hessian_evals = 1;
   double prev_step = 1.0;
 
   for (int iter = 0; iter < options.max_iter; ++iter) {
@@ -87,7 +87,6 @@ Result<OptimResult> NewtonMinimize(const ObjectiveFn& objective,
         x_new[i] = result.x[i] + step * direction[i];
       }
       objective(x_new, /*need_hessian=*/false, &eval_new);
-      ++result.function_evals;
       if (std::isfinite(eval_new.value) &&
           eval_new.value <=
               result.value + options.armijo_c * step * slope) {
@@ -103,9 +102,16 @@ Result<OptimResult> NewtonMinimize(const ObjectiveFn& objective,
           std::string("NewtonMinimize: line search failed (gradient ") + buf +
           ")");
     }
+    // Fixed point (see optim.h): x did not move and the next search
+    // opens at this same step, so every remaining iteration repeats this
+    // one. End the run with the cap's status now.
+    if (std::memcmp(x_new.data(), result.x.data(), n * sizeof(double)) ==
+            0 &&
+        (!options.adaptive_initial_step || step == prev_step)) {
+      break;
+    }
     prev_step = step;
     objective(x_new, /*need_hessian=*/true, &eval_new);
-    ++result.hessian_evals;
     result.x = x_new;
     result.value = eval_new.value;
     eval = std::move(eval_new);
@@ -114,7 +120,9 @@ Result<OptimResult> NewtonMinimize(const ObjectiveFn& objective,
   if (result.grad_norm <= options.grad_tol) return result;
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3e", result.grad_norm);
-  return Status::NotConverged(std::string("NewtonMinimize: max iterations, gradient ") + buf);
+  return Status::NotConverged(
+             std::string("NewtonMinimize: max iterations, gradient ") + buf)
+      .WithReason(StatusReason::kIterationCap);
 }
 
 Result<OptimResult> LbfgsMinimize(const ObjectiveFn& objective,

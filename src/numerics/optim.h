@@ -29,6 +29,8 @@ using ObjectiveFn =
                        ObjectiveEval* out)>;
 
 struct NewtonOptions {
+  /// Iteration cap. A run that reaches a fixed point (see NewtonMinimize)
+  /// returns the cap's status without spending the remaining iterations.
   int max_iter = 200;
   double grad_tol = 1e-9;         // max-norm of gradient at convergence
   double armijo_c = 1e-4;         // sufficient-decrease constant
@@ -49,14 +51,23 @@ struct OptimResult {
   double value = 0.0;
   double grad_norm = 0.0;
   int iterations = 0;
-  /// Objective-oracle calls without / with the Hessian. Line-search
-  /// backtracks show up here, not in `iterations`.
-  int function_evals = 0;
-  int hessian_evals = 0;
 };
 
 /// Damped Newton: solve H d = -g (Cholesky, escalating ridge on failure),
 /// then Armijo backtracking. Converges when ||g||_inf <= grad_tol.
+///
+/// A run still above grad_tol after max_iter iterations returns
+/// NotConverged with reason StatusReason::kIterationCap ("max
+/// iterations, gradient <g>"); a line search that finds no descent
+/// returns NotConverged without a reason. The cap's status comes early
+/// at a fixed point: when the line search accepts a step whose x is
+/// bitwise the current x and the next search would open at the same
+/// step (always, unless adaptive_initial_step moved the opening). The
+/// objective must be a deterministic function of x; then the next
+/// iteration sees the same evaluation, direction and opening step, so
+/// every remaining iteration repeats this one and the run would end at
+/// max_iter with this same gradient. The early return is therefore
+/// exactly the capped result, minus the evaluations.
 Result<OptimResult> NewtonMinimize(const ObjectiveFn& objective,
                                    std::vector<double> x0,
                                    const NewtonOptions& options = {});

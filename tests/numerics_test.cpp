@@ -464,6 +464,38 @@ TEST(OptimTest, NewtonOnLogSumExp) {
   EXPECT_NEAR(r->x[0], 0.0, 1e-8);
 }
 
+TEST(OptimTest, NewtonStopsAtAFixedPoint) {
+  // At x = 1e20 the Newton step (-1e-9) rounds away, and the constant
+  // value passes Armijo at the opening step (the decrease it asks for,
+  // 1e-16, rounds away against 1e3), so every iteration would repeat the
+  // first one.
+  // The run must return the cap's status at once instead of spending
+  // two evaluations per iteration up to max_iter.
+  for (bool adaptive : {false, true}) {
+    int calls = 0;
+    ObjectiveFn f = [&calls](const std::vector<double>&, bool need_h,
+                             ObjectiveEval* out) {
+      ++calls;
+      out->value = 1e3;
+      out->gradient = {1e-3};
+      if (need_h) {
+        out->hessian = Matrix(1, 1);
+        out->hessian(0, 0) = 1e6;
+      }
+    };
+    NewtonOptions opts;
+    opts.adaptive_initial_step = adaptive;
+    auto r = NewtonMinimize(f, {1e20}, opts);
+    ASSERT_FALSE(r.ok()) << adaptive;
+    EXPECT_EQ(r.status().code(), StatusCode::kNotConverged);
+    EXPECT_EQ(r.status().reason(), StatusReason::kIterationCap);
+    EXPECT_NE(r.status().message().find("max iterations, gradient 1.000e-03"),
+              std::string::npos)
+        << r.status().message();
+    EXPECT_LE(calls, 4) << adaptive;  // 1 + 2 * max_iter without the stop
+  }
+}
+
 TEST(OptimTest, LbfgsOnRosenbrockLikeConvex) {
   // 20-dim convex quadratic with varying curvature.
   const size_t n = 20;

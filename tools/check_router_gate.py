@@ -23,6 +23,15 @@ union's 32 * kll_k row cap): each pinned row
 (EXACT_ROWS) must be present and certified, hold an exact quantile, and
 report zero certificate `width` and zero maxent `solves` — the exact
 path answers from the rank sketch's point certificate and never solves.
+The "solver" section holds pinned small selections whose cold solve has
+Newton runs that end at the iteration cap: each pinned row (SOLVER_ROWS)
+must be present and solved, still reach the cap (`iteration_capped` >= 1,
+or the row no longer exercises the capped path), and spend at most
+SOLVER_EVAL_CEILING objective evaluations. A run stuck at a fixed point
+stops there instead of repeating its last iteration up to the cap; these
+rows spend 250-1,547 evaluations with that stop and 8,231-20,678 without
+it. The counts are deterministic, so this check does not depend on
+timing.
 
 Usage: check_router_gate.py BENCH_router.json
 """
@@ -51,6 +60,19 @@ EXACT_ROWS = tuple(
     f"{data}_n{n}" for data in ("milan", "retail") for n in (1, 2, 17, 63)
 ) + ("store_milan_n300", "store_milan_n2048")
 
+# bench_router's capped-solve selections: dataset, rows and seed.
+SOLVER_ROWS = (
+    "milan_n300_s27",
+    "milan_n150_s37",
+    "milan_n50_s30",
+    "retail_n100_s41",
+)
+
+# Objective evaluations allowed per solver row: above the 1,547 the
+# retail row spends (the most of the four), below the 8,231 the
+# cheapest row spends when capped runs grind to the cap.
+SOLVER_EVAL_CEILING = 4000
+
 
 def main(argv):
     if len(argv) < 2:
@@ -64,16 +86,24 @@ def main(argv):
     checked = 0
     failures = []
     sections = ("smooth", "adversarial", "groupby", "small", "exact")
-    seen = {section: 0 for section in sections}
-    names = {section: set() for section in sections}
+    names = {section: set() for section in sections + ("solver",)}
     for row in rows:
         section = row.get("section")
-        if section not in sections:
+        if section not in names:
             continue
-        seen[section] += 1
         names[section].add(row.get("name"))
         checked += 1
         name = f'{section}/{row.get("name")}'
+        if section == "solver":
+            evals = row.get("objective_evals")
+            if row.get("solved") is not True:
+                failures.append(f"{name}: solve failed")
+            if not row.get("iteration_capped", 0) >= 1:
+                failures.append(f"{name}: no Newton run reached the cap")
+            if evals is None or evals > SOLVER_EVAL_CEILING:
+                failures.append(f"{name}: {evals} objective evaluations, "
+                                f"ceiling {SOLVER_EVAL_CEILING}")
+            continue
         if row.get("certified") is not True:
             failures.append(f"{name}: answer escaped uncertified")
         if row.get("contains_truth") is not True:
@@ -86,12 +116,13 @@ def main(argv):
                 failures.append(f"{name}: exact answer ran "
                                 f"{row.get('solves')} solve(s)")
 
-    missing = [section for section in sections if seen[section] == 0]
+    missing = [section for section in names if not names[section]]
     if missing:
         print(f"FAIL: {path} has no {'/'.join(missing)} rows — "
               f"bench_router output format changed?")
         return 1
-    for section, pinned in (("small", SMALL_ROWS), ("exact", EXACT_ROWS)):
+    for section, pinned in (("small", SMALL_ROWS), ("exact", EXACT_ROWS),
+                            ("solver", SOLVER_ROWS)):
         for name in pinned:
             if name not in names[section]:
                 failures.append(f"{section}/{name}: pinned row missing")
@@ -102,7 +133,8 @@ def main(argv):
               f"{checked} rows")
         return 1
     print(f"router gate OK: {checked} rows, all certified, "
-          f"all certificates contain the truth")
+          f"all certificates contain the truth, capped solves within "
+          f"{SOLVER_EVAL_CEILING} evaluations")
     return 0
 
 
