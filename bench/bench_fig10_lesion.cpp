@@ -3,7 +3,10 @@
 // moments only on hepmass, as in the paper — and are scored on mean error
 // and estimation time. Maxent-based estimators should be >= 5x more
 // accurate; "opt" should be orders of magnitude faster than the
-// discretized/generic solvers.
+// discretized/generic solvers. "newton" evaluates its line-search trials
+// for the value alone (NewtonMinimize asks for EvalLevel::kValue): a
+// trial costs one Romberg integral, and only accepted points pay for the
+// k+1 gradient and (k+1)(k+2)/2 Hessian integrals.
 #include <algorithm>
 #include <cstdio>
 

@@ -71,7 +71,7 @@ class NewtonRombergEstimator : public MomentQuantileEstimator {
       return std::exp(std::min(ChebyshevEval(theta, u), 700.0));
     };
     ObjectiveFn objective = [&](const std::vector<double>& theta,
-                                bool need_hessian, ObjectiveEval* out) {
+                                EvalLevel level, ObjectiveEval* out) {
       auto integrate = [&](auto&& integrand) {
         auto r = RombergIntegrate(integrand, -1.0, 1.0, 1e-10, 1e-13, 18);
         return r.ok() ? r.value()
@@ -80,6 +80,9 @@ class NewtonRombergEstimator : public MomentQuantileEstimator {
       out->value = integrate(
           [&](double u) { return density(theta, u); });
       for (int i = 0; i < d; ++i) out->value -= theta[i] * p.cheb[i];
+      // Line-search trials ask for the value alone: skip their d gradient
+      // integrals.
+      if (level == EvalLevel::kValue) return;
       out->gradient.assign(d, 0.0);
       for (int i = 0; i < d; ++i) {
         out->gradient[i] =
@@ -88,7 +91,7 @@ class NewtonRombergEstimator : public MomentQuantileEstimator {
             }) -
             p.cheb[i];
       }
-      if (need_hessian) {
+      if (level == EvalLevel::kHessian) {
         out->hessian = Matrix(d, d);
         for (int i = 0; i < d; ++i) {
           for (int j = i; j < d; ++j) {
@@ -139,7 +142,7 @@ class BfgsEstimator : public MomentQuantileEstimator {
       ChebyshevTAll(p.k, pts[j], tbuf.data());
       for (int i = 0; i < d; ++i) basis[i][j] = tbuf[i];
     }
-    ObjectiveFn objective = [&](const std::vector<double>& theta, bool,
+    ObjectiveFn objective = [&](const std::vector<double>& theta, EvalLevel,
                                 ObjectiveEval* out) {
       std::vector<double> fw(n + 1);
       double integral = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <mutex>
 #include <unordered_map>
 
@@ -37,6 +38,158 @@ const std::vector<double>& CachedLobatto(int n) {
   }
   return it->second;
 }
+
+// Grid sums for the Newton objective, W entries per pass over the grid:
+// out[k] = sum_j b[k][j] * f[j], or sum_j (a[j] * b[k][j]) * f[j] when
+// kScaled. Every entry has its own accumulator and adds its terms in
+// ascending j, exactly as a loop per entry would, so the W sums only
+// overlap in time and each is bitwise the one-entry sum.
+template <size_t W, bool kScaled>
+void GridSums(const double* MSKETCH_GCC_RESTRICT a, const double* const* b,
+              const double* MSKETCH_GCC_RESTRICT f, size_t npts,
+              double* out) {
+  const double* MSKETCH_GCC_RESTRICT bk[W];
+  for (size_t k = 0; k < W; ++k) bk[k] = b[k];
+  double acc[W] = {};
+  for (size_t j = 0; j < npts; ++j) {
+    const double fj = f[j];
+    for (size_t k = 0; k < W; ++k) {
+      if constexpr (kScaled) {
+        acc[k] += (a[j] * bk[k][j]) * fj;
+      } else {
+        acc[k] += bk[k][j] * fj;
+      }
+    }
+  }
+  for (size_t k = 0; k < W; ++k) out[k] = acc[k];
+}
+
+// GridSums over `count` rows: blocks of four, then a 1-3 row tail.
+template <bool kScaled>
+void GridSumsBlocked(const double* a, const double* const* b, size_t count,
+                     const double* f, size_t npts, double* out) {
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    GridSums<4, kScaled>(a, b + i, f, npts, out + i);
+  }
+  switch (count - i) {
+    case 3:
+      GridSums<3, kScaled>(a, b + i, f, npts, out + i);
+      break;
+    case 2:
+      GridSums<2, kScaled>(a, b + i, f, npts, out + i);
+      break;
+    case 1:
+      GridSums<1, kScaled>(a, b + i, f, npts, out + i);
+      break;
+    default:
+      break;
+  }
+}
+
+// The maxent potential on one grid and moment selection (see
+// MaxEntProblem::Objective): value sum_j w_j exp(theta . b_j) - theta .
+// target, gradient and Hessian as the EvalLevel asks.
+class GridObjective {
+ public:
+  // rows[p]: selected basis row p on the grid (rows[0] is the constant);
+  // the eval counters are bumped per call.
+  GridObjective(std::vector<const double*> rows, std::vector<double> target,
+                const double* weights, size_t npts, int* function_evals,
+                int* hessian_evals)
+      : rows_(std::move(rows)),
+        target_(std::move(target)),
+        weights_(weights),
+        npts_(npts),
+        function_evals_(function_evals),
+        hessian_evals_(hessian_evals),
+        e_(npts),
+        f_(npts),
+        raw_(rows_.size()) {}
+
+  void operator()(const std::vector<double>& theta, EvalLevel level,
+                  ObjectiveEval* out) {
+    // Counted per call, so failed runs' work shows too.
+    ++*(level == EvalLevel::kHessian ? hessian_evals_ : function_evals_);
+    const size_t d = rows_.size();
+    if (!DensityHeldAt(theta)) DensityPass(theta);
+    out->value = integral_;
+    for (size_t p = 0; p < d; ++p) out->value -= theta[p] * target_[p];
+    if (level == EvalLevel::kValue) return;
+
+    // Raw sums sum_j b_p(u_j) f_j. Row 0 is the constant 1, and 1 * f_j
+    // == f_j, so its sum is the integral, term for term.
+    const double* f = f_.data();
+    raw_[0] = integral_;
+    GridSumsBlocked<false>(nullptr, rows_.data() + 1, d - 1, f, npts_,
+                           raw_.data() + 1);
+    out->gradient.resize(d);
+    for (size_t p = 0; p < d; ++p) out->gradient[p] = raw_[p] - target_[p];
+    if (level == EvalLevel::kGradient) return;
+
+    // Hessian entries sum_j (b_p b_q)(u_j) f_j. Row 0 is the raw sums
+    // above (1 * b_q == b_q exactly); they are taken before the target is
+    // subtracted, since (g - t) + t need not round back to g.
+    out->hessian = Matrix(d, d);
+    for (size_t q = 0; q < d; ++q) {
+      out->hessian(0, q) = raw_[q];
+      out->hessian(q, 0) = raw_[q];
+    }
+    for (size_t p = 1; p < d; ++p) {
+      // Row p from the diagonal on is contiguous (row-major).
+      GridSumsBlocked<true>(rows_[p], rows_.data() + p, d - p, f, npts_,
+                            &out->hessian(p, p));
+      for (size_t q = p + 1; q < d; ++q) {
+        out->hessian(q, p) = out->hessian(p, q);
+      }
+    }
+  }
+
+ private:
+  // True when the density buffer was computed at this theta, bit for bit
+  // (Newton asks for the accepted trial again, at kHessian).
+  bool DensityHeldAt(const std::vector<double>& theta) const {
+    return theta.size() == held_theta_.size() &&
+           std::memcmp(theta.data(), held_theta_.data(),
+                       theta.size() * sizeof(double)) == 0;
+  }
+
+  // f_j = exp(min(theta . b_j, 700)) * w_j and their integral.
+  void DensityPass(const std::vector<double>& theta) {
+    const size_t d = rows_.size();
+    double* MSKETCH_GCC_RESTRICT e = e_.data();
+    double* MSKETCH_GCC_RESTRICT f = f_.data();
+    const double t0v = theta[0];
+    for (size_t j = 0; j < npts_; ++j) e[j] = t0v;  // basis row 0 == 1
+    for (size_t p = 1; p < d; ++p) {
+      const double tp = theta[p];
+      const double* bp = rows_[p];
+      for (size_t j = 0; j < npts_; ++j) e[j] += tp * bp[j];
+    }
+    double integral = 0.0;
+    const double* w = weights_;
+    for (size_t j = 0; j < npts_; ++j) {
+      const double fj = std::exp(std::min(e[j], 700.0)) * w[j];
+      f[j] = fj;  // pre-weighted density values
+      integral += fj;
+    }
+    integral_ = integral;
+    held_theta_ = theta;
+  }
+
+  std::vector<const double*> rows_;
+  std::vector<double> target_;
+  const double* weights_;
+  size_t npts_;
+  int* function_evals_;
+  int* hessian_evals_;
+  // Hoisted buffers: the objective runs hundreds of times per solve.
+  std::vector<double> e_, f_, raw_;
+  // The last density pass: f_ and integral_ at held_theta_ (empty before
+  // the first pass; theta is never empty).
+  std::vector<double> held_theta_;
+  double integral_ = 0.0;
+};
 
 }  // namespace
 
@@ -232,68 +385,26 @@ uint64_t MaxEntProblem::SelectedSecondaryMask() const {
   return mask;
 }
 
+ObjectiveFn MaxEntProblem::Objective() {
+  const size_t d = selected_.size();
+  std::vector<const double*> rows(d);
+  std::vector<double> target(d);  // [1, selected moments...]
+  for (size_t p = 0; p < d; ++p) {
+    rows[p] = BasisRow(selected_[p]);
+    target[p] = TargetFor(p);
+  }
+  return GridObjective(std::move(rows), std::move(target), weights_.data(),
+                       nodes_.size(), &total_function_evals_,
+                       &total_hessian_evals_);
+}
+
 Result<OptimResult> MaxEntProblem::RunNewton(std::vector<double> theta0,
                                              bool warm) {
-  const size_t d = selected_.size();
-  // Target vector: [1, selected moments...].
-  std::vector<double> target(d);
-  for (size_t p = 0; p < d; ++p) target[p] = TargetFor(p);
-
-  // Buffers hoisted out of the objective: it runs ~100 times per solve
-  // and per-call allocation plus the point-outer accumulation loop were
-  // measurable in profiles. Row-outer loops are unit-stride over the
-  // grid, which the compiler vectorizes.
-  const size_t npts = nodes_.size();
-  std::vector<double> ebuf(npts), fbuf(npts);
-  ObjectiveFn objective = [&, d](const std::vector<double>& theta,
-                                 bool need_hessian, ObjectiveEval* out) {
-    // Counted per call, so failed runs' work shows too.
-    ++(need_hessian ? total_hessian_evals_ : total_function_evals_);
-    double* MSKETCH_GCC_RESTRICT e = ebuf.data();
-    double* MSKETCH_GCC_RESTRICT f = fbuf.data();
-    const double t0v = theta[0];
-    for (size_t j = 0; j < npts; ++j) e[j] = t0v;  // basis row 0 == 1
-    for (size_t p = 1; p < d; ++p) {
-      const double tp = theta[p];
-      const double* bp = BasisRow(selected_[p]);
-      for (size_t j = 0; j < npts; ++j) e[j] += tp * bp[j];
-    }
-    double integral = 0.0;
-    const double* w = weights_.data();
-    for (size_t j = 0; j < npts; ++j) {
-      const double fj = std::exp(std::min(e[j], 700.0)) * w[j];
-      f[j] = fj;  // pre-weighted density values
-      integral += fj;
-    }
-    out->value = integral;
-    for (size_t p = 0; p < d; ++p) out->value -= theta[p] * target[p];
-    out->gradient.assign(d, 0.0);
-    for (size_t p = 0; p < d; ++p) {
-      double acc = 0.0;
-      const double* bp = BasisRow(selected_[p]);
-      for (size_t j = 0; j < npts; ++j) acc += bp[j] * f[j];
-      out->gradient[p] = acc - target[p];
-    }
-    if (need_hessian) {
-      out->hessian = Matrix(d, d);
-      for (size_t p = 0; p < d; ++p) {
-        const double* bp = BasisRow(selected_[p]);
-        for (size_t q = p; q < d; ++q) {
-          const double* bq = BasisRow(selected_[q]);
-          double acc = 0.0;
-          for (size_t j = 0; j < npts; ++j) acc += bp[j] * bq[j] * f[j];
-          out->hessian(p, q) = acc;
-          out->hessian(q, p) = acc;
-        }
-      }
-    }
-  };
-
   NewtonOptions nopts;
   nopts.max_iter = opt_.max_newton_iter;
   nopts.grad_tol = opt_.grad_tol;
   nopts.adaptive_initial_step = warm;
-  return NewtonMinimize(objective, std::move(theta0), nopts);
+  return NewtonMinimize(Objective(), std::move(theta0), nopts);
 }
 
 bool MaxEntProblem::GridResolved(const std::vector<double>& theta) {

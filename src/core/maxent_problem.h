@@ -123,10 +123,21 @@ class MaxEntProblem {
   /// always did).
   void BuildGrid(int n);
 
-  /// Scalar Newton on the selected rows from theta0. Every objective
-  /// call, in converged and failed runs alike, adds to the evaluation
-  /// counts Package exports.
+  /// Scalar Newton on the selected rows from theta0, over Objective().
   Result<OptimResult> RunNewton(std::vector<double> theta0, bool warm);
+
+  /// The Newton objective on the selected rows at the current grid: the
+  /// maxent potential, its gradient and its Hessian, as far as the
+  /// EvalLevel asks. It keeps its last density pass and reuses it for a
+  /// call at the bitwise-same theta. Gradient and Hessian entries are
+  /// summed four per pass over the grid, each in ascending grid order,
+  /// and Hessian row 0 (the constant row) is the raw gradient sums, so
+  /// every output is bitwise what one loop per entry gives. Every call,
+  /// in converged and failed runs alike, adds to the evaluation counts
+  /// Package exports (kHessian to hessian_evals, the others to
+  /// function_evals). Refers into this problem: valid while it lives and
+  /// until its grid or selection changes.
+  ObjectiveFn Objective();
 
   /// Folds a lane-executed Newton run into the diagnostics this problem
   /// will export from Package.

@@ -57,9 +57,12 @@ struct MaxEntDiagnostics {
   int k1 = 0;              // standard moments used
   int k2 = 0;              // log moments used
   int newton_iterations = 0;
-  /// Objective evaluations without / with the Hessian, across every
-  /// Newton run of the solve, failed runs included (line-search
-  /// backtracks land in function_evals).
+  /// Objective evaluations across every Newton run of the solve, failed
+  /// runs included. function_evals counts the value-only line-search
+  /// trials (no gradient or Hessian is computed for them); hessian_evals
+  /// counts the value + gradient + Hessian evaluations at each run's
+  /// start and at every accepted point, which reuse the accepted trial's
+  /// density pass.
   int function_evals = 0;
   int hessian_evals = 0;
   int grid_size = 0;       // final N

@@ -41,13 +41,14 @@ constexpr double kKappaRoute = 1e12;
 
 // Certified interval for one phi. A rejected moment vector (`trusted`
 // false) gets the KLL certificate alone; otherwise the moment interval,
-// intersected with the KLL certificate when present. The moment
-// interval is the fallback wherever the KLL certificate is unavailable.
+// intersected with the KLL certificate when present (`kll` non-null).
+// The moment interval is the fallback wherever the KLL certificate is
+// unavailable.
 QuantileInterval IntervalFor(const RankBoundOracle& oracle,
-                             const KllSketch* kll, bool trusted, double phi,
-                             RouterStats* stats) {
+                             const KllSortedView* kll, bool trusted,
+                             double phi, RouterStats* stats) {
   std::optional<KllInterval> kiv;
-  if (kll != nullptr && kll->count() > 0) {
+  if (kll != nullptr) {
     if (auto k = kll->CertifiedInterval(phi); k.ok()) kiv = k.value();
   }
   if (!trusted && kiv) return {kiv->lower, kiv->upper};
@@ -58,7 +59,8 @@ QuantileInterval IntervalFor(const RankBoundOracle& oracle,
 
 // Estimate from the KLL sketch, or the certificate midpoint when the
 // sketch has none, clamped into the certificate.
-void AnswerFromKll(const KllSketch& kll, double phi, CertifiedQuantile* r) {
+void AnswerFromKll(const KllSortedView& kll, double phi,
+                   CertifiedQuantile* r) {
   auto est = kll.EstimateQuantile(phi);
   r->estimate = Clamp(est.ok() ? est.value()
                                : 0.5 * (r->interval.lower + r->interval.upper),
@@ -178,14 +180,19 @@ bool RoutePreSolve(const MomentsSketch& moments, const KllSketch* kll,
     return true;
   }
 
+  // Every KLL answer of this call (interval or estimate, any phi) comes
+  // from one sort of the retained items.
+  std::optional<KllSortedView> sorted;
+  if (kll != nullptr && kll->count() > 0) sorted.emplace(*kll);
+
   // Exact path: a rank sketch that never compacted holds every row, so
   // its certificate is the point at the ceil(phi*n)-th smallest row, an
   // exact phi-quantile. No oracle, no moment interval and no solve can
   // improve on it. Out-of-range phis clamp like the moment bounds do.
-  if (kll != nullptr && kll->count() > 0 && kll->rank_error_bound() == 0) {
+  if (sorted && kll->rank_error_bound() == 0) {
     for (size_t i = 0; i < phis.size(); ++i) {
       const KllInterval iv =
-          kll->CertifiedInterval(Clamp(phis[i], 0.0, 1.0)).value();
+          sorted->CertifiedInterval(Clamp(phis[i], 0.0, 1.0)).value();
       CertifiedQuantile& r = (*out)[i];
       r.estimate = iv.lower;
       r.interval = {iv.lower, iv.upper};
@@ -204,13 +211,14 @@ bool RoutePreSolve(const MomentsSketch& moments, const KllSketch* kll,
   // When a rank sketch exists, skip both instead of paying for (or
   // trusting) them.
   const RankBoundOracle oracle(moments);
-  const bool rejected = kll != nullptr && kll->count() > 0 &&
-                        !(oracle.HankelConditionNumber() <= kKappaRoute);
+  const bool rejected =
+      sorted && !(oracle.HankelConditionNumber() <= kKappaRoute);
 
   // Certificates: they hold no matter which estimator answers.
   for (size_t i = 0; i < phis.size(); ++i) {
     CertifiedQuantile& r = (*out)[i];
-    r.interval = IntervalFor(oracle, kll, !rejected, phis[i], stats);
+    r.interval = IntervalFor(oracle, sorted ? &*sorted : nullptr, !rejected,
+                             phis[i], stats);
     r.certified = true;
     WidthHistogram()->Observe(r.interval.upper - r.interval.lower);
   }
@@ -218,7 +226,7 @@ bool RoutePreSolve(const MomentsSketch& moments, const KllSketch* kll,
   if (rejected) {
     ++stats->conditioning_rejects;
     for (size_t i = 0; i < phis.size(); ++i) {
-      AnswerFromKll(*kll, phis[i], &(*out)[i]);
+      AnswerFromKll(*sorted, phis[i], &(*out)[i]);
     }
     stats->kll_answers += phis.size();
     return true;
@@ -259,8 +267,9 @@ void RoutePostSolve(const MomentsSketch& moments, const KllSketch* kll,
   }
 
   if (kll != nullptr && kll->count() > 0) {
+    const KllSortedView sorted(*kll);
     for (size_t i = 0; i < phis.size(); ++i) {
-      AnswerFromKll(*kll, phis[i], &answers[i]);
+      AnswerFromKll(sorted, phis[i], &answers[i]);
     }
     stats->kll_answers += phis.size();
     return;

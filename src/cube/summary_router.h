@@ -137,7 +137,8 @@ struct RouterStats {
 /// conditioning pre-screen rejects with a KLL present (KLL estimate and
 /// KLL certificate) — and fills every other answer's certificate.
 /// Returns true when `out` is final; otherwise the caller solves and
-/// hands the outcome to RoutePostSolve.
+/// hands the outcome to RoutePostSolve. Sorts the KLL's retained items
+/// once for all phis (KllSortedView).
 bool RoutePreSolve(const MomentsSketch& moments, const KllSketch* kll,
                    const std::vector<double>& phis,
                    std::vector<CertifiedQuantile>* out, RouterStats* stats);
@@ -145,7 +146,7 @@ bool RoutePreSolve(const MomentsSketch& moments, const KllSketch* kll,
 /// Post-solve: estimates from `dist`, or — when the solve failed (`dist`
 /// null) — from the atomic fit, then the KLL sketch, then the
 /// certificate's midpoint. Every estimate is clamped into its
-/// certificate.
+/// certificate. The KLL fallback sorts once for all phis.
 void RoutePostSolve(const MomentsSketch& moments, const KllSketch* kll,
                     const std::vector<double>& phis,
                     const MaxEntDistribution* dist,

@@ -30,7 +30,7 @@ Result<OptimResult> NewtonMinimize(const ObjectiveFn& objective,
                                    const NewtonOptions& options) {
   const size_t n = x0.size();
   ObjectiveEval eval;
-  objective(x0, /*need_hessian=*/true, &eval);
+  objective(x0, EvalLevel::kHessian, &eval);
   if (!std::isfinite(eval.value)) {
     return Status::InvalidArgument("NewtonMinimize: objective not finite at x0");
   }
@@ -71,10 +71,11 @@ Result<OptimResult> NewtonMinimize(const ObjectiveFn& objective,
       direction = neg_grad;
     }
 
-    // Armijo backtracking. Trial points are evaluated without the
-    // Hessian (it costs O(d^2 N) per evaluation); the Hessian is computed
-    // once at the accepted point. See NewtonOptions::adaptive_initial_step
-    // for the warm-start opening-step policy.
+    // Armijo backtracking. Trial points are evaluated for their value
+    // alone (the test reads nothing else); gradient and Hessian are
+    // computed once, at the accepted point. See
+    // NewtonOptions::adaptive_initial_step for the warm-start
+    // opening-step policy.
     const double slope = Dot(eval.gradient, direction);
     double step = options.adaptive_initial_step
                       ? std::min(1.0, 4.0 * prev_step)
@@ -86,7 +87,7 @@ Result<OptimResult> NewtonMinimize(const ObjectiveFn& objective,
       for (size_t i = 0; i < n; ++i) {
         x_new[i] = result.x[i] + step * direction[i];
       }
-      objective(x_new, /*need_hessian=*/false, &eval_new);
+      objective(x_new, EvalLevel::kValue, &eval_new);
       if (std::isfinite(eval_new.value) &&
           eval_new.value <=
               result.value + options.armijo_c * step * slope) {
@@ -111,7 +112,7 @@ Result<OptimResult> NewtonMinimize(const ObjectiveFn& objective,
       break;
     }
     prev_step = step;
-    objective(x_new, /*need_hessian=*/true, &eval_new);
+    objective(x_new, EvalLevel::kHessian, &eval_new);
     result.x = x_new;
     result.value = eval_new.value;
     eval = std::move(eval_new);
@@ -130,7 +131,7 @@ Result<OptimResult> LbfgsMinimize(const ObjectiveFn& objective,
                                   const LbfgsOptions& options) {
   const size_t n = x0.size();
   ObjectiveEval eval;
-  objective(x0, /*need_hessian=*/false, &eval);
+  objective(x0, EvalLevel::kGradient, &eval);
   if (!std::isfinite(eval.value)) {
     return Status::InvalidArgument("LbfgsMinimize: objective not finite at x0");
   }
@@ -186,7 +187,7 @@ Result<OptimResult> LbfgsMinimize(const ObjectiveFn& objective,
       for (size_t j = 0; j < n; ++j) {
         x_new[j] = result.x[j] + step * direction[j];
       }
-      objective(x_new, /*need_hessian=*/false, &eval_new);
+      objective(x_new, EvalLevel::kGradient, &eval_new);
       if (std::isfinite(eval_new.value) &&
           eval_new.value <=
               result.value + options.armijo_c * step * slope) {

@@ -16,17 +16,25 @@
 
 namespace msketch {
 
-/// Objective oracle for second-order methods: fills value, gradient, and
-/// (for Newton) the Hessian at x.
-struct ObjectiveEval {
-  double value = 0.0;
-  std::vector<double> gradient;
-  Matrix hessian;  // empty unless requested
+/// What an objective call must fill. Each level includes the ones
+/// before it; an objective may fill more than it is asked for, and the
+/// caller reads no more than it asked for.
+enum class EvalLevel {
+  kValue,     // value only (line-search trials)
+  kGradient,  // value and gradient
+  kHessian,   // value, gradient and Hessian
 };
 
-using ObjectiveFn =
-    std::function<void(const std::vector<double>& x, bool need_hessian,
-                       ObjectiveEval* out)>;
+/// Objective oracle for the minimizers: fills value, gradient and
+/// Hessian at x, as far as the EvalLevel asks.
+struct ObjectiveEval {
+  double value = 0.0;
+  std::vector<double> gradient;  // filled at kGradient and kHessian
+  Matrix hessian;                // filled at kHessian
+};
+
+using ObjectiveFn = std::function<void(const std::vector<double>& x,
+                                       EvalLevel level, ObjectiveEval* out)>;
 
 struct NewtonOptions {
   /// Iteration cap. A run that reaches a fixed point (see NewtonMinimize)
@@ -56,6 +64,12 @@ struct OptimResult {
 /// Damped Newton: solve H d = -g (Cholesky, escalating ridge on failure),
 /// then Armijo backtracking. Converges when ||g||_inf <= grad_tol.
 ///
+/// The objective is asked for kHessian at x0 and at each accepted point
+/// (bar a fixed-point stop, below), and for kValue at every line-search
+/// trial: Newton reads only the value of a trial. The accepted trial's x
+/// is then asked for again at kHessian, so an objective that keeps its
+/// last evaluation can reuse it.
+///
 /// A run still above grad_tol after max_iter iterations returns
 /// NotConverged with reason StatusReason::kIterationCap ("max
 /// iterations, gradient <g>"); a line search that finds no descent
@@ -81,8 +95,9 @@ struct LbfgsOptions {
   int max_backtracks = 60;
 };
 
-/// L-BFGS with two-loop recursion and Armijo backtracking. The oracle is
-/// called with need_hessian = false.
+/// L-BFGS with two-loop recursion and Armijo backtracking. Every oracle
+/// call asks for kGradient: the accepted trial's gradient feeds the
+/// curvature history.
 Result<OptimResult> LbfgsMinimize(const ObjectiveFn& objective,
                                   std::vector<double> x0,
                                   const LbfgsOptions& options = {});

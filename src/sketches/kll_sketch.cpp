@@ -118,20 +118,6 @@ Status KllSketch::Merge(const KllSketch& other) {
   return Status::OK();
 }
 
-std::vector<KllSketch::WeightedItem> KllSketch::SortedItems() const {
-  std::vector<WeightedItem> items;
-  items.reserve(num_retained());
-  for (size_t h = 0; h < levels_.size(); ++h) {
-    const uint64_t w = 1ULL << h;
-    for (double v : levels_[h]) items.push_back({v, w});
-  }
-  std::sort(items.begin(), items.end(),
-            [](const WeightedItem& a, const WeightedItem& b) {
-              return a.value < b.value;
-            });
-  return items;
-}
-
 uint64_t KllSketch::RankBelow(double x) const {
   uint64_t r = 0;
   for (size_t h = 0; h < levels_.size(); ++h) {
@@ -155,68 +141,11 @@ uint64_t KllSketch::RankAtOrBelow(double x) const {
 }
 
 Result<double> KllSketch::EstimateQuantile(double phi) const {
-  if (n_ == 0) {
-    return Status::InvalidArgument("KllSketch::EstimateQuantile: empty");
-  }
-  if (phi < 0.0 || phi > 1.0) {
-    return Status::InvalidArgument("KllSketch::EstimateQuantile: phi");
-  }
-  if (phi <= 0.0) return min_;
-  if (phi >= 1.0) return max_;
-  const std::vector<WeightedItem> items = SortedItems();
-  const double target = phi * static_cast<double>(n_);
-  uint64_t cum = 0;
-  for (const WeightedItem& it : items) {
-    cum += it.weight;
-    if (static_cast<double>(cum) >= target) return it.value;
-  }
-  return max_;
+  return KllSortedView(*this).EstimateQuantile(phi);
 }
 
 Result<KllInterval> KllSketch::CertifiedInterval(double phi) const {
-  if (n_ == 0) {
-    return Status::InvalidArgument("KllSketch::CertifiedInterval: empty");
-  }
-  if (phi < 0.0 || phi > 1.0) {
-    return Status::InvalidArgument("KllSketch::CertifiedInterval: phi");
-  }
-  // Target rank, 1-based: the r-th smallest element.
-  uint64_t r = static_cast<uint64_t>(
-      std::ceil(phi * static_cast<double>(n_)));
-  r = std::max<uint64_t>(1, std::min(r, n_));
-  const uint64_t err = rank_error_bound_;
-
-  // [min, max] is always sound; tighten from both ends with retained
-  // values. Each probe is individually sound: if even the optimistic
-  // estimate R<(v)+err of the true rank-below is short of r, fewer than r
-  // elements precede v, so the r-th smallest is >= v. Symmetrically for
-  // the upper end with R<=(v)-err. With err == 0 both ends stop at the
-  // r-th smallest, so the certificate is that point.
-  KllInterval out{min_, max_};
-  const std::vector<WeightedItem> items = SortedItems();
-  uint64_t below = 0;     // weighted count of items strictly below cursor
-  size_t i = 0;
-  while (i < items.size()) {
-    const double v = items[i].value;
-    uint64_t at = 0;  // total weight of ties at v
-    while (i < items.size() && items[i].value == v) {
-      at += items[i].weight;
-      ++i;
-    }
-    if (below + err < r) out.lower = std::max(out.lower, v);
-    if (below + at >= err + r) {
-      out.upper = std::min(out.upper, v);
-      break;  // further values only loosen the upper bound
-    }
-    below += at;
-  }
-  if (out.lower > out.upper) {
-    // Numerically impossible given sound probes, but never let a caller
-    // see a crossed certificate.
-    out.lower = min_;
-    out.upper = max_;
-  }
-  return out;
+  return KllSortedView(*this).CertifiedInterval(phi);
 }
 
 double KllSketch::epsilon() const {
@@ -328,6 +257,85 @@ bool KllSketch::IdenticalTo(const KllSketch& other) const {
     }
   }
   return true;
+}
+
+KllSortedView::KllSortedView(const KllSketch& sketch)
+    : n_(sketch.count()),
+      rank_error_bound_(sketch.rank_error_bound()),
+      min_(sketch.min()),
+      max_(sketch.max()) {
+  items_.reserve(sketch.num_retained());
+  for (size_t h = 0; h < sketch.num_levels(); ++h) {
+    const uint64_t w = 1ULL << h;
+    for (double v : sketch.level(h)) items_.push_back({v, w});
+  }
+  std::sort(items_.begin(), items_.end(),
+            [](const WeightedItem& a, const WeightedItem& b) {
+              return a.value < b.value;
+            });
+}
+
+Result<double> KllSortedView::EstimateQuantile(double phi) const {
+  if (n_ == 0) {
+    return Status::InvalidArgument("KllSketch::EstimateQuantile: empty");
+  }
+  if (phi < 0.0 || phi > 1.0) {
+    return Status::InvalidArgument("KllSketch::EstimateQuantile: phi");
+  }
+  if (phi <= 0.0) return min_;
+  if (phi >= 1.0) return max_;
+  const double target = phi * static_cast<double>(n_);
+  uint64_t cum = 0;
+  for (const WeightedItem& it : items_) {
+    cum += it.weight;
+    if (static_cast<double>(cum) >= target) return it.value;
+  }
+  return max_;
+}
+
+Result<KllInterval> KllSortedView::CertifiedInterval(double phi) const {
+  if (n_ == 0) {
+    return Status::InvalidArgument("KllSketch::CertifiedInterval: empty");
+  }
+  if (phi < 0.0 || phi > 1.0) {
+    return Status::InvalidArgument("KllSketch::CertifiedInterval: phi");
+  }
+  // Target rank, 1-based: the r-th smallest element.
+  uint64_t r = static_cast<uint64_t>(
+      std::ceil(phi * static_cast<double>(n_)));
+  r = std::max<uint64_t>(1, std::min(r, n_));
+  const uint64_t err = rank_error_bound_;
+
+  // [min, max] is always sound; tighten from both ends with retained
+  // values. Each probe is individually sound: if even the optimistic
+  // estimate R<(v)+err of the true rank-below is short of r, fewer than r
+  // elements precede v, so the r-th smallest is >= v. Symmetrically for
+  // the upper end with R<=(v)-err. With err == 0 both ends stop at the
+  // r-th smallest, so the certificate is that point.
+  KllInterval out{min_, max_};
+  uint64_t below = 0;     // weighted count of items strictly below cursor
+  size_t i = 0;
+  while (i < items_.size()) {
+    const double v = items_[i].value;
+    uint64_t at = 0;  // total weight of ties at v
+    while (i < items_.size() && items_[i].value == v) {
+      at += items_[i].weight;
+      ++i;
+    }
+    if (below + err < r) out.lower = std::max(out.lower, v);
+    if (below + at >= err + r) {
+      out.upper = std::min(out.upper, v);
+      break;  // further values only loosen the upper bound
+    }
+    below += at;
+  }
+  if (out.lower > out.upper) {
+    // Numerically impossible given sound probes, but never let a caller
+    // see a crossed certificate.
+    out.lower = min_;
+    out.upper = max_;
+  }
+  return out;
 }
 
 }  // namespace msketch

@@ -55,7 +55,9 @@ class KllSketch {
   /// Self-merge is safe and equivalent to merging a copy.
   Status Merge(const KllSketch& other);
 
-  /// Point estimate of the phi-quantile, phi in [0, 1].
+  /// Point estimate of the phi-quantile, phi in [0, 1]. Each call sorts
+  /// the retained items; a query over many phis should sort once with
+  /// KllSortedView.
   Result<double> EstimateQuantile(double phi) const;
 
   /// Certified enclosure of the true phi-quantile: the ceil(phi*n)-th
@@ -95,12 +97,6 @@ class KllSketch {
   bool IdenticalTo(const KllSketch& other) const;
 
  private:
-  // Sorted (value, weight=2^level) view of all retained items.
-  struct WeightedItem {
-    double value;
-    uint64_t weight;
-  };
-  std::vector<WeightedItem> SortedItems() const;
   void CompactLevel(size_t h);
   void CompressPending();
   bool CoinFlip();
@@ -113,6 +109,30 @@ class KllSketch {
   // levels_[h] holds items of weight 2^h; level 0 is an unsorted insert
   // buffer, higher levels stay sorted.
   std::vector<std::vector<double>> levels_;
+};
+
+/// The retained items of a KllSketch, sorted once. Answers
+/// EstimateQuantile and CertifiedInterval for any number of phis, bit for
+/// bit as the sketch's own calls would, so a query over many phis pays
+/// for one sort. Holds a copy of the items: the sketch may change or go
+/// away after the view is built.
+class KllSortedView {
+ public:
+  explicit KllSortedView(const KllSketch& sketch);
+
+  Result<double> EstimateQuantile(double phi) const;
+  Result<KllInterval> CertifiedInterval(double phi) const;
+
+ private:
+  // A retained value with its weight 2^level.
+  struct WeightedItem {
+    double value;
+    uint64_t weight;
+  };
+  std::vector<WeightedItem> items_;  // ascending value
+  uint64_t n_;
+  uint64_t rank_error_bound_;
+  double min_, max_;
 };
 
 }  // namespace msketch

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <set>
+#include <string>
 
 #include "common/rng.h"
+#include "core/maxent_problem.h"
 #include "core/maxent_solver.h"
 #include "core/moments_sketch.h"
 #include "datasets/datasets.h"
@@ -277,6 +282,155 @@ TEST(MaxEntSolverTest, FixedPointStopIsIndependentOfTheCap) {
     for (size_t i = 0; i < phis.size(); ++i) {
       EXPECT_EQ(qa[i], qb[i]) << sel.rows << " phi " << phis[i];
     }
+  }
+}
+
+// The Newton objective, entry by entry: one accumulator per value,
+// gradient and Hessian entry, adding its terms in ascending grid order.
+ObjectiveEval ReferenceObjective(const MaxEntProblem& prob,
+                                 const std::vector<double>& theta) {
+  const std::vector<int>& sel = prob.selected();
+  const std::vector<double>& w = prob.weights();
+  const size_t d = sel.size(), npts = w.size();
+  std::vector<double> f(npts);
+  double integral = 0.0;
+  for (size_t j = 0; j < npts; ++j) {
+    double e = theta[0];
+    for (size_t p = 1; p < d; ++p) e += theta[p] * prob.BasisRow(sel[p])[j];
+    const double fj = std::exp(std::min(e, 700.0)) * w[j];
+    f[j] = fj;
+    integral += fj;
+  }
+  ObjectiveEval ref;
+  ref.value = integral;
+  for (size_t p = 0; p < d; ++p) ref.value -= theta[p] * prob.TargetFor(p);
+  ref.gradient.resize(d);
+  ref.hessian = Matrix(d, d);
+  for (size_t p = 0; p < d; ++p) {
+    const double* bp = prob.BasisRow(sel[p]);
+    double g = 0.0;
+    for (size_t j = 0; j < npts; ++j) g += bp[j] * f[j];
+    ref.gradient[p] = g - prob.TargetFor(p);
+    for (size_t q = 0; q < d; ++q) {
+      const double* bq = prob.BasisRow(sel[q]);
+      double h = 0.0;
+      for (size_t j = 0; j < npts; ++j) h += bp[j] * bq[j] * f[j];
+      ref.hessian(p, q) = h;
+    }
+  }
+  return ref;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Bitwise comparison of `got` with the reference, up to `level`.
+void ExpectSameEval(const ObjectiveEval& got, const ObjectiveEval& ref,
+                    EvalLevel level, const std::string& where) {
+  EXPECT_TRUE(SameBits(got.value, ref.value))
+      << where << " value " << got.value << " vs " << ref.value;
+  if (level == EvalLevel::kValue) return;
+  const size_t d = ref.gradient.size();
+  ASSERT_EQ(got.gradient.size(), d) << where;
+  for (size_t p = 0; p < d; ++p) {
+    EXPECT_TRUE(SameBits(got.gradient[p], ref.gradient[p]))
+        << where << " gradient " << p;
+  }
+  if (level == EvalLevel::kGradient) return;
+  ASSERT_EQ(got.hessian.rows(), d) << where;
+  ASSERT_EQ(got.hessian.cols(), d) << where;
+  for (size_t p = 0; p < d; ++p) {
+    for (size_t q = 0; q < d; ++q) {
+      EXPECT_TRUE(SameBits(got.hessian(p, q), ref.hessian(p, q)))
+          << where << " hessian " << p << "," << q;
+    }
+  }
+}
+
+bool AnyBitDiffers(const ObjectiveEval& a, const ObjectiveEval& b) {
+  if (!SameBits(a.value, b.value)) return true;
+  for (size_t p = 0; p < a.gradient.size(); ++p) {
+    if (!SameBits(a.gradient[p], b.gradient[p])) return true;
+  }
+  for (size_t i = 0; i < a.hessian.data().size(); ++i) {
+    if (!SameBits(a.hessian.data()[i], b.hessian.data()[i])) return true;
+  }
+  return false;
+}
+
+// The scalar Newton objective (four entries per grid pass, Hessian row 0
+// from the raw gradient sums, the density pass reused at the same theta)
+// is bitwise the entry-by-entry reference, at every selection size from
+// 2 to 17 rows: 1-wide tails alone up to four four-wide blocks, and every
+// tail width behind them.
+TEST(MaxEntKernelTest, ObjectiveMatchesEntryByEntryReference) {
+  Rng data_rng(11);
+  MomentsSketch sketch(10);
+  for (int i = 0; i < 3000; ++i) {
+    const double u = data_rng.NextDouble();
+    sketch.Accumulate(1.0 + 3.0 * u * u);
+  }
+  std::set<size_t> sizes;
+  for (int total = 1; total <= 16; ++total) {
+    MaxEntOptions opts;
+    opts.kappa_max = 1e300;  // keep every capped moment
+    opts.max_k1 = (total + 1) / 2;
+    opts.max_k2 = total / 2;
+    MaxEntProblem prob;
+    ASSERT_TRUE(prob.Prepare(sketch, opts).ok()) << total;
+    const size_t d = prob.selected().size();
+    sizes.insert(d);
+    ObjectiveFn objective = prob.Objective();
+
+    Rng theta_rng(100 + total);
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> theta;
+      prob.ResetColdSeed(&theta);
+      for (size_t p = 0; p < d && trial > 0; ++p) {
+        theta[p] += 0.6 * (theta_rng.NextDouble() - 0.5);
+      }
+      const ObjectiveEval ref = ReferenceObjective(prob, theta);
+      const std::string where =
+          "d=" + std::to_string(d) + " trial " + std::to_string(trial);
+
+      // A fresh density pass at each level (the call before was
+      // elsewhere), then Newton's pattern: a kValue trial and kHessian at
+      // the same theta, which reuses the trial's density.
+      std::vector<double> elsewhere = theta;
+      elsewhere[0] += 1.0;
+      for (EvalLevel level : {EvalLevel::kValue, EvalLevel::kGradient,
+                              EvalLevel::kHessian}) {
+        ObjectiveEval other, got;
+        objective(elsewhere, EvalLevel::kValue, &other);
+        objective(theta, level, &got);
+        ExpectSameEval(got, ref, level, where + " fresh");
+      }
+      ObjectiveEval other, trial_eval, reused;
+      objective(elsewhere, EvalLevel::kValue, &other);
+      objective(theta, EvalLevel::kValue, &trial_eval);
+      objective(theta, EvalLevel::kHessian, &reused);
+      ExpectSameEval(reused, ref, EvalLevel::kHessian, where + " reused");
+
+      // One ulp away the held density is stale: the call must recompute.
+      bool checked = false;
+      for (size_t p = 0; p < d && !checked; ++p) {
+        std::vector<double> near = theta;
+        near[p] = std::nextafter(near[p], 1e300);
+        const ObjectiveEval near_ref = ReferenceObjective(prob, near);
+        if (!AnyBitDiffers(near_ref, ref)) continue;
+        ObjectiveEval trial_eval, got;
+        objective(theta, EvalLevel::kValue, &trial_eval);
+        objective(near, EvalLevel::kHessian, &got);
+        ExpectSameEval(got, near_ref, EvalLevel::kHessian,
+                       where + " one ulp up in slot " + std::to_string(p));
+        checked = true;
+      }
+      EXPECT_TRUE(checked) << where;
+    }
+  }
+  for (size_t d = 2; d <= 17; ++d) {
+    EXPECT_EQ(sizes.count(d), 1u) << "no prepared problem with d = " << d;
   }
 }
 

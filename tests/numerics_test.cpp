@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "numerics/chebyshev.h"
@@ -429,11 +431,11 @@ TEST(EigenTest, SvdWideMatrix) {
 
 TEST(OptimTest, NewtonOnQuadratic) {
   // f(x) = (x0-1)^2 + 10 (x1+2)^2.
-  ObjectiveFn f = [](const std::vector<double>& x, bool need_h,
+  ObjectiveFn f = [](const std::vector<double>& x, EvalLevel level,
                      ObjectiveEval* out) {
     out->value = (x[0] - 1) * (x[0] - 1) + 10 * (x[1] + 2) * (x[1] + 2);
     out->gradient = {2 * (x[0] - 1), 20 * (x[1] + 2)};
-    if (need_h) {
+    if (level == EvalLevel::kHessian) {
       out->hessian = Matrix(2, 2);
       out->hessian(0, 0) = 2;
       out->hessian(1, 1) = 20;
@@ -448,13 +450,13 @@ TEST(OptimTest, NewtonOnQuadratic) {
 
 TEST(OptimTest, NewtonOnLogSumExp) {
   // Smooth strictly convex, non-quadratic: log(e^x + e^-x) + x^2/4.
-  ObjectiveFn f = [](const std::vector<double>& x, bool need_h,
+  ObjectiveFn f = [](const std::vector<double>& x, EvalLevel level,
                      ObjectiveEval* out) {
     const double ex = std::exp(x[0]), emx = std::exp(-x[0]);
     out->value = std::log(ex + emx) + x[0] * x[0] / 4.0;
     const double th = (ex - emx) / (ex + emx);
     out->gradient = {th + x[0] / 2.0};
-    if (need_h) {
+    if (level == EvalLevel::kHessian) {
       out->hessian = Matrix(1, 1);
       out->hessian(0, 0) = 1.0 - th * th + 0.5;
     }
@@ -473,12 +475,12 @@ TEST(OptimTest, NewtonStopsAtAFixedPoint) {
   // two evaluations per iteration up to max_iter.
   for (bool adaptive : {false, true}) {
     int calls = 0;
-    ObjectiveFn f = [&calls](const std::vector<double>&, bool need_h,
+    ObjectiveFn f = [&calls](const std::vector<double>&, EvalLevel level,
                              ObjectiveEval* out) {
       ++calls;
       out->value = 1e3;
       out->gradient = {1e-3};
-      if (need_h) {
+      if (level == EvalLevel::kHessian) {
         out->hessian = Matrix(1, 1);
         out->hessian(0, 0) = 1e6;
       }
@@ -496,10 +498,98 @@ TEST(OptimTest, NewtonStopsAtAFixedPoint) {
   }
 }
 
+// A smooth strictly convex objective in two variables (a log-sum-exp
+// plus a quadratic), recording each call's level and x. With
+// `gradient_on_value` false it leaves the gradient empty on kValue.
+struct RecordingObjective {
+  struct Call {
+    EvalLevel level;
+    std::vector<double> x;
+  };
+  std::vector<Call> calls;
+
+  ObjectiveFn Fn(bool gradient_on_value) {
+    return [this, gradient_on_value](const std::vector<double>& x,
+                                     EvalLevel level, ObjectiveEval* out) {
+      calls.push_back({level, x});
+      const double a = std::exp(x[0] + 2 * x[1]);
+      const double b = std::exp(-x[0] + 0.5 * x[1]);
+      out->value = std::log(a + b) + 0.1 * (x[0] * x[0] + x[1] * x[1]);
+      out->gradient.clear();
+      if (level == EvalLevel::kValue && !gradient_on_value) return;
+      const double pa = a / (a + b), pb = b / (a + b);
+      out->gradient = {pa - pb + 0.2 * x[0], 2 * pa + 0.5 * pb + 0.2 * x[1]};
+      if (level != EvalLevel::kHessian) return;
+      // Covariance of the features (1, 2) and (-1, 0.5) under (pa, pb).
+      const double m0 = pa - pb, m1 = 2 * pa + 0.5 * pb;
+      out->hessian = Matrix(2, 2);
+      out->hessian(0, 0) = pa + pb - m0 * m0 + 0.2;
+      out->hessian(0, 1) = 2 * pa - 0.5 * pb - m0 * m1;
+      out->hessian(1, 0) = out->hessian(0, 1);
+      out->hessian(1, 1) = 4 * pa + 0.25 * pb - m1 * m1 + 0.2;
+    };
+  }
+};
+
+TEST(OptimTest, NewtonAsksOnlyForWhatItReads) {
+  for (bool adaptive : {false, true}) {
+    NewtonOptions opts;
+    opts.adaptive_initial_step = adaptive;
+    const std::vector<double> x0 = {10.0, -10.0};
+    RecordingObjective filled, lean;
+    auto a = NewtonMinimize(filled.Fn(true), x0, opts);
+    auto b = NewtonMinimize(lean.Fn(false), x0, opts);
+    ASSERT_TRUE(a.ok()) << a.status().message();
+    ASSERT_TRUE(b.ok()) << b.status().message();
+    // From this start several steps backtrack (values > hessians below).
+    ASSERT_GT(a->iterations, 2);
+
+    // kHessian at x0, then kValue trials, each accepted trial asked for
+    // again at kHessian; nothing asks for kGradient alone.
+    const auto& calls = filled.calls;
+    ASSERT_FALSE(calls.empty());
+    EXPECT_EQ(calls[0].level, EvalLevel::kHessian);
+    EXPECT_EQ(calls[0].x, x0);
+    int hessians = 0, values = 0;
+    for (size_t i = 1; i < calls.size(); ++i) {
+      if (calls[i].level == EvalLevel::kHessian) {
+        ++hessians;
+        ASSERT_EQ(calls[i - 1].level, EvalLevel::kValue) << i;
+        EXPECT_EQ(std::memcmp(calls[i].x.data(), calls[i - 1].x.data(),
+                              2 * sizeof(double)),
+                  0)
+            << i;
+      } else {
+        EXPECT_EQ(calls[i].level, EvalLevel::kValue) << i;
+        ++values;
+      }
+    }
+    EXPECT_EQ(hessians, a->iterations) << adaptive;
+    EXPECT_GT(values, hessians) << adaptive;
+    EXPECT_EQ(calls.back().level, EvalLevel::kHessian);
+
+    // The gradient of a trial is never read: leaving it empty changes
+    // nothing, bit for bit.
+    ASSERT_EQ(a->x.size(), b->x.size());
+    EXPECT_EQ(std::memcmp(a->x.data(), b->x.data(), 2 * sizeof(double)), 0);
+    EXPECT_EQ(a->iterations, b->iterations);
+    EXPECT_EQ(filled.calls.size(), lean.calls.size());
+  }
+
+  // L-BFGS reads the accepted trial's gradient, so it always asks for it.
+  RecordingObjective rec;
+  auto r = LbfgsMinimize(rec.Fn(false), {10.0, -10.0});
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  ASSERT_FALSE(rec.calls.empty());
+  for (const auto& call : rec.calls) {
+    EXPECT_EQ(call.level, EvalLevel::kGradient);
+  }
+}
+
 TEST(OptimTest, LbfgsOnRosenbrockLikeConvex) {
   // 20-dim convex quadratic with varying curvature.
   const size_t n = 20;
-  ObjectiveFn f = [n](const std::vector<double>& x, bool,
+  ObjectiveFn f = [n](const std::vector<double>& x, EvalLevel,
                       ObjectiveEval* out) {
     out->value = 0.0;
     out->gradient.assign(n, 0.0);
