@@ -49,16 +49,30 @@
 //                are deterministic; the gate fails a row that no longer
 //                reaches the cap or that spends more evaluations than
 //                its ceiling.
+//   cache        one smooth selection (lognormal, KLL alongside) queried
+//                reps + 1 times by a router on the process-wide solver
+//                cache. The first query solves; the samples time the
+//                reps after it. The row carries `cache_hits` and
+//                `solves` recorded by those reps and `cold_ms`, the
+//                first query's time, plus an `identical` flag: every
+//                rep's answers match, bit for bit, the ones the suite's
+//                always-solving router gives. The gate fails a row whose
+//                reps solve, miss the cache, or change an answer.
 //   counters     one row of cumulative RouterStats over the whole run
 //                (solver failures absorbed, conditioning rejects,
 //                fallback depths) so a latency regression can be read
-//                together with a routing change.
+//                together with a routing change. That router runs with
+//                the solver cache off (MaxEntOptions::use_solver_cache),
+//                so the smooth, adversarial and small rows time a solve
+//                in every rep, not a cache hit after the first.
 //
 // Interval widths are reported relative to the cell's value range
 // (width / (max - min)); 0 means exact, 1 means the trivial certificate.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -154,6 +168,20 @@ bool HoldsExactQuantile(const QuantileInterval& iv,
   return false;
 }
 
+// True when two answers print the same under %a: the same bits in the
+// estimate and both interval ends, and the same backend.
+bool SameAnswer(const CertifiedQuantile& a, const CertifiedQuantile& b) {
+  auto bits = [](double v) {
+    uint64_t u;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+  };
+  return bits(a.estimate) == bits(b.estimate) &&
+         bits(a.interval.lower) == bits(b.interval.lower) &&
+         bits(a.interval.upper) == bits(b.interval.upper) &&
+         a.backend == b.backend;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -163,7 +191,11 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(args.GetU64("reps", 21));
 
   JsonReport report("router");
-  SummaryRouter router;  // cumulative counters across the whole suite
+  // Cumulative counters across the whole suite. The solver cache is off
+  // so every rep of a row solves again.
+  RouterOptions solve_each;
+  solve_each.maxent.use_solver_cache = false;
+  SummaryRouter router(solve_each);
 
   struct Suite {
     const char* section;
@@ -445,6 +477,61 @@ int main(int argc, char** argv) {
                   {"backoff_drops", static_cast<double>(diag.backoff_drops)}},
                  {{"solved", dist.ok()}});
     }
+  }
+
+  // Repeated selection through the solver cache (see the header comment).
+  {
+    std::vector<double> data = NamedData("lognormal", rows);
+    MomentsSketch s(10);
+    KllSketch kll(64);
+    for (double v : data) {
+      s.Accumulate(v);
+      kll.Accumulate(v);
+    }
+    std::vector<double> sorted = std::move(data);
+    std::sort(sorted.begin(), sorted.end());
+    const double slack = 1e-6 * (std::abs(s.max()) + std::abs(s.min()) + 1.0);
+    const std::vector<double> phis(kPhiGrid, kPhiGrid + 5);
+    const std::vector<CertifiedQuantile> ref = router.QueryMany(s, &kll, phis);
+    SummaryRouter cached;  // MaxEntOptions::use_solver_cache defaults on
+    std::vector<CertifiedQuantile> answers;
+    const std::vector<double> cold_ms =
+        TimeReps(1, [&] { answers = cached.QueryMany(s, &kll, phis); });
+    bool identical = answers.size() == ref.size();
+    const RouterStats first = cached.stats();
+    const std::vector<double> samples_ms = TimeReps(reps, [&] {
+      answers = cached.QueryMany(s, &kll, phis);
+      identical = identical && answers.size() == ref.size();
+      for (size_t i = 0; identical && i < answers.size(); ++i) {
+        identical = SameAnswer(answers[i], ref[i]);
+      }
+    });
+    const RouterStats& after = cached.stats();
+    bool certified = answers.size() == phis.size();
+    bool contains_truth = certified;
+    for (size_t i = 0; i < answers.size(); ++i) {
+      certified = certified && answers[i].status.ok() && answers[i].certified;
+      const double truth = QuantileOfSorted(sorted, phis[i]);
+      contains_truth = contains_truth &&
+                       answers[i].interval.lower <= truth + slack &&
+                       answers[i].interval.upper >= truth - slack;
+    }
+    const uint64_t solves =
+        after.solve.cold_solves + after.solve.warm_solves -
+        (first.solve.cold_solves + first.solve.warm_solves);
+    report.Add("cache", "lognormal+kll", samples_ms,
+               {{"rows", static_cast<double>(rows)},
+                {"reps", static_cast<double>(reps)},
+                {"cold_ms", cold_ms.front()},
+                {"cache_hits",
+                 static_cast<double>(after.cache_hits - first.cache_hits)},
+                {"solves", static_cast<double>(solves)},
+                {"backend", answers.empty()
+                                ? -1.0
+                                : static_cast<double>(answers[2].backend)}},
+               {{"certified", certified},
+                {"contains_truth", contains_truth},
+                {"identical", identical}});
   }
 
   const RouterStats& st = router.stats();

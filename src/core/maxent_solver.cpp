@@ -81,27 +81,9 @@ Result<std::vector<double>> EstimateQuantiles(const MomentsSketch& sketch,
                                               const std::vector<double>& phis,
                                               const MaxEntOptions& options,
                                               const WarmStart* hint) {
-  // Tiered path: cache hit -> reuse the solved distribution verbatim;
-  // miss -> (optionally warm-started) solve, then publish for the next
-  // identical-moment estimate. The solver is deterministic, so the cache
-  // is semantically transparent.
-  if (!options.use_solver_cache) {
-    MSKETCH_ASSIGN_OR_RETURN(MaxEntDistribution dist,
-                             SolveMaxEnt(sketch, options, hint));
-    return dist.Quantiles(phis);
-  }
-  SolverCache& cache = GlobalSolverCache();
-  std::string key;
-  if (auto dist = cache.Lookup(sketch, options, &key)) {
-    return dist->Quantiles(phis);
-  }
-  MSKETCH_ASSIGN_OR_RETURN(MaxEntDistribution dist,
-                           SolveMaxEnt(sketch, options, hint));
-  std::vector<double> quantiles = dist.Quantiles(phis);
-  cache.InsertWithKey(
-      std::move(key),
-      std::make_shared<const MaxEntDistribution>(std::move(dist)));
-  return quantiles;
+  MSKETCH_ASSIGN_OR_RETURN(std::shared_ptr<const MaxEntDistribution> dist,
+                           SolveCached(sketch, options, hint));
+  return dist->Quantiles(phis);
 }
 
 }  // namespace msketch

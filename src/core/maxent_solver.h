@@ -47,9 +47,12 @@ struct MaxEntOptions {
   /// a genuinely different distribution shape. Affects the solve path,
   /// not the solution.
   double warm_gate = 0.5;
-  /// Lets EstimateQuantiles consult the process-wide solver cache.
-  /// Disable to force a real solve — solver benchmarks and tests that
-  /// compare independent solves need the cold path, not a memo hit.
+  /// Lets EstimateQuantiles and the summary router's point queries
+  /// (SummaryRouter, so StreamingCube::QueryQuantileCertified and
+  /// ReplicaApplier too) consult the process-wide solver cache
+  /// (SolveCached). Disable to force a real solve — solver benchmarks and
+  /// tests that compare independent solves or count them need the cold
+  /// path, not a memo hit.
   bool use_solver_cache = true;
 };
 
@@ -195,9 +198,10 @@ Result<MaxEntDistribution> SolveMaxEnt(const MomentsSketch& sketch,
                                        const WarmStart* hint = nullptr);
 
 /// Convenience wrapper: solve + evaluate a batch of quantiles. Routed
-/// through the process-wide solver cache (core/solver_cache.h), so
-/// re-estimating a sketch with unchanged moments skips the solve; pass a
-/// `hint` to additionally warm-start on a cache miss.
+/// through the process-wide solver cache (SolveCached in
+/// core/solver_cache.h), so re-estimating a sketch with unchanged moments
+/// skips the solve; pass a `hint` to additionally warm-start on a cache
+/// miss.
 Result<std::vector<double>> EstimateQuantiles(
     const MomentsSketch& sketch, const std::vector<double>& phis,
     const MaxEntOptions& options = {}, const WarmStart* hint = nullptr);

@@ -173,11 +173,33 @@ void SolverCache::Clear() {
 }
 
 SolverCache& GlobalSolverCache() {
-  // Sized for dashboard-style workloads: a few hundred distinct cells
-  // re-estimated across queries (~1 MB of CDF tables), not a whole cube.
+  // Sized like BatchOptions::cache_capacity: a thousand distinct
+  // selections re-estimated across queries. An entry holds ~5.3 KB of
+  // heap (a 513-point CDF table, the warm-start seed, the key and the
+  // LRU/map nodes), so a full cache holds ~5.4 MB.
   static SolverCache* cache =
-      new SolverCache(SolverCacheOptions{256, 1e-9, 8});
+      new SolverCache(SolverCacheOptions{1024, 1e-9, 8});
   return *cache;
+}
+
+Result<std::shared_ptr<const MaxEntDistribution>> SolveCached(
+    const MomentsSketch& sketch, const MaxEntOptions& options,
+    const WarmStart* hint, bool* cache_hit) {
+  if (cache_hit != nullptr) *cache_hit = false;
+  SolverCache* cache =
+      options.use_solver_cache ? &GlobalSolverCache() : nullptr;
+  std::string key;
+  if (cache != nullptr) {
+    if (auto dist = cache->Lookup(sketch, options, &key)) {
+      if (cache_hit != nullptr) *cache_hit = true;
+      return dist;
+    }
+  }
+  MSKETCH_ASSIGN_OR_RETURN(MaxEntDistribution solved,
+                           SolveMaxEnt(sketch, options, hint));
+  auto dist = std::make_shared<const MaxEntDistribution>(std::move(solved));
+  if (cache != nullptr) cache->InsertWithKey(std::move(key), dist);
+  return dist;
 }
 
 namespace {

@@ -28,14 +28,16 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "core/maxent_solver.h"
 #include "core/moments_sketch.h"
 
 namespace msketch {
 
 struct SolverCacheOptions {
-  /// Maximum resident distributions (each ~4 KB of CDF table), summed
-  /// across segments.
+  /// Maximum resident distributions (each ~5.3 KB of heap: a 513-point
+  /// CDF table, the warm-start seed, the key and the LRU/map nodes),
+  /// summed across segments.
   size_t capacity = 1024;
   /// Absolute quantization grid on the scaled Chebyshev moments (which
   /// live in [-1, 1]). Two sketches whose scaled moments agree to within
@@ -130,8 +132,21 @@ class SolverCache {
   std::vector<Segment> segments_;
 };
 
-/// Process-wide cache used by the EstimateQuantiles convenience wrapper.
+/// Process-wide cache behind SolveCached: EstimateQuantiles and the
+/// summary router's point queries share it.
 SolverCache& GlobalSolverCache();
+
+/// The tiered solve path: a GlobalSolverCache() hit returns the stored
+/// distribution verbatim (and sets `*cache_hit`); a miss solves —
+/// warm-started from `hint` when given — and publishes the result for the
+/// next equivalent sketch. Refusals are not cached. With
+/// options.use_solver_cache false the cache is neither read nor written.
+/// A hit for a hinted caller may return a distribution solved from a
+/// different seed, which a fresh warm solve would not reproduce bit for
+/// bit.
+Result<std::shared_ptr<const MaxEntDistribution>> SolveCached(
+    const MomentsSketch& sketch, const MaxEntOptions& options,
+    const WarmStart* hint = nullptr, bool* cache_hit = nullptr);
 
 }  // namespace msketch
 

@@ -429,10 +429,9 @@ std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
   std::vector<Group> groups = CollectGroups(store, group_dims);
   const size_t n = groups.size();
   std::vector<GroupQuantilesCertified> out(n);
-  // Each group's rank sketch, merged once (null without a KLL column)
-  // and kept only while its group waits for a solve.
-  std::vector<std::optional<KllSketch>> klls(n);
-  std::vector<const KllSketch*> kll_of(n, nullptr);
+  // Each group's sorted rank sketch from the pre-solve stage (empty
+  // without a KLL column), kept only while its group waits for a solve.
+  std::vector<std::optional<KllSortedView>> sorted(n);
   BatchOptions batch;
   batch.maxent = options.maxent;
   BatchStats batch_stats;
@@ -443,32 +442,33 @@ std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
               const Group& g = groups[i];
               out[i].key = g.key;
               out[i].count = g.sketch.count();
+              std::optional<KllSketch> kll;
               if (store.kll_enabled()) {
                 Result<KllSketch> merged =
                     store.MergeKllWhere(GroupFilter(store, group_dims, g.key));
-                if (merged.ok()) {
-                  klls[i] = std::move(merged).value();
-                  kll_of[i] = &*klls[i];
-                }
+                if (merged.ok()) kll = std::move(merged).value();
               }
-              if (RoutePreSolve(g.sketch, kll_of[i], phis, &out[i].answers,
-                                &router_stats)) {
-                klls[i].reset();
+              if (RoutePreSolve(g.sketch, kll ? &*kll : nullptr, phis,
+                                &out[i].answers, &router_stats,
+                                &sorted[i])) {
+                sorted[i].reset();
                 return;
               }
               solver->Solve(g.sketch,
                             [&, i](const ChainSolver::DistResult& dist) {
                               RoutePostSolve(
-                                  groups[i].sketch, kll_of[i], phis,
+                                  groups[i].sketch,
+                                  sorted[i] ? &*sorted[i] : nullptr, phis,
                                   dist.ok() ? dist.value().get() : nullptr,
                                   &out[i].answers, &router_stats);
-                              klls[i].reset();
+                              sorted[i].reset();
                             });
             });
   std::sort(out.begin(), out.end(),
             [](const GroupQuantilesCertified& a,
                const GroupQuantilesCertified& b) { return a.key < b.key; });
   router_stats.solve.MergeFrom(batch_stats.solve);
+  router_stats.cache_hits += batch_stats.cache_hits;
   PublishRouterStats(router_stats);
   if (stats != nullptr) stats->MergeFrom(router_stats);
   return out;

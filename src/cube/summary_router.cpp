@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "core/atomic_fit.h"
+#include "core/solver_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -109,6 +110,9 @@ void PublishRouterStats(const RouterStats& s) {
   static obs::Counter* const solver_failures = reg.GetCounter(
       "msk_router_solver_failures_total", {},
       "Maxent refusals/divergences absorbed by the degradation chain");
+  static obs::Counter* const cache_hits = reg.GetCounter(
+      "msk_router_cache_hits_total", {},
+      "Distributions reused from a solver cache instead of solved");
   static obs::Counter* const warm = reg.GetCounter(
       "msk_router_warm_solves_total", {}, "Warm-started maxent solves");
   static obs::Counter* const cold = reg.GetCounter(
@@ -132,6 +136,7 @@ void PublishRouterStats(const RouterStats& s) {
   intersected->Add(s.intersected_certificates);
   cond_rejects->Add(s.conditioning_rejects);
   solver_failures->Add(s.solver_failures);
+  cache_hits->Add(s.cache_hits);
   warm->Add(s.solve.warm_solves);
   cold->Add(s.solve.cold_solves);
   cold_restarts->Add(s.solve.cold_restarts);
@@ -157,8 +162,10 @@ const char* QuantileBackendName(QuantileBackend backend) {
 
 bool RoutePreSolve(const MomentsSketch& moments, const KllSketch* kll,
                    const std::vector<double>& phis,
-                   std::vector<CertifiedQuantile>* out, RouterStats* stats) {
+                   std::vector<CertifiedQuantile>* out, RouterStats* stats,
+                   std::optional<KllSortedView>* sorted_out) {
   out->assign(phis.size(), CertifiedQuantile{});
+  sorted_out->reset();
   stats->queries += phis.size();
 
   if (moments.count() == 0) {
@@ -180,9 +187,9 @@ bool RoutePreSolve(const MomentsSketch& moments, const KllSketch* kll,
     return true;
   }
 
-  // Every KLL answer of this call (interval or estimate, any phi) comes
-  // from one sort of the retained items.
-  std::optional<KllSortedView> sorted;
+  // Every KLL answer of this query (interval or estimate, any phi, in
+  // either stage) comes from one sort of the retained items.
+  std::optional<KllSortedView>& sorted = *sorted_out;
   if (kll != nullptr && kll->count() > 0) sorted.emplace(*kll);
 
   // Exact path: a rank sketch that never compacted holds every row, so
@@ -234,7 +241,7 @@ bool RoutePreSolve(const MomentsSketch& moments, const KllSketch* kll,
   return false;
 }
 
-void RoutePostSolve(const MomentsSketch& moments, const KllSketch* kll,
+void RoutePostSolve(const MomentsSketch& moments, const KllSortedView* kll,
                     const std::vector<double>& phis,
                     const MaxEntDistribution* dist,
                     std::vector<CertifiedQuantile>* out, RouterStats* stats) {
@@ -266,10 +273,9 @@ void RoutePostSolve(const MomentsSketch& moments, const KllSketch* kll,
     return;
   }
 
-  if (kll != nullptr && kll->count() > 0) {
-    const KllSortedView sorted(*kll);
+  if (kll != nullptr) {
     for (size_t i = 0; i < phis.size(); ++i) {
-      AnswerFromKll(sorted, phis[i], &answers[i]);
+      AnswerFromKll(*kll, phis[i], &answers[i]);
     }
     stats->kll_answers += phis.size();
     return;
@@ -300,19 +306,26 @@ std::vector<CertifiedQuantile> SummaryRouter::QueryMany(
   obs::Span span("query.router");
   RouterStats call;
   std::vector<CertifiedQuantile> out;
-  if (!RoutePreSolve(moments, kll, phis, &out, &call)) {
-    // Warm -> cold -> drop-moments backoff happen inside SolveMaxEnt; the
-    // post-solve stage only sees success or refusal.
+  std::optional<KllSortedView> sorted;
+  if (!RoutePreSolve(moments, kll, phis, &out, &call, &sorted)) {
+    // Cache lookup, then warm -> cold -> drop-moments backoff inside
+    // SolveMaxEnt; the post-solve stage only sees success or refusal.
     const WarmStart* seed = hint != nullptr && hint->valid() ? hint : nullptr;
-    Result<MaxEntDistribution> solved = SolveMaxEnt(moments, opt_.maxent, seed);
-    if (solved.ok()) {
-      call.solve.Record(solved->diagnostics());
-      last_warm_ = solved->warm_start();
-    } else {
+    bool hit = false;
+    Result<std::shared_ptr<const MaxEntDistribution>> solved =
+        SolveCached(moments, opt_.maxent, seed, &hit);
+    if (!solved.ok()) {
       call.solve.RecordRefusal(solved.status());
+    } else {
+      if (hit) {
+        ++call.cache_hits;
+      } else {
+        call.solve.Record(solved.value()->diagnostics());
+      }
+      last_warm_ = solved.value()->warm_start();
     }
-    RoutePostSolve(moments, kll, phis, solved.ok() ? &solved.value() : nullptr,
-                   &out, &call);
+    RoutePostSolve(moments, sorted ? &*sorted : nullptr, phis,
+                   solved.ok() ? solved.value().get() : nullptr, &out, &call);
   }
   stats_.MergeFrom(call);
   PublishRouterStats(call);

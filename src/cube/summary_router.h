@@ -45,8 +45,11 @@
 //      condition number above 1e12 with a KLL present routes straight
 //      to KLL, certificate included (the moment interval is the
 //      fallback only where the KLL certificate is unavailable);
-//   2. warm maxent solve (hint) -> cold restart on seed failure
-//      (inside SolveMaxEnt) -> drop-moments backoff;
+//   2. maxent solve: a point query first looks the sketch up in the
+//      process-wide solver cache (SolveCached; on unless
+//      MaxEntOptions::use_solver_cache is false), and a hit skips the
+//      solve; otherwise warm solve (hint) -> cold restart on seed
+//      failure (inside SolveMaxEnt) -> drop-moments backoff;
 //   3. solver refused/diverged: atomic-fit estimate (near-discrete
 //      cells), still certified by the moment bounds;
 //   4. atomic fit inapplicable: KLL estimate when present;
@@ -59,6 +62,7 @@
 #define MSKETCH_CUBE_SUMMARY_ROUTER_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -111,6 +115,10 @@ struct RouterStats {
   uint64_t intersected_certificates = 0;  // moments interval ∩ KLL interval
   uint64_t conditioning_rejects = 0;  // pre-screen skipped the solve
   uint64_t solver_failures = 0;       // maxent refused/diverged (absorbed)
+  /// Distributions reused instead of solved: solver-cache hits of point
+  /// queries, and GROUP BY groups answered by the batch cache or
+  /// coalesced onto an identical group's solve. Not counted in `solve`.
+  uint64_t cache_hits = 0;
   SolveCounters solve;
 
   void MergeFrom(const RouterStats& other) {
@@ -124,6 +132,7 @@ struct RouterStats {
     intersected_certificates += other.intersected_certificates;
     conditioning_rejects += other.conditioning_rejects;
     solver_failures += other.solver_failures;
+    cache_hits += other.cache_hits;
     solve.MergeFrom(other.solve);
   }
 };
@@ -138,16 +147,19 @@ struct RouterStats {
 /// KLL certificate) — and fills every other answer's certificate.
 /// Returns true when `out` is final; otherwise the caller solves and
 /// hands the outcome to RoutePostSolve. Sorts the KLL's retained items
-/// once for all phis (KllSortedView).
+/// once for all phis (KllSortedView) and leaves that sort in `*sorted`
+/// (empty when there is no non-empty KLL), so RoutePostSolve's KLL
+/// fallback does not sort again.
 bool RoutePreSolve(const MomentsSketch& moments, const KllSketch* kll,
                    const std::vector<double>& phis,
-                   std::vector<CertifiedQuantile>* out, RouterStats* stats);
+                   std::vector<CertifiedQuantile>* out, RouterStats* stats,
+                   std::optional<KllSortedView>* sorted);
 
 /// Post-solve: estimates from `dist`, or — when the solve failed (`dist`
-/// null) — from the atomic fit, then the KLL sketch, then the
-/// certificate's midpoint. Every estimate is clamped into its
-/// certificate. The KLL fallback sorts once for all phis.
-void RoutePostSolve(const MomentsSketch& moments, const KllSketch* kll,
+/// null) — from the atomic fit, then the KLL sketch (`kll`, the view
+/// RoutePreSolve left; null without one), then the certificate's
+/// midpoint. Every estimate is clamped into its certificate.
+void RoutePostSolve(const MomentsSketch& moments, const KllSortedView* kll,
                     const std::vector<double>& phis,
                     const MaxEntDistribution* dist,
                     std::vector<CertifiedQuantile>* out, RouterStats* stats);
@@ -164,9 +176,11 @@ QuantileInterval IntersectCertificates(const QuantileInterval& moments,
 /// Adds `stats` to the process-wide msk_router_* counter families.
 void PublishRouterStats(const RouterStats& stats);
 
-/// Point-query router: RoutePreSolve -> SolveMaxEnt -> RoutePostSolve.
-/// Each call's counters reach the metrics registry when it returns. Not
-/// thread-safe (one instance per query pipeline).
+/// Point-query router: RoutePreSolve -> SolveCached -> RoutePostSolve.
+/// A repeated selection reuses the distribution its first query solved
+/// (counted in cache_hits, not in solve). Each call's counters reach the
+/// metrics registry when it returns. Not thread-safe (one instance per
+/// query pipeline); the solver cache behind it is.
 class SummaryRouter {
  public:
   explicit SummaryRouter(RouterOptions options = {});
@@ -185,8 +199,9 @@ class SummaryRouter {
                                            const std::vector<double>& phis,
                                            const WarmStart* hint = nullptr);
 
-  /// Warm-start exported by the last successful maxent solve. Chains
-  /// cells the way the batch pipeline chains groups.
+  /// Warm-start exported by the distribution of the last successful
+  /// solve or cache hit. Chains cells the way the batch pipeline chains
+  /// groups.
   const WarmStart& last_warm_start() const { return last_warm_; }
 
   const RouterStats& stats() const { return stats_; }

@@ -505,6 +505,26 @@ TEST(ObsIntegrationTest, ExactAnswersArePublished) {
   EXPECT_EQ(exact() - before, 3u);
 }
 
+// A repeated point query answered from the solver cache reaches the
+// cache-hit counter.
+TEST(ObsIntegrationTest, RouterCacheHitsArePublished) {
+  MSKETCH_REQUIRE_OBS();
+  auto hits = [] {
+    const MetricsSnapshot scrape = GlobalRegistry().Scrape();
+    const Sample* s = scrape.Find("msk_router_cache_hits_total");
+    return s == nullptr ? uint64_t{0} : s->counter_value;
+  };
+  MomentsSketch cell(10);
+  Rng rng(17);
+  for (int i = 0; i < 3000; ++i) cell.Accumulate(rng.NextLognormal(0.5, 0.8));
+  SummaryRouter router;
+  (void)router.Query(cell, nullptr, 0.5);
+  const uint64_t before = hits();
+  (void)router.Query(cell, nullptr, 0.9);
+  EXPECT_EQ(hits() - before, 1u);
+  EXPECT_GE(router.stats().cache_hits, 1u);
+}
+
 }  // namespace
 }  // namespace obs
 }  // namespace msketch

@@ -3,14 +3,22 @@
 // inside the certificate, and the router never regresses against a pure
 // moments solve on well-conditioned cells), the adversarial sweep (no
 // uncertified or failed answer ever escapes on non-empty data), certified
-// GROUP BY, the streaming dual-write path, and bit-exact recovery of a
-// mixed-backend (moments + KLL) durable cube.
+// GROUP BY, the streaming dual-write path, the solver cache behind
+// repeated point queries, and bit-exact recovery of a mixed-backend
+// (moments + KLL) durable cube.
+//
+// Point queries share the process-wide solver cache across the tests of
+// this binary; tests that count solves or compare independent solves
+// turn it off (MaxEntOptions::use_solver_cache).
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +28,7 @@
 #include "core/bounds.h"
 #include "core/maxent_solver.h"
 #include "core/moments_sketch.h"
+#include "core/solver_cache.h"
 #include "cube/batch_query.h"
 #include "cube/cube_store.h"
 #include "cube/summary_router.h"
@@ -141,6 +150,26 @@ bool HoldsExactQuantile(const QuantileInterval& iv,
   return false;
 }
 
+// True when two answers print the same under %a: the same bits in the
+// estimate and both interval ends, and the same backend.
+bool SameAnswer(const CertifiedQuantile& a, const CertifiedQuantile& b) {
+  auto bits = [](double v) {
+    uint64_t u;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+  };
+  return bits(a.estimate) == bits(b.estimate) &&
+         bits(a.interval.lower) == bits(b.interval.lower) &&
+         bits(a.interval.upper) == bits(b.interval.upper) &&
+         a.backend == b.backend && a.certified == b.certified;
+}
+
+RouterOptions NoSolverCache() {
+  RouterOptions o;
+  o.maxent.use_solver_cache = false;
+  return o;
+}
+
 // --------------------------------------------------------- unit tests
 
 TEST(SummaryRouterTest, EmptyCellIsTheOnlyError) {
@@ -171,7 +200,7 @@ TEST(SummaryRouterTest, PointMassIsExactAndDegenerate) {
 }
 
 TEST(SummaryRouterTest, SmoothCellAnswersFromMoments) {
-  SummaryRouter router;
+  SummaryRouter router(NoSolverCache());  // counts the solve
   const auto data = NamedData("uniform", 50000);
   MomentsSketch s = SketchOf(data);
   KllSketch kll = KllOf(data);
@@ -191,7 +220,7 @@ TEST(SummaryRouterTest, SmoothCellAnswersFromMoments) {
 }
 
 TEST(SummaryRouterTest, WarmHintChainsAcrossQueries) {
-  SummaryRouter router;
+  SummaryRouter router(NoSolverCache());  // counts the warm solve
   const auto data = NamedData("uniform", 20000);
   MomentsSketch s = SketchOf(data);
   ASSERT_TRUE(router.Query(s, nullptr, 0.5).status.ok());
@@ -203,6 +232,53 @@ TEST(SummaryRouterTest, WarmHintChainsAcrossQueries) {
   EXPECT_TRUE(a.status.ok());
   EXPECT_EQ(a.backend, QuantileBackend::kMoments);
   EXPECT_GE(router.stats().solve.warm_solves, 1u);
+}
+
+// A repeated selection reuses the distribution its first query solved:
+// the second QueryMany records a cache hit and no solve, and answers bit
+// for bit as a router that always solves. With the cache off, the
+// process-wide cache is neither read nor written.
+TEST(SummaryRouterTest, RepeatedQueryReusesTheSolvedDistribution) {
+  const auto data = NamedData("lognormal", 30011);  // no other test's cell
+  const MomentsSketch s = SketchOf(data);
+  const KllSketch kll = KllOf(data);
+  ASSERT_GT(kll.rank_error_bound(), 0u);  // not the exact path
+  const std::vector<double> phis(kPhis, kPhis + 5);
+
+  SummaryRouter cold(NoSolverCache());
+  const CacheStats before = GlobalSolverCache().stats();
+  const std::vector<CertifiedQuantile> ref = cold.QueryMany(s, &kll, phis);
+  (void)cold.QueryMany(s, &kll, phis);
+  const CacheStats after = GlobalSolverCache().stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.insertions, before.insertions);
+  EXPECT_EQ(cold.stats().solve.cold_solves, 2u);
+  EXPECT_EQ(cold.stats().cache_hits, 0u);
+
+  SummaryRouter router;
+  const std::vector<CertifiedQuantile> first =
+      router.QueryMany(s, &kll, phis);
+  const RouterStats once = router.stats();
+  EXPECT_EQ(once.cache_hits + once.solve.cold_solves + once.solve.warm_solves,
+            1u);
+  const std::vector<CertifiedQuantile> second =
+      router.QueryMany(s, &kll, phis);
+  const RouterStats& twice = router.stats();
+  EXPECT_EQ(twice.cache_hits, once.cache_hits + 1);
+  EXPECT_EQ(twice.solve.cold_solves, once.solve.cold_solves);
+  EXPECT_EQ(twice.solve.warm_solves, once.solve.warm_solves);
+  EXPECT_EQ(twice.moments_answers, 2 * phis.size());
+  EXPECT_TRUE(router.last_warm_start().valid());
+
+  ASSERT_EQ(first.size(), phis.size());
+  ASSERT_EQ(second.size(), phis.size());
+  for (size_t i = 0; i < phis.size(); ++i) {
+    const std::string what = "phi=" + std::to_string(phis[i]);
+    EXPECT_EQ(ref[i].backend, QuantileBackend::kMoments) << what;
+    EXPECT_TRUE(SameAnswer(first[i], ref[i])) << what;
+    EXPECT_TRUE(SameAnswer(second[i], ref[i])) << what;
+  }
 }
 
 TEST(SummaryRouterTest, KllIntersectionNeverWidensTheCertificate) {
@@ -716,6 +792,87 @@ TEST(StreamingCertifiedTest, EndToEndDualWrite) {
   }
 }
 
+// Four threads repeat certified point queries over a small filter pool
+// on one snapshot. They share the solver cache, and every answer is, bit
+// for bit, the one a router that always solves gives on that snapshot.
+TEST(StreamingCertifiedTest, ConcurrentRepeatedQueriesShareTheCache) {
+  StreamingCube cube(2, MomentsSummary(10), KllIngest());
+  const char* names[] = {"uniform", "lognormal", "pareto"};
+  for (const char* name : names) {
+    for (const char* half : {"a", "b"}) {
+      for (double v : NamedData(name, 3000)) {
+        ASSERT_TRUE(cube.AppendRow({name, half}, v).ok());
+      }
+    }
+  }
+  cube.Flush();
+
+  struct Probe {
+    CubeFilter filter;
+    double phi;
+  };
+  std::vector<Probe> pool;
+  for (const std::vector<std::string>& f :
+       std::vector<std::vector<std::string>>{{"uniform", ""},
+                                             {"lognormal", "a"},
+                                             {"pareto", ""},
+                                             {"", "b"}}) {
+    Result<CubeFilter> filter = cube.EncodeFilter(f);
+    ASSERT_TRUE(filter.ok());
+    for (double phi : {0.5, 0.99}) pool.push_back({filter.value(), phi});
+  }
+
+  // Reference: the same merges the cube makes, routed without the cache.
+  std::shared_ptr<const CubeSnapshot> snap = cube.Snapshot();
+  RouterOptions no_cache;
+  no_cache.maxent = cube.estimator_options();
+  no_cache.maxent.use_solver_cache = false;
+  SummaryRouter cold(no_cache);
+  std::vector<CertifiedQuantile> ref;
+  for (const Probe& p : pool) {
+    const MomentsSketch moments = snap->store.QueryWhere(p.filter);
+    Result<KllSketch> kll = snap->store.MergeKllWhere(p.filter);
+    ASSERT_TRUE(kll.ok());
+    ASSERT_GT(kll.value().rank_error_bound(), 0u);  // not the exact path
+    ref.push_back(cold.Query(moments, &kll.value(), p.phi));
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 12;
+  std::vector<std::vector<std::pair<size_t, CertifiedQuantile>>> got(
+      kThreads);
+  std::vector<RouterStats> stats(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        for (size_t j = 0; j < pool.size(); ++j) {
+          const size_t k = (j + static_cast<size_t>(t)) % pool.size();
+          got[t].emplace_back(k, cube.QueryQuantileCertified(
+                                     pool[k].filter, pool[k].phi, &stats[t]));
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  RouterStats total;
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), kRounds * pool.size());
+    for (const auto& [k, answer] : got[t]) {
+      EXPECT_TRUE(SameAnswer(answer, ref[k]))
+          << "thread " << t << " probe " << k << ": " << answer.estimate
+          << " vs " << ref[k].estimate;
+    }
+    total.MergeFrom(stats[t]);
+  }
+  // Each thread misses a selection at most once; every other query that
+  // reaches the solve stage is a hit.
+  const uint64_t solves = total.solve.cold_solves + total.solve.warm_solves;
+  EXPECT_LE(solves, kThreads * pool.size());
+  EXPECT_GT(total.cache_hits, 0u);
+}
+
 // --------------------------------- mixed-backend durable recovery
 
 TEST(StreamingCertifiedTest, MixedBackendRecoveryIsBitExact) {
@@ -727,13 +884,16 @@ TEST(StreamingCertifiedTest, MixedBackendRecoveryIsBitExact) {
   // round-trip exercises both the checkpoint KLL section and the WAL
   // per-cell KLL tag.
   durability.checkpoint_every_epochs = 3;
+  // Both cubes solve every query, so the recovered answers are
+  // recomputed rather than read back from the solver cache.
+  const MomentsSummary prototype(10, NoSolverCache().maxent);
 
   std::vector<uint8_t> live_fingerprint;
   std::vector<KllSketch> live_klls;
   std::vector<CertifiedQuantile> live_answers;
   const char* cells[] = {"uniform", "two_atom", "pareto_heavy"};
   {
-    StreamingCube cube(2, MomentsSummary(10), KllIngest());
+    StreamingCube cube(2, prototype, KllIngest());
     ASSERT_TRUE(cube.EnableDurability(durability).ok());
     Rng rng(99);
     for (int epoch = 0; epoch < 7; ++epoch) {
@@ -764,7 +924,7 @@ TEST(StreamingCertifiedTest, MixedBackendRecoveryIsBitExact) {
   }
 
   RecoveryStats rs;
-  auto cube = StreamingCube::Recover(2, MomentsSummary(10), KllIngest(),
+  auto cube = StreamingCube::Recover(2, prototype, KllIngest(),
                                      durability, &rs);
   ASSERT_TRUE(cube.ok()) << cube.status().ToString();
   EXPECT_TRUE(rs.checkpoint_loaded);

@@ -31,7 +31,12 @@ SOLVER_EVAL_CEILING objective evaluations. A run stuck at a fixed point
 stops there instead of repeating its last iteration up to the cap; these
 rows spend 250-1,547 evaluations with that stop and 8,231-20,678 without
 it. The counts are deterministic, so this check does not depend on
-timing.
+timing. The "cache" section holds one repeated selection answered by a
+router on the process-wide solver cache: its pinned row (CACHE_ROWS)
+must be present, certified and contain the truth, record one cache hit
+and no solve for each rep after the first (`cache_hits` == `reps` >= 1,
+`solves` == 0), and keep every answer bit-identical to an always-solving
+router (`identical`).
 
 Usage: check_router_gate.py BENCH_router.json
 """
@@ -68,6 +73,9 @@ SOLVER_ROWS = (
     "retail_n100_s41",
 )
 
+# bench_router's repeated selection through the solver cache.
+CACHE_ROWS = ("lognormal+kll",)
+
 # Objective evaluations allowed per solver row: above the 1,547 the
 # retail row spends (the most of the four), below the 8,231 the
 # cheapest row spends when capped runs grind to the cap.
@@ -85,7 +93,8 @@ def main(argv):
         return rc
     checked = 0
     failures = []
-    sections = ("smooth", "adversarial", "groupby", "small", "exact")
+    sections = ("smooth", "adversarial", "groupby", "small", "exact",
+                "cache")
     names = {section: set() for section in sections + ("solver",)}
     for row in rows:
         section = row.get("section")
@@ -115,6 +124,17 @@ def main(argv):
             if row.get("solves") != 0:
                 failures.append(f"{name}: exact answer ran "
                                 f"{row.get('solves')} solve(s)")
+        if section == "cache":
+            reps = row.get("reps", 0)
+            if not reps >= 1 or row.get("cache_hits") != reps:
+                failures.append(f"{name}: {row.get('cache_hits')} cache "
+                                f"hit(s) over {reps} repeated quer(ies)")
+            if row.get("solves") != 0:
+                failures.append(f"{name}: repeated query ran "
+                                f"{row.get('solves')} solve(s)")
+            if row.get("identical") is not True:
+                failures.append(f"{name}: a cached answer differs from "
+                                f"the solved one")
 
     missing = [section for section in names if not names[section]]
     if missing:
@@ -122,7 +142,7 @@ def main(argv):
               f"bench_router output format changed?")
         return 1
     for section, pinned in (("small", SMALL_ROWS), ("exact", EXACT_ROWS),
-                            ("solver", SOLVER_ROWS)):
+                            ("solver", SOLVER_ROWS), ("cache", CACHE_ROWS)):
         for name in pinned:
             if name not in names[section]:
                 failures.append(f"{section}/{name}: pinned row missing")
@@ -134,7 +154,8 @@ def main(argv):
         return 1
     print(f"router gate OK: {checked} rows, all certified, "
           f"all certificates contain the truth, capped solves within "
-          f"{SOLVER_EVAL_CEILING} evaluations")
+          f"{SOLVER_EVAL_CEILING} evaluations, repeated queries answered "
+          f"from the solver cache")
     return 0
 
 
