@@ -508,7 +508,6 @@ void LaneMaxEntSolver::SolveBucket(Bucket* bucket) {
     Lane& lane = bucket->lanes[l];
     MaxEntProblem& prob = lane.problem;
     if (outcome.state[l] == LaneState::kConverged) {
-      ++stats_.lane_converged;
       for (size_t p = 0; p < pack.d; ++p) lane_theta[p] = theta[p * kL + l];
       prob.AddNewtonWork(outcome.iterations[l], outcome.function_evals[l],
                          outcome.hessian_evals[l]);
@@ -522,6 +521,7 @@ void LaneMaxEntSolver::SolveBucket(Bucket* bucket) {
       }
       if (prob.GridResolved(lane_theta) ||
           prob.grid_n() >= opt_.max_grid) {
+        ++stats_.lane_converged;
         sink_(lane.tag, prob.Package(lane_theta, warm[l]));
       } else {
         // Needs a finer quadrature grid: continue on the scalar

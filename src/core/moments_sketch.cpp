@@ -110,26 +110,6 @@ Status MomentsSketch::MergeFlat(const FlatMomentColumns& cols,
   return Status::OK();
 }
 
-Status MomentsSketch::DrainIntoCell(const MutableFlatMomentColumns& cols,
-                                    uint32_t cell) const {
-  if (cols.k != k_) {
-    return Status::InvalidArgument("DrainIntoCell: mismatched order k");
-  }
-  if (cell >= cols.num_cells) {
-    return Status::OutOfRange("DrainIntoCell: cell id out of range");
-  }
-  if (count_ == 0) return Status::OK();
-  const double* power = power_sums_.data();
-  const double* logs = log_sums_.data();
-  for (int i = 0; i < k_; ++i) cols.power_sums[i][cell] += power[i];
-  for (int i = 0; i < k_; ++i) cols.log_sums[i][cell] += logs[i];
-  cols.counts[cell] += count_;
-  cols.log_counts[cell] += log_count_;
-  cols.mins[cell] = std::min(cols.mins[cell], min_);
-  cols.maxs[cell] = std::max(cols.maxs[cell], max_);
-  return Status::OK();
-}
-
 Status MomentsSketch::MergeFlatRange(const FlatMomentColumns& cols,
                                      size_t begin, size_t end) {
   if (cols.k != k_) {

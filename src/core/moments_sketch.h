@@ -37,9 +37,9 @@ struct FlatMomentColumns {
   const double* maxs = nullptr;
 };
 
-/// Mutable counterpart of FlatMomentColumns: the drain-time view the
-/// streaming ingest engine applies shard deltas through (see
-/// MomentsSketch::DrainIntoCell). Same layout and lifetime rules.
+/// Mutable counterpart of FlatMomentColumns: the view the rollup index
+/// writes its span nodes through (MomentSlab::MutableColumns). Same
+/// layout and lifetime rules.
 struct MutableFlatMomentColumns {
   int k = 0;
   size_t num_cells = 0;
@@ -123,16 +123,6 @@ class MomentsSketch {
   /// subtrahend, one subtract per column). Same cancellation guards.
   Status SubtractFlatFast(const FlatMomentColumns& cols,
                           const uint32_t* cell_ids, size_t n);
-
-  /// Flat-delta drain kernel: adds this sketch's whole state into cell
-  /// `cell` of mutable columnar storage — the reverse direction of
-  /// MergeFlat, used by the streaming ingest engine to fold a shard's
-  /// per-cell delta into the published cube's columns. Each column slot
-  /// gets one add (column[cell] += sum), counts add exactly, and the
-  /// cell's min/max widen to cover the delta's range. Draining an empty
-  /// sketch is a no-op (its sentinel range must not poison the cell).
-  Status DrainIntoCell(const MutableFlatMomentColumns& cols,
-                       uint32_t cell) const;
 
   /// Overrides the tracked range. Used after Subtract, and by tests.
   void SetRange(double min, double max);

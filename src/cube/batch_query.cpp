@@ -53,7 +53,7 @@ void PublishBatchStats(const BatchStats& s) {
       "Occupied lanes across packed solves");
   static obs::Counter* const lane_converged = reg.GetCounter(
       "msk_lane_solver_lane_converged_total", {},
-      "Lanes converged inside the packed solve");
+      "Lanes solved entirely in the packed path");
   static obs::Counter* const lane_escalated = reg.GetCounter(
       "msk_lane_solver_lane_escalated_total", {},
       "Converged lanes escalated to a finer scalar grid");

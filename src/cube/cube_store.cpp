@@ -86,6 +86,7 @@ CubeStore::CubeStore(const CubeStore& other)
       power_ptrs_(other.power_ptrs_),
       log_ptrs_(other.log_ptrs_),
       dim_indexes_(other.dim_indexes_),
+      postings_pos_(other.postings_pos_),
       kll_enabled_(other.kll_enabled_),
       kll_k_(other.kll_k_),
       kll_cells_(other.kll_cells_),
@@ -105,15 +106,9 @@ CubeStore& CubeStore::operator=(const CubeStore& other) {
 }
 
 void CubeStore::RefreshColumnPtrs() {
-  // resize (not resize-in-ctor only): the copy constructor reaches here
-  // before its own mutable-ptr vectors are sized.
-  power_mut_ptrs_.resize(k_);
-  log_mut_ptrs_.resize(k_);
   for (int i = 0; i < k_; ++i) {
     power_ptrs_[i] = power_cols_[i].data();
     log_ptrs_[i] = log_cols_[i].data();
-    power_mut_ptrs_[i] = power_cols_[i].data();
-    log_mut_ptrs_[i] = log_cols_[i].data();
   }
 }
 
@@ -130,9 +125,13 @@ void CubeStore::OnCellMutated(uint32_t cell_id) {
   }
 }
 
-uint32_t CubeStore::CreateCell(const CubeCoords& coords) {
+uint32_t CubeStore::FindOrCreateCell(const CubeCoords& coords) {
   const uint32_t id = static_cast<uint32_t>(coords_.size());
-  cell_ids_.emplace(coords, id);
+  const auto [it, created] = cell_ids_.try_emplace(coords, id);
+  if (!created) {
+    OnCellMutated(it->second);
+    return it->second;
+  }
   coords_.push_back(coords);
   for (auto& col : power_cols_) col.push_back(0.0);
   for (auto& col : log_cols_) col.push_back(0.0);
@@ -144,7 +143,7 @@ uint32_t CubeStore::CreateCell(const CubeCoords& coords) {
   cell_dirty_.push_back(0);
   if (kll_enabled_) kll_cells_.emplace_back(kll_k_);
   for (size_t d = 0; d < num_dims_; ++d) {
-    dim_indexes_[d].Add(coords[d], id);
+    postings_pos_.push_back(dim_indexes_[d].Add(coords[d], id));
   }
   // The push_backs may have reallocated; this is the one place the
   // cached column bases are re-pointed (and the version bumped), so
@@ -157,14 +156,7 @@ uint32_t CubeStore::CreateCell(const CubeCoords& coords) {
 uint32_t CubeStore::Ingest(const CubeCoords& coords, double value) {
   MSKETCH_DCHECK(coords.size() == num_dims_);
   MSKETCH_DCHECK(std::isfinite(value));
-  uint32_t id;
-  auto it = cell_ids_.find(coords);
-  if (it != cell_ids_.end()) {
-    id = it->second;
-    OnCellMutated(id);
-  } else {
-    id = CreateCell(coords);
-  }
+  const uint32_t id = FindOrCreateCell(coords);
   // Same accumulation recurrence as MomentsSketch::Accumulate, applied to
   // the cell's column entries.
   mins_[id] = std::min(mins_[id], value);
@@ -204,25 +196,8 @@ Status CubeStore::ApplyKllDelta(const CubeCoords& coords,
   if (!kll_enabled_) {
     return Status::Unsupported("ApplyKllDelta: KLL column disabled");
   }
-  if (coords.size() != num_dims_) {
-    return Status::InvalidArgument("ApplyKllDelta: wrong coordinate arity");
-  }
-  if (delta.count() == 0) return Status::OK();
-  uint32_t id;
-  auto it = cell_ids_.find(coords);
-  if (it != cell_ids_.end()) {
-    id = it->second;
-    OnCellMutated(id);
-  } else {
-    id = CreateCell(coords);
-  }
-  if (kll_cells_[id].count() == 0) {
-    // Wholesale adoption keeps checkpoint restore bit-exact (a merge
-    // into an empty sketch would reset the compaction coin state).
-    kll_cells_[id] = delta;
-    return Status::OK();
-  }
-  return kll_cells_[id].Merge(delta);
+  const DeltaRef cell{&coords, nullptr, &delta};
+  return ApplyDeltas(&cell, 1);
 }
 
 Result<KllSketch> CubeStore::MergeKllCells(const uint32_t* cell_ids,
@@ -272,37 +247,93 @@ Result<KllSketch> CubeStore::MergeKllWhere(const CubeFilter& filter,
 
 Status CubeStore::ApplyDelta(const CubeCoords& coords,
                              const MomentsSketch& delta) {
-  if (coords.size() != num_dims_) {
-    return Status::InvalidArgument("ApplyDelta: wrong coordinate arity");
+  const DeltaRef cell{&coords, &delta, nullptr};
+  return ApplyDeltas(&cell, 1);
+}
+
+Status CubeStore::ApplyDeltas(const DeltaRef* cells, size_t n) {
+  // 1. Validate the whole batch before touching the store.
+  for (size_t j = 0; j < n; ++j) {
+    const DeltaRef& c = cells[j];
+    if (c.coords->size() != num_dims_) {
+      return Status::InvalidArgument("ApplyDeltas: wrong coordinate arity");
+    }
+    if (c.sketch != nullptr && c.sketch->k() != k_) {
+      return Status::InvalidArgument("ApplyDeltas: mismatched order k");
+    }
+    if (kll_enabled_ && c.kll != nullptr && c.kll->count() > 0 &&
+        c.kll->k() != kll_k_) {
+      return Status::InvalidArgument("ApplyDeltas: mismatched KLL k");
+    }
   }
-  if (delta.k() != k_) {
-    return Status::InvalidArgument("ApplyDelta: mismatched order k");
+  // 2. Resolve (or create) each cell in batch order, so new cells get
+  // the ids a one-at-a-time replay would give them.
+  std::vector<uint32_t> moment_ids;
+  std::vector<const MomentsSketch*> moments;
+  std::vector<uint32_t> kll_ids;
+  std::vector<const KllSketch*> klls;
+  moment_ids.reserve(n);
+  moments.reserve(n);
+  if (kll_enabled_) {
+    kll_ids.reserve(n);
+    klls.reserve(n);
   }
-  if (delta.count() == 0) return Status::OK();
-  uint32_t id;
-  auto it = cell_ids_.find(coords);
-  if (it != cell_ids_.end()) {
-    id = it->second;
-    OnCellMutated(id);
-  } else {
-    id = CreateCell(coords);
+  for (size_t j = 0; j < n; ++j) {
+    const DeltaRef& c = cells[j];
+    const bool has_moments = c.sketch != nullptr && c.sketch->count() > 0;
+    const bool has_kll =
+        kll_enabled_ && c.kll != nullptr && c.kll->count() > 0;
+    if (!has_moments && !has_kll) continue;
+    const uint32_t id = FindOrCreateCell(*c.coords);
+    if (has_moments) {
+      moment_ids.push_back(id);
+      moments.push_back(c.sketch);
+    }
+    if (has_kll) {
+      kll_ids.push_back(id);
+      klls.push_back(c.kll);
+    }
   }
-  MutableFlatMomentColumns mut;
-  mut.k = k_;
-  mut.num_cells = coords_.size();
-  mut.power_sums = power_mut_ptrs_.data();
-  mut.log_sums = log_mut_ptrs_.data();
-  mut.counts = counts_.data();
-  mut.log_counts = log_counts_.data();
-  mut.mins = mins_.data();
-  mut.maxs = maxs_.data();
-  Status s = delta.DrainIntoCell(mut, id);
-  if (!s.ok()) return s;
-  // power_sums()[0] is the same addition sequence the sums_ column saw
-  // per row, so the native-sum baseline stays consistent with the
-  // sketch columns bit-for-bit.
-  sums_[id] += delta.power_sums()[0];
-  num_rows_ += delta.count();
+  // 3. Moment sums one column at a time (a column stays cache-resident
+  // while the batch scatters into it), batch order within each column.
+  const size_t m = moments.size();
+  for (int i = 0; i < k_; ++i) {
+    double* col = power_cols_[i].data();
+    for (size_t j = 0; j < m; ++j) {
+      col[moment_ids[j]] += moments[j]->power_sums()[i];
+    }
+  }
+  for (int i = 0; i < k_; ++i) {
+    double* col = log_cols_[i].data();
+    for (size_t j = 0; j < m; ++j) {
+      col[moment_ids[j]] += moments[j]->log_sums()[i];
+    }
+  }
+  for (size_t j = 0; j < m; ++j) {
+    const uint32_t id = moment_ids[j];
+    const MomentsSketch& delta = *moments[j];
+    counts_[id] += delta.count();
+    log_counts_[id] += delta.log_count();
+    mins_[id] = std::min(mins_[id], delta.min());
+    maxs_[id] = std::max(maxs_[id], delta.max());
+    // power_sums()[0] is the same addition sequence the sums_ column saw
+    // per row, so the native-sum baseline stays consistent with the
+    // sketch columns bit-for-bit.
+    sums_[id] += delta.power_sums()[0];
+    num_rows_ += delta.count();
+  }
+  // 4. KLL deltas in batch order.
+  for (size_t j = 0; j < klls.size(); ++j) {
+    KllSketch& cell = kll_cells_[kll_ids[j]];
+    if (cell.count() == 0) {
+      // Wholesale adoption keeps checkpoint restore bit-exact (a merge
+      // into an empty sketch would reset the compaction coin state).
+      cell = *klls[j];
+    } else {
+      // Cannot fail: k was validated above.
+      MSKETCH_CHECK(cell.Merge(*klls[j]).ok());
+    }
+  }
   return Status::OK();
 }
 
@@ -328,7 +359,8 @@ void CubeStore::BuildRollup(const RollupOptions& options) {
 
 void CubeStore::RefreshRollup() {
   if (rollup_ == nullptr || rollup_->FreshAt(version_)) return;
-  rollup_->Refresh(Columns(), dim_indexes_, coords_, dirty_cells_, version_);
+  rollup_->Refresh(Columns(), dim_indexes_, coords_, postings_pos_,
+                   dirty_cells_, version_);
   for (uint32_t c : dirty_cells_) cell_dirty_[c] = 0;
   dirty_cells_.clear();
 }

@@ -112,15 +112,27 @@ class CubeStore {
   /// so a built rollup reads as stale until RefreshRollup().
   uint32_t Ingest(const CubeCoords& coords, double value);
 
-  /// Folds a pre-aggregated delta sketch into the cell at `coords`,
-  /// creating the cell (and its postings) on first touch — the epoch
-  /// drain path of the streaming ingest engine. Column sums get one add
-  /// each (MomentsSketch::DrainIntoCell), counts add exactly, min/max
-  /// widen to cover the delta, and the native-sum column grows by the
-  /// delta's first power sum (the same addition sequence Ingest applies
-  /// per row). Version and rollup-dirtiness bookkeeping matches Ingest:
-  /// the cell is marked dirty so the next RefreshRollup rebuilds only
-  /// its spans. Empty deltas are a no-op.
+  /// Folds a batch of per-cell deltas into the store — the one apply
+  /// path of the epoch publisher, the follower and WAL recovery. Each
+  /// cell carries a moments delta (`sketch`, may be null) and an
+  /// optional KLL delta (`kll`, ignored while the KLL column is
+  /// disabled). The batch is validated first (coordinate arity, moments
+  /// order k, KLL k), so a bad cell rejects it without applying any
+  /// cell. Then each cell with a non-empty delta is resolved, or
+  /// created with its postings, in batch order by one hash lookup; an
+  /// existing cell is marked dirty for the next RefreshRollup. The
+  /// moment sums then land one column at a time, in batch order within
+  /// each column: each slot gets one add per delta, counts add exactly,
+  /// min/max widen to cover the delta, and the native-sum column grows
+  /// by the delta's first power sum (the addition sequence Ingest
+  /// applies per row). Last, the KLL deltas apply in batch order: an
+  /// empty cell adopts its delta wholesale (bit-exact for checkpoint
+  /// restore), otherwise the delta merges in. Same-cell deltas apply in
+  /// batch order, so the result is bit-identical to applying the cells
+  /// one at a time. Empty deltas are no-ops.
+  Status ApplyDeltas(const DeltaRef* cells, size_t n);
+
+  /// One-cell ApplyDeltas of a moments delta.
   Status ApplyDelta(const CubeCoords& coords, const MomentsSketch& delta);
 
   size_t num_cells() const { return coords_.size(); }
@@ -248,9 +260,8 @@ class CubeStore {
     return &kll_cells_[cell_id];
   }
 
-  /// Folds a streamed KLL delta into the cell at `coords`, creating the
-  /// cell on first touch. An empty destination adopts the delta wholesale
-  /// (bit-exact for checkpoint restore); otherwise the delta merges in.
+  /// One-cell ApplyDeltas of a KLL delta. Unsupported when KLL is
+  /// disabled.
   Status ApplyKllDelta(const CubeCoords& coords, const KllSketch& delta);
 
   /// Merged rank sketch over the cells matching `filter` (same matching
@@ -295,11 +306,13 @@ class CubeStore {
   /// Bookkeeping for an in-place update of an existing cell: bumps the
   /// version and records the cell for incremental rollup refresh.
   void OnCellMutated(uint32_t cell_id);
-  /// Allocates the cell for `coords`: appends one zeroed slot to every
-  /// column, registers the postings, and routes through
-  /// OnColumnsChanged (push_backs may reallocate). Shared by Ingest and
-  /// ApplyDelta so the parallel columns can never diverge.
-  uint32_t CreateCell(const CubeCoords& coords);
+  /// The cell at `coords`, found or created with one hash lookup. An
+  /// existing cell goes through OnCellMutated. A new one gets one
+  /// zeroed slot in every column, its postings and their positions, and
+  /// goes through OnColumnsChanged (push_backs may reallocate). Shared
+  /// by Ingest and ApplyDeltas so the parallel columns can never
+  /// diverge.
+  uint32_t FindOrCreateCell(const CubeCoords& coords);
 
   size_t num_dims_;
   int k_;
@@ -320,15 +333,16 @@ class CubeStore {
   std::vector<double> sums_;
 
   // Column base pointers, kept current by OnColumnsChanged so Columns()
-  // and the const query methods never write shared state. The mutable
-  // twins back ApplyDelta's drain view (same lifetime discipline).
+  // and the const query methods never write shared state.
   std::vector<const double*> power_ptrs_;
   std::vector<const double*> log_ptrs_;
-  std::vector<double*> power_mut_ptrs_;
-  std::vector<double*> log_mut_ptrs_;
 
-  // One inverted index per dimension.
+  // One inverted index per dimension, and each cell's position in its
+  // postings lists (postings_pos_[cell * num_dims_ + d]; positions never
+  // move because postings only append), which locates the rollup span a
+  // mutation dirties without searching the postings.
   std::vector<DimIndex> dim_indexes_;
+  std::vector<uint32_t> postings_pos_;
 
   // KLL side column (object-per-cell; parallel to coords_ when enabled).
   bool kll_enabled_ = false;

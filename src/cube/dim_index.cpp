@@ -10,11 +10,13 @@ namespace {
 const std::vector<uint32_t> kEmptyPostings;
 }  // namespace
 
-void DimIndex::Add(uint32_t value, uint32_t cell_id) {
+uint32_t DimIndex::Add(uint32_t value, uint32_t cell_id) {
   std::vector<uint32_t>& list = postings_[value];
   MSKETCH_DCHECK(list.empty() || list.back() < cell_id);
+  const uint32_t pos = static_cast<uint32_t>(list.size());
   list.push_back(cell_id);
   ++total_;
+  return pos;
 }
 
 const std::vector<uint32_t>& DimIndex::Postings(uint32_t value) const {

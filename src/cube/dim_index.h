@@ -22,10 +22,12 @@ namespace msketch {
 /// Inverted index for one cube dimension: value id -> sorted cell ids.
 class DimIndex {
  public:
-  /// Records that `cell_id` has value `value` in this dimension. Cell ids
-  /// must arrive in increasing order (they do: ids are assigned
-  /// sequentially on first touch), keeping each postings list sorted.
-  void Add(uint32_t value, uint32_t cell_id);
+  /// Records that `cell_id` has value `value` in this dimension and
+  /// returns its position in the value's postings list. Cell ids must
+  /// arrive in increasing order (they do: ids are assigned sequentially
+  /// on first touch), keeping each postings list sorted and every
+  /// position fixed for the life of the index.
+  uint32_t Add(uint32_t value, uint32_t cell_id);
 
   /// The sorted cell ids carrying `value`; empty for unseen values.
   const std::vector<uint32_t>& Postings(uint32_t value) const;

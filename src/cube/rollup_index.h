@@ -20,9 +20,12 @@
 // *new* cell never dirties an existing full span — it can only complete
 // new spans at the tail. Ingesting into an existing cell dirties exactly
 // one span per dimension (the one covering that cell's postings
-// position). Refresh() therefore rebuilds only dirty nodes, appends any
-// newly completed spans, and re-reduces the total; CubeStore tracks the
-// dirty cells and the column version that gates staleness.
+// position, which CubeStore records when it creates the cell).
+// Refresh() therefore rebuilds only dirty nodes, appends the spans that
+// new cells completed, and re-reduces the total; CubeStore tracks the
+// dirty cells and the column version that gates staleness. Build and
+// Refresh fill nodes through one column-at-a-time kernel, so a refreshed
+// node is bit-identical to the same node built from scratch.
 #ifndef MSKETCH_CUBE_ROLLUP_INDEX_H_
 #define MSKETCH_CUBE_ROLLUP_INDEX_H_
 
@@ -54,8 +57,13 @@ class MomentSlab {
   /// Appends one node; returns its id.
   uint32_t Append(const MomentsSketch& s);
 
-  /// Replaces an existing node's state (incremental span rebuild).
-  void Overwrite(uint32_t node, const MomentsSketch& s);
+  /// Appends `n` empty nodes (the state of a fresh MomentsSketch) and
+  /// returns the first one's id; the caller fills them through
+  /// MutableColumns().
+  uint32_t AppendEmpty(size_t n);
+
+  /// Writable view over the nodes, invalidated by the next append.
+  MutableFlatMomentColumns MutableColumns();
 
   /// View over the nodes. Column base pointers are re-derived on every
   /// call (k pointer stores), so there is no cached-pointer state to
@@ -74,10 +82,12 @@ class MomentSlab {
   std::vector<uint64_t> log_counts_;
   std::vector<double> mins_;
   std::vector<double> maxs_;
-  // Scratch for Columns(); rebuilt on every call, mutable so the view
-  // stays a const read.
+  // Scratch for Columns() and MutableColumns(); rebuilt on every call,
+  // mutable so the read view stays a const read.
   mutable std::vector<const double*> power_ptrs_;
   mutable std::vector<const double*> log_ptrs_;
+  std::vector<double*> power_mut_ptrs_;
+  std::vector<double*> log_mut_ptrs_;
 };
 
 class RollupIndex {
@@ -90,18 +100,21 @@ class RollupIndex {
   void Build(const FlatMomentColumns& cols, const std::vector<DimIndex>& dims,
              uint64_t version);
 
-  /// Incremental rebuild: recomputes the span nodes covering any cell in
-  /// `dirty_cells` (one node per dimension per dirty cell — this, the
-  /// dominant term of a full Build, is proportional to the dirt),
-  /// appends nodes for spans completed by newly created cells, and
-  /// re-reduces the grand total. The total re-reduce is one SIMD range
-  /// merge over all cells and the span-extension pass sweeps every
-  /// dimension's value map, so a refresh still costs Omega(N + values)
-  /// with small constants — ~(2 * num_dims)x cheaper than Build, not
-  /// free; batch ingests between refreshes accordingly.
+  /// Incremental rebuild: recomputes the span node covering each cell of
+  /// `dirty_cells` in each dimension, appends the nodes of spans that
+  /// cells created since the last build or refresh completed, and
+  /// re-reduces the grand total. `postings_pos[c * dims.size() + d]` is
+  /// cell c's position in its dimension-d postings list, so a dirty
+  /// cell's span is one shift, and only new cells are visited for span
+  /// completion. Cost: one rebuild per dirty node, one pass over the
+  /// new cells, and one SIMD range merge over all cells for the total —
+  /// proportional to the dirt plus one total re-merge, not to the
+  /// number of dimension values. Every node it writes is bit-identical
+  /// to the node Build writes for the same span.
   void Refresh(const FlatMomentColumns& cols,
                const std::vector<DimIndex>& dims,
                const std::vector<CubeCoords>& coords,
+               const std::vector<uint32_t>& postings_pos,
                const std::vector<uint32_t>& dirty_cells, uint64_t version);
 
   bool FreshAt(uint64_t version) const {
@@ -131,20 +144,28 @@ class RollupIndex {
   size_t SizeBytes() const { return slab_.SizeBytes(); }
 
  private:
-  // Builds the node sketch for postings[begin, begin + width) and
-  // either appends it or overwrites `node`.
-  MomentsSketch BuildNode(const FlatMomentColumns& cols,
-                          const std::vector<uint32_t>& postings,
-                          size_t begin) const;
-  // Appends all full spans of `postings` not yet covered by `entry`.
-  void ExtendValue(const FlatMomentColumns& cols,
-                   const std::vector<uint32_t>& postings,
-                   std::vector<uint32_t>* nodes);
+  // One node to (re)compute: slab node `node` pre-merges the span_width()
+  // cells ids[0, span_width()) (a run of one value's postings).
+  struct NodeJob {
+    uint32_t node;
+    const uint32_t* ids;
+  };
+  // Appends a node for each full span of `postings` that `nodes` does
+  // not cover yet, and queues a job for each.
+  void AppendSpans(const std::vector<uint32_t>& postings,
+                   std::vector<uint32_t>* nodes, std::vector<NodeJob>* jobs);
+  // Computes every job's node from the cell columns, one column at a
+  // time across all jobs.
+  void MergeNodes(const FlatMomentColumns& cols,
+                  const std::vector<NodeJob>& jobs);
+  // Re-reduces total_ over every cell and marks the index fresh.
+  void Finish(const FlatMomentColumns& cols, uint64_t version);
 
   int k_;
   int span_log2_;
   bool built_ = false;
   uint64_t built_version_ = 0;
+  size_t built_cells_ = 0;  // cells covered by the last build/refresh
   MomentSlab slab_;
   MomentsSketch total_;
   // per_dim_[d][value] -> node ids of that value's full spans, in span

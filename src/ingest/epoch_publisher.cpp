@@ -71,17 +71,23 @@ EpochPublisher::DeltaBatch EpochPublisher::DrainShards() {
   return all;
 }
 
-void EpochPublisher::ApplyBatch(CubeStore* store, const DeltaBatch& batch) {
+std::vector<DeltaRef> DeltaRefsOf(const EpochPublisher::DeltaBatch& batch) {
+  std::vector<DeltaRef> refs;
+  refs.reserve(batch.size());
   for (const IngestShard::DeltaCell& dc : batch) {
-    // Arity and order are publisher invariants; a failure here is a
-    // programming error, not a data error.
-    MSKETCH_CHECK(store->ApplyDelta(dc.coords, dc.sketch).ok());
-    // The rank-sketch side column replays the same deterministic merge
-    // sequence into every buffer, so all buffers stay bit-identical.
-    if (store->kll_enabled() && dc.kll.count() > 0) {
-      MSKETCH_CHECK(store->ApplyKllDelta(dc.coords, dc.kll).ok());
-    }
+    refs.push_back(
+        {&dc.coords, &dc.sketch, dc.kll.count() > 0 ? &dc.kll : nullptr});
   }
+  return refs;
+}
+
+void EpochPublisher::ApplyBatch(CubeStore* store, const DeltaBatch& batch) {
+  const std::vector<DeltaRef> refs = DeltaRefsOf(batch);
+  // Arity and order are publisher invariants; a failure here is a
+  // programming error, not a data error. The rank-sketch side column
+  // replays the same deterministic merge sequence into every buffer, so
+  // all buffers stay bit-identical.
+  MSKETCH_CHECK(store->ApplyDeltas(refs.data(), refs.size()).ok());
 }
 
 std::shared_ptr<const CubeSnapshot> EpochPublisher::Publish() {
@@ -134,11 +140,13 @@ std::shared_ptr<const CubeSnapshot> EpochPublisher::Publish() {
   // published snapshot — one batch in steady state. `buf->epoch` is the
   // epoch the buffer has applied through (0 for a fresh buffer; the
   // epoch-0 batch is always empty, so nothing is skipped).
+  const Clock::time_point a0 = Clock::now();
   for (const auto& [e, b] : history_) {
     if (e > buf->epoch) ApplyBatch(&buf->store, b);
   }
   buf->epoch = epoch;
   buf->epoch_delta = std::move(epoch_delta);
+  const Clock::time_point r0 = Clock::now();
   if (options_.build_rollup) {
     if (buf->store.rollup() == nullptr) {
       buf->store.BuildRollup(options_.rollup);
@@ -146,6 +154,13 @@ std::shared_ptr<const CubeSnapshot> EpochPublisher::Publish() {
       buf->store.RefreshRollup();
     }
   }
+  const Clock::time_point r1 = Clock::now();
+  latency_.last_apply_ms =
+      std::chrono::duration<double, std::milli>(r0 - a0).count();
+  latency_.last_refresh_ms =
+      std::chrono::duration<double, std::milli>(r1 - r0).count();
+  apply_h_.Observe(latency_.last_apply_ms * 1e-3);
+  refresh_h_.Observe(latency_.last_refresh_ms * 1e-3);
   buffer_epoch_[buf->buffer_index] = epoch;
   // Batches already replayed into every buffer can go.
   const uint64_t applied_min =

@@ -14,9 +14,9 @@
 //      epoch that retired it has no readers left — and catches it up by
 //      replaying every batch published since the buffer last left the
 //      pool (one batch behind in steady state, the classic
-//      double-buffer lag);
+//      double-buffer lag), one CubeStore::ApplyDeltas call per batch;
 //   3. incrementally refreshes the buffer's rollup index (only the
-//      spans covering dirty cells rebuild — CubeStore's existing
+//      spans covering dirty cells rebuild, column by column — CubeStore's
 //      dirty-cell tracking does the bookkeeping);
 //   4. publishes the buffer with an atomic shared_ptr swap.
 //
@@ -127,6 +127,11 @@ struct PublisherStats {
   /// Whole Publish (drain + replay + rollup + swap), last and maximum.
   double last_publish_ms = 0.0;
   double max_publish_ms = 0.0;
+  /// The two buffer-maintenance steps inside the most recent publish:
+  /// replaying the missed delta batches into the buffer (ApplyDeltas),
+  /// and building or refreshing its rollup index.
+  double last_apply_ms = 0.0;
+  double last_refresh_ms = 0.0;
   /// Durability hook (WAL append + fsync) of the most recent Publish,
   /// and the maximum — the write-ahead cost inside the publish path.
   double last_durability_ms = 0.0;
@@ -136,13 +141,15 @@ struct PublisherStats {
   uint64_t durability_failures = 0;
   /// Full latency distributions behind the last/max scalars above: one
   /// observation per Publish for the shard drain, the whole publish,
-  /// and the durability hook (mergeable fixed-bucket histograms in
-  /// seconds — a single mean hides drain stalls; these keep the tail).
-  /// Scraped into the registry as
-  /// msk_publisher_{drain,publish,durability}_seconds.
+  /// the durability hook, the batch replay and the rollup refresh
+  /// (mergeable fixed-bucket histograms in seconds — a single mean hides
+  /// drain stalls; these keep the tail). Scraped into the registry as
+  /// msk_publisher_{drain,publish,durability,apply,refresh}_seconds.
   obs::HistogramSnapshot drain_hist;
   obs::HistogramSnapshot publish_hist;
   obs::HistogramSnapshot durability_hist;
+  obs::HistogramSnapshot apply_hist;
+  obs::HistogramSnapshot refresh_hist;
 };
 
 class EpochPublisher {
@@ -225,6 +232,8 @@ class EpochPublisher {
     s.drain_hist = drain_h_.Snapshot();
     s.publish_hist = publish_h_.Snapshot();
     s.durability_hist = durability_h_.Snapshot();
+    s.apply_hist = apply_h_.Snapshot();
+    s.refresh_hist = refresh_h_.Snapshot();
     return s;
   }
 
@@ -263,6 +272,8 @@ class EpochPublisher {
   obs::Histogram drain_h_{obs::HistogramUnit::kSeconds};
   obs::Histogram publish_h_{obs::HistogramUnit::kSeconds};
   obs::Histogram durability_h_{obs::HistogramUnit::kSeconds};
+  obs::Histogram apply_h_{obs::HistogramUnit::kSeconds};
+  obs::Histogram refresh_h_{obs::HistogramUnit::kSeconds};
 
   // The published snapshot; accessed via std::atomic_load/atomic_store.
   std::shared_ptr<const CubeSnapshot> published_;
@@ -279,6 +290,11 @@ class EpochPublisher {
   std::condition_variable stop_cv_;
   bool stop_requested_ = false;
 };
+
+/// The batch as DeltaRef views (borrowing `batch`), for ApplyDeltas and
+/// the WAL record encoder. An empty KLL delta is left null, so the record
+/// carries no rank sketch for the cell.
+std::vector<DeltaRef> DeltaRefsOf(const EpochPublisher::DeltaBatch& batch);
 
 }  // namespace msketch
 

@@ -118,6 +118,12 @@ StreamingCube::StreamingCube(size_t num_dims, MomentsSummary prototype,
         em.EmitHistogram("msk_publisher_durability_seconds", {},
                          "Durability hook (WAL append+fsync) latency",
                          ps.durability_hist);
+        em.EmitHistogram("msk_publisher_apply_seconds", {},
+                         "Per-publish delta batch replay latency",
+                         ps.apply_hist);
+        em.EmitHistogram("msk_publisher_refresh_seconds", {},
+                         "Per-publish rollup build/refresh latency",
+                         ps.refresh_hist);
         if (log_ != nullptr) {
           const DurabilityStats ds = log_->stats();
           em.EmitCounter("msk_wal_epochs_logged_total", {},
@@ -226,12 +232,7 @@ void StreamingCube::InstallEpochHook() {
 
 Status StreamingCube::OnEpochDrained(uint64_t epoch,
                                      const EpochPublisher::DeltaBatch& batch) {
-  std::vector<WalCellRef> refs;
-  refs.reserve(batch.size());
-  for (const IngestShard::DeltaCell& dc : batch) {
-    refs.push_back(
-        {&dc.coords, &dc.sketch, dc.kll.count() > 0 ? &dc.kll : nullptr});
-  }
+  const std::vector<DeltaRef> refs = DeltaRefsOf(batch);
   // The current dictionary version covers every id in the batch: rows
   // encode against a version no newer than the one visible at publish
   // time, and versions only grow. The record carries the values beyond

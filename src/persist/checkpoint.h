@@ -5,7 +5,7 @@
 // lists), every cell's coordinates in cell-id order, and the sketch
 // columns through the lossless CRC-framed column codec
 // (core/compressed_sketch.h). Replaying the cells in stored order
-// through CubeStore::ApplyDelta reconstructs the store — same cell ids,
+// through CubeStore::ApplyDeltas reconstructs the store — same cell ids,
 // same postings, same column bits.
 //
 // The MANIFEST names the live checkpoint and WAL files and is the

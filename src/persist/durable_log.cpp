@@ -344,34 +344,39 @@ Status RebuildStore(const RecoveredState& state, CubeStore* store,
   cols.mins = ckpt.columns.mins.data();
   cols.maxs = ckpt.columns.maxs.data();
 
-  // Checkpoint cells in cell-id order: each ApplyDelta into the empty
-  // store is one add from zero per column — a bit-exact copy — and
-  // recreates the same id for the same coordinates.
-  for (uint32_t id = 0; id < ckpt.columns.num_cells; ++id) {
-    MomentsSketch cell(ckpt.k);
-    MSKETCH_RETURN_NOT_OK(cell.MergeFlat(cols, &id, 1));
-    if (cell.count() == 0 && cell.log_count() == 0) {
-      // ApplyDelta would skip an empty delta, shifting every later cell
-      // id — and a live cube can't produce an empty cell anyway.
-      return Status::Corruption("checkpoint contains an empty cell");
-    }
-    MSKETCH_RETURN_NOT_OK(store->ApplyDelta(ckpt.cell_coords[id], cell));
-    // The KLL delta adopts wholesale into the just-created (empty) cell:
-    // a bit-exact copy of the pre-crash rank sketch, coin state included.
-    if (ckpt.kll_enabled && ckpt.kll_cells[id].count() > 0) {
-      MSKETCH_RETURN_NOT_OK(
-          store->ApplyKllDelta(ckpt.cell_coords[id], ckpt.kll_cells[id]));
-    }
-  }
-  // WAL epochs in publish order: the exact ApplyDelta (+ ApplyKllDelta)
-  // sequence the pre-crash store executed after the checkpoint.
-  for (const WalEpochRecord& rec : state.epochs) {
-    for (const WalCell& cell : rec.cells) {
-      MSKETCH_RETURN_NOT_OK(store->ApplyDelta(cell.coords, cell.sketch));
-      if (cell.has_kll && store->kll_enabled()) {
-        MSKETCH_RETURN_NOT_OK(store->ApplyKllDelta(cell.coords, cell.kll));
+  // Checkpoint cells in cell-id order, as ApplyDeltas batches of
+  // kRestoreBatch cells (bounding the decoded sketches held at once):
+  // each cell lands in the empty store as one add from zero per column —
+  // a bit-exact copy — under the same id for the same coordinates. The
+  // KLL delta adopts wholesale into the just-created (empty) cell: a
+  // bit-exact copy of the pre-crash rank sketch, coin state included.
+  constexpr uint32_t kRestoreBatch = 4096;
+  std::vector<MomentsSketch> cells;
+  std::vector<DeltaRef> refs;
+  for (uint32_t begin = 0; begin < ckpt.columns.num_cells;
+       begin += kRestoreBatch) {
+    const uint32_t end = static_cast<uint32_t>(std::min<size_t>(
+        ckpt.columns.num_cells, size_t{begin} + kRestoreBatch));
+    cells.assign(end - begin, MomentsSketch(ckpt.k));
+    refs.clear();
+    for (uint32_t id = begin; id < end; ++id) {
+      MomentsSketch& cell = cells[id - begin];
+      MSKETCH_RETURN_NOT_OK(cell.MergeFlat(cols, &id, 1));
+      if (cell.count() == 0 && cell.log_count() == 0) {
+        // ApplyDeltas would skip an empty delta, shifting every later
+        // cell id — and a live cube can't produce an empty cell anyway.
+        return Status::Corruption("checkpoint contains an empty cell");
       }
+      refs.push_back({&ckpt.cell_coords[id], &cell,
+                      ckpt.kll_enabled ? &ckpt.kll_cells[id] : nullptr});
     }
+    MSKETCH_RETURN_NOT_OK(store->ApplyDeltas(refs.data(), refs.size()));
+  }
+  // WAL epochs in publish order: the exact ApplyDeltas calls the
+  // pre-crash store executed after the checkpoint.
+  for (const WalEpochRecord& rec : state.epochs) {
+    const std::vector<DeltaRef> refs = DeltaRefsOf(rec);
+    MSKETCH_RETURN_NOT_OK(store->ApplyDeltas(refs.data(), refs.size()));
   }
   if (stats != nullptr) stats->rows_recovered = store->num_rows();
   return Status::OK();

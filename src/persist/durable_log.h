@@ -195,8 +195,9 @@ Result<RecoveredState> RecoverState(Env* env, const std::string& dir,
 
 /// Rebuilds the cube store from a recovered state: checkpoint cells
 /// first (in cell-id order, so ids and postings match the original),
-/// then each WAL epoch's deltas in publish order — the exact ApplyDelta
-/// sequence the pre-crash store executed, hence bit-exact columns.
+/// then each WAL epoch's deltas in publish order — the exact
+/// ApplyDeltas calls the pre-crash store executed, hence bit-exact
+/// columns.
 Status RebuildStore(const RecoveredState& state, CubeStore* store,
                     RecoveryStats* stats);
 

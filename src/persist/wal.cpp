@@ -23,7 +23,7 @@ constexpr uint32_t kMaxDims = 1u << 16;
 void EncodeEpochRecord(uint64_t epoch,
                        const std::vector<uint32_t>& dict_start,
                        const std::vector<std::vector<std::string>>& dict_values,
-                       const std::vector<WalCellRef>& cells,
+                       const std::vector<DeltaRef>& cells,
                        BytesWriter* out) {
   MSKETCH_CHECK(dict_start.size() == dict_values.size());
   out->PutU64(epoch);
@@ -34,7 +34,7 @@ void EncodeEpochRecord(uint64_t epoch,
     for (const std::string& v : dict_values[d]) out->PutString(v);
   }
   out->PutU32(static_cast<uint32_t>(cells.size()));
-  for (const WalCellRef& cell : cells) {
+  for (const DeltaRef& cell : cells) {
     out->PutU32(static_cast<uint32_t>(cell.coords->size()));
     for (uint32_t c : *cell.coords) out->PutU32(c);
     out->PutU8(cell.kll != nullptr ? kCellHasKll : 0);
@@ -100,6 +100,16 @@ Result<WalEpochRecord> DecodeEpochRecord(BytesReader* in) {
     rec.cells.push_back(std::move(cell));
   }
   return rec;
+}
+
+std::vector<DeltaRef> DeltaRefsOf(const WalEpochRecord& rec) {
+  std::vector<DeltaRef> refs;
+  refs.reserve(rec.cells.size());
+  for (const WalCell& cell : rec.cells) {
+    refs.push_back(
+        {&cell.coords, &cell.sketch, cell.has_kll ? &cell.kll : nullptr});
+  }
+  return refs;
 }
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Create(

@@ -25,8 +25,8 @@
 // (bit 0: a KLL rank-sketch delta follows the moment sketch — the
 // multi-backend router's dual-write path); remaining bits are reserved.
 // Replaying records in order onto a checkpoint reproduces the
-// publisher's ApplyDelta (+ ApplyKllDelta) sequence exactly, which is
-// what makes recovery bit-exact. The publisher encodes each epoch's
+// publisher's CubeStore::ApplyDeltas calls exactly, which is what makes
+// recovery bit-exact. The publisher encodes each epoch's
 // record once (StreamingCube); the same bytes are the WAL record
 // payload and the replica's kDelta frame payload.
 #ifndef MSKETCH_PERSIST_WAL_H_
@@ -75,25 +75,20 @@ struct WalEpochRecord {
   /// reader may already hold a prefix of it and appends only the tail.
   std::vector<uint32_t> dict_start;
   std::vector<std::vector<std::string>> dict_values;
-  /// The epoch's delta batch in publish (ApplyDelta) order.
+  /// The epoch's delta batch in publish (ApplyDeltas) order.
   std::vector<WalCell> cells;
-};
-
-/// Zero-copy view for encoding (the publisher's batch is borrowed, not
-/// copied, on the logging hot path). `kll` is null for moments-only
-/// cells.
-struct WalCellRef {
-  const CubeCoords* coords = nullptr;
-  const MomentsSketch* sketch = nullptr;
-  const KllSketch* kll = nullptr;
 };
 
 void EncodeEpochRecord(uint64_t epoch,
                        const std::vector<uint32_t>& dict_start,
                        const std::vector<std::vector<std::string>>& dict_values,
-                       const std::vector<WalCellRef>& cells,
+                       const std::vector<DeltaRef>& cells,
                        BytesWriter* out);
 Result<WalEpochRecord> DecodeEpochRecord(BytesReader* in);
+
+/// The record's cells as an ApplyDeltas batch (views into `rec`, which
+/// must outlive them); `kll` is set where the cell carries one.
+std::vector<DeltaRef> DeltaRefsOf(const WalEpochRecord& rec);
 
 struct WalWriterOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kPerEpoch;

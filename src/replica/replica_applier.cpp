@@ -127,20 +127,19 @@ Status ReplicaApplier::ApplyDeltaRecord(const std::vector<uint8_t>& payload) {
       return Status::OK();
     }
   }
+  // The ApplyDeltas call the leader's publisher made for this epoch —
+  // bit-exact columns. A failure here is real (a CRC-valid record the
+  // store refuses), not link noise: propagate. ApplyDeltas validates
+  // the whole record first, and the dictionaries patch only after it
+  // succeeds, so a refused record leaves the follower as it was and a
+  // redelivery cannot apply any cell twice.
+  const std::vector<DeltaRef> refs = DeltaRefsOf(rec);
+  MSKETCH_RETURN_NOT_OK(store_.ApplyDeltas(refs.data(), refs.size()));
   for (size_t d = 0; d < dicts_.size(); ++d) {
     const size_t have = dicts_[d].size();
     const uint32_t start = rec.dict_start[d];
     for (size_t i = have - start; i < rec.dict_values[d].size(); ++i) {
       dicts_[d].Intern(rec.dict_values[d][i]);
-    }
-  }
-  // The exact ApplyDelta (+ ApplyKllDelta) sequence the leader's
-  // publisher executed for this epoch — bit-exact columns. Failures
-  // here are real (local apply broke), not link noise: propagate.
-  for (const WalCell& cell : rec.cells) {
-    MSKETCH_RETURN_NOT_OK(store_.ApplyDelta(cell.coords, cell.sketch));
-    if (cell.has_kll && store_.kll_enabled()) {
-      MSKETCH_RETURN_NOT_OK(store_.ApplyKllDelta(cell.coords, cell.kll));
     }
   }
   ++stats_.epochs_applied;

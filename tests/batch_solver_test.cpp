@@ -183,6 +183,9 @@ TEST(LaneSolverTest, MixedSubsetsPackPartially) {
   EXPECT_GE(run.stats.packed_solves, 4u);
   EXPECT_EQ(run.stats.packed_lanes + run.stats.prep_failures,
             sketches.size());
+  EXPECT_EQ(run.stats.lane_converged + run.stats.lane_escalated +
+                run.stats.lane_fallbacks,
+            run.stats.packed_lanes);
   EXPECT_LT(run.stats.LaneOccupancy(), 1.0);
   // Drifting parameters can split each family over a few neighboring
   // subsets; packing must still stay well above one-lane-per-pack.
@@ -241,6 +244,11 @@ TEST(LaneSolverTest, GridEscalationFallsBackPerLane) {
   coarse.max_grid = 512;
   auto run = RunLanes(cells, coarse);
   EXPECT_GT(run.stats.lane_escalated + run.stats.lane_fallbacks, 0u);
+  // Every packed lane ends in exactly one outcome: packaged in the
+  // packed path, escalated to a finer grid, or fallen back.
+  EXPECT_EQ(run.stats.lane_converged + run.stats.lane_escalated +
+                run.stats.lane_fallbacks,
+            run.stats.packed_lanes);
   for (size_t c = 0; c < cells.size(); ++c) {
     auto scalar = SolveMaxEnt(cells[c], coarse);
     ASSERT_EQ(scalar.ok(), run.results[c].ok()) << c;

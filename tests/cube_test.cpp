@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
+#include "core/compressed_sketch.h"
 #include "core/moments_summary.h"
 #include "cube/cube_store.h"
 #include "cube/data_cube.h"
@@ -14,6 +19,7 @@
 #include "cube/summary_router.h"
 #include "numerics/stats.h"
 #include "sketches/exact_sketch.h"
+#include "sketches/kll_sketch.h"
 
 namespace msketch {
 namespace {
@@ -579,6 +585,271 @@ TEST(CubeStoreTest, RollupRefreshMatchesFullRebuild) {
     EXPECT_EQ(b.plan, QueryPlan::kRollup);
     EXPECT_TRUE(refreshed.IdenticalTo(scratch));
   }
+}
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+// Bit-exact image of a store: sketch columns, native sums, coordinates
+// in id order, and every cell's serialized KLL sketch.
+std::vector<uint8_t> StoreBytes(const CubeStore& store) {
+  BytesWriter w;
+  EncodeSketchColumns(store.Columns(), &w);
+  w.PutU64(store.num_rows());
+  for (uint32_t id = 0; id < store.num_cells(); ++id) {
+    w.PutU64(Bits(store.CellSum(id)));
+    for (uint32_t c : store.CoordsOf(id)) w.PutU32(c);
+    if (store.kll_enabled()) store.CellKll(id)->Serialize(&w);
+  }
+  return w.Take();
+}
+
+// Node `node` of `slab` against a fresh MomentsSketch merged over `ids`
+// by MergeFlatFast (the per-node kernel the rollup used to call), bit
+// for bit.
+void ExpectNodeIs(const FlatMomentColumns& slab, uint32_t node,
+                  const FlatMomentColumns& cells, const uint32_t* ids,
+                  size_t n, const char* label) {
+  MomentsSketch want(slab.k);
+  ASSERT_TRUE(want.MergeFlatFast(cells, ids, n).ok());
+  EXPECT_EQ(slab.counts[node], want.count()) << label;
+  EXPECT_EQ(slab.log_counts[node], want.log_count()) << label;
+  EXPECT_EQ(Bits(slab.mins[node]), Bits(want.min())) << label;
+  EXPECT_EQ(Bits(slab.maxs[node]), Bits(want.max())) << label;
+  for (int i = 0; i < slab.k; ++i) {
+    EXPECT_EQ(Bits(slab.power_sums[i][node]), Bits(want.power_sums()[i]))
+        << label << " power " << i;
+    EXPECT_EQ(Bits(slab.log_sums[i][node]), Bits(want.log_sums()[i]))
+        << label << " log " << i;
+  }
+}
+
+// Every span node of every (dim, value) of `refreshed` against the same
+// span of `rebuilt` (a fresh Build over the same contents) and against
+// the per-node MergeFlatFast, bit for bit; and the totals.
+void ExpectRollupsBitIdentical(const CubeStore& refreshed,
+                               const CubeStore& rebuilt) {
+  ASSERT_TRUE(refreshed.HasFreshRollup());
+  ASSERT_TRUE(rebuilt.HasFreshRollup());
+  const RollupIndex& a = *refreshed.rollup();
+  const RollupIndex& b = *rebuilt.rollup();
+  const FlatMomentColumns cells = refreshed.Columns();
+  const FlatMomentColumns slab_a = a.slab().Columns();
+  const FlatMomentColumns slab_b = b.slab().Columns();
+  const size_t width = a.span_width();
+  size_t spans = 0;
+  for (size_t d = 0; d < refreshed.num_dims(); ++d) {
+    refreshed.dim_index(d).ForEachValue(
+        [&](uint32_t value, const std::vector<uint32_t>& postings) {
+          const RollupIndex::ValueSpans sa = a.SpansFor(d, value);
+          const RollupIndex::ValueSpans sb = b.SpansFor(d, value);
+          ASSERT_EQ(sa.covered, (postings.size() / width) * width);
+          ASSERT_EQ(sa.covered, sb.covered);
+          for (size_t j = 0; j < sa.covered / width; ++j) {
+            const uint32_t* ids = postings.data() + j * width;
+            ExpectNodeIs(slab_a, (*sa.nodes)[j], cells, ids, width,
+                         "refreshed");
+            ExpectNodeIs(slab_b, (*sb.nodes)[j], cells, ids, width,
+                         "rebuilt");
+            ++spans;
+          }
+        });
+  }
+  EXPECT_GT(spans, 0u);
+  EXPECT_TRUE(a.total().IdenticalTo(b.total()));
+}
+
+// Refresh writes every node bit-identically to Build, for narrow and
+// wide spans, across epochs that dirty every existing span, complete
+// new spans (long postings in dims 0 and 1, new values in dim 2), and
+// dirty a random subset — through Ingest and through ApplyDeltas.
+TEST(CubeStoreTest, RollupRefreshNodesBitIdenticalToBuild) {
+  for (int span_log2 : {1, 3, 6}) {
+    SCOPED_TRACE(span_log2);
+    CubeStore store(3, 6);
+    Rng rng(0x5ba9 + span_log2);
+    for (int i = 0; i < 6000; ++i) {
+      store.Ingest({static_cast<uint32_t>(rng.NextBelow(4)),
+                    static_cast<uint32_t>(rng.NextBelow(3)),
+                    static_cast<uint32_t>(rng.NextBelow(600))},
+                   rng.NextLognormal(0.0, 0.8) - 0.3);
+    }
+    RollupOptions options;
+    options.span_log2 = span_log2;
+    store.BuildRollup(options);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      SCOPED_TRACE(epoch);
+      if (epoch == 0) {
+        // One row into every existing cell: every span is dirty.
+        for (uint32_t id = 0; id < store.num_cells(); ++id) {
+          const CubeCoords c = store.CoordsOf(id);
+          store.Ingest(c, rng.NextLognormal(0.5, 0.5));
+        }
+      }
+      // New cells (dim 2 values past the seen range) and a random subset
+      // of existing cells, as one delta batch.
+      std::vector<CubeCoords> coords;
+      std::vector<MomentsSketch> deltas;
+      for (int i = 0; i < 700; ++i) {
+        const uint32_t v2 = static_cast<uint32_t>(
+            rng.NextBelow(i % 2 == 0 ? 600 : 600 + 200 * (epoch + 1)));
+        coords.push_back({static_cast<uint32_t>(rng.NextBelow(4)),
+                          static_cast<uint32_t>(rng.NextBelow(3)), v2});
+        MomentsSketch delta(6);
+        for (int r = 0; r < 3; ++r) delta.Accumulate(rng.NextLognormal(0, 1));
+        deltas.push_back(delta);
+      }
+      std::vector<DeltaRef> refs;
+      for (size_t i = 0; i < coords.size(); ++i) {
+        refs.push_back({&coords[i], &deltas[i], nullptr});
+      }
+      ASSERT_TRUE(store.ApplyDeltas(refs.data(), refs.size()).ok());
+      CubeStore rebuilt = store;
+      rebuilt.BuildRollup(options);
+      store.RefreshRollup();
+      ExpectRollupsBitIdentical(store, rebuilt);
+    }
+  }
+}
+
+// ------------------------------------------------ batched delta apply
+
+// An epoch-shaped delta batch over a small coordinate space, so it
+// repeats coordinates (same-cell deltas), creates cells mid-batch, and
+// mixes moments+KLL, moments-only, KLL-only and empty deltas.
+struct DeltaBatch {
+  std::vector<CubeCoords> coords;
+  std::vector<MomentsSketch> sketches;
+  std::vector<KllSketch> klls;
+
+  std::vector<DeltaRef> Refs() const {
+    std::vector<DeltaRef> refs;
+    for (size_t i = 0; i < coords.size(); ++i) {
+      refs.push_back({&coords[i], &sketches[i], &klls[i]});
+    }
+    return refs;
+  }
+};
+
+DeltaBatch MakeDeltaBatch(Rng* rng, size_t n, uint32_t values, int k,
+                          int kll_k) {
+  DeltaBatch b;
+  for (size_t i = 0; i < n; ++i) {
+    b.coords.push_back({static_cast<uint32_t>(rng->NextBelow(3)),
+                        static_cast<uint32_t>(rng->NextBelow(values))});
+    MomentsSketch s(k);
+    KllSketch kll(kll_k);
+    const uint64_t kind = rng->NextBelow(5);  // 0 KLL-only, 1 empty
+    const int rows = 1 + static_cast<int>(rng->NextBelow(90));
+    for (int r = 0; r < rows && kind != 1; ++r) {
+      // Some non-positive rows, so log sums and counts diverge.
+      const double x = rng->NextLognormal(0.0, 1.0) - 0.2;
+      if (kind != 0) s.Accumulate(x);
+      if (kind != 2) kll.Accumulate(x);  // 2: moments-only
+    }
+    b.sketches.push_back(s);
+    b.klls.push_back(kll);
+  }
+  return b;
+}
+
+// The per-cell replay ApplyDeltas replaces: ApplyDelta, then
+// ApplyKllDelta for a non-empty rank sketch.
+void ApplyCellByCell(CubeStore* store, const DeltaBatch& b) {
+  for (size_t i = 0; i < b.coords.size(); ++i) {
+    ASSERT_TRUE(store->ApplyDelta(b.coords[i], b.sketches[i]).ok());
+    if (store->kll_enabled() && b.klls[i].count() > 0) {
+      ASSERT_TRUE(store->ApplyKllDelta(b.coords[i], b.klls[i]).ok());
+    }
+  }
+}
+
+TEST(CubeStoreApplyTest, BatchApplyMatchesCellByCellReplay) {
+  for (bool kll : {false, true}) {
+    SCOPED_TRACE(kll);
+    CubeStore batched(2, 7), single(2, 7);
+    if (kll) {
+      batched.EnableKll(16);
+      single.EnableKll(16);
+    }
+    batched.BuildRollup();
+    single.BuildRollup();
+    Rng rng(0xde17a + kll);
+    // Independent oracle: each cell's moments as the in-order Merge of
+    // its deltas (Merge adds each sum into a zeroed sketch, the same
+    // addition sequence as a column slot).
+    std::map<CubeCoords, MomentsSketch> merged;
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      SCOPED_TRACE(epoch);
+      const DeltaBatch b =
+          MakeDeltaBatch(&rng, 400, 40 + 30 * epoch, 7, /*kll_k=*/16);
+      const std::vector<DeltaRef> refs = b.Refs();
+      ASSERT_TRUE(batched.ApplyDeltas(refs.data(), refs.size()).ok());
+      ApplyCellByCell(&single, b);
+      EXPECT_EQ(StoreBytes(batched), StoreBytes(single));
+      for (size_t i = 0; i < b.coords.size(); ++i) {
+        if (b.sketches[i].count() == 0) continue;
+        auto it = merged.try_emplace(b.coords[i], MomentsSketch(7)).first;
+        ASSERT_TRUE(it->second.Merge(b.sketches[i]).ok());
+      }
+      // Both stores mark the same cells dirty, so the refreshed rollups
+      // agree too.
+      batched.RefreshRollup();
+      single.RefreshRollup();
+      EXPECT_TRUE(batched.rollup()->total().IdenticalTo(
+          single.rollup()->total()));
+    }
+    size_t moment_cells = 0;
+    for (uint32_t id = 0; id < batched.num_cells(); ++id) {
+      const MomentsSketch cell = batched.CellSketch(id);
+      auto it = merged.find(batched.CoordsOf(id));
+      if (it == merged.end()) {
+        EXPECT_EQ(cell.count(), 0u);  // a KLL-only cell
+        continue;
+      }
+      ++moment_cells;
+      EXPECT_TRUE(cell.IdenticalTo(it->second));
+    }
+    EXPECT_EQ(moment_cells, merged.size());
+  }
+}
+
+// A bad cell anywhere in the batch rejects the whole batch before any
+// cell lands: wrong arity, wrong moments order, or wrong KLL k.
+TEST(CubeStoreApplyTest, BadCellRejectsTheWholeBatch) {
+  CubeStore store(2, 7);
+  store.EnableKll(16);
+  Rng rng(0xbad);
+  const DeltaBatch first = MakeDeltaBatch(&rng, 200, 30, 7, 16);
+  std::vector<DeltaRef> refs = first.Refs();
+  ASSERT_TRUE(store.ApplyDeltas(refs.data(), refs.size()).ok());
+  const std::vector<uint8_t> before = StoreBytes(store);
+  const uint64_t version = store.column_version();
+
+  DeltaBatch next = MakeDeltaBatch(&rng, 200, 60, 7, 16);
+  const CubeCoords short_coords = {1};
+  MomentsSketch wrong_k(8);
+  wrong_k.Accumulate(2.0);
+  KllSketch wrong_kll(32);
+  wrong_kll.Accumulate(2.0);
+  for (int bad = 0; bad < 3; ++bad) {
+    SCOPED_TRACE(bad);
+    refs = next.Refs();
+    DeltaRef& mid = refs[refs.size() / 2];
+    if (bad == 0) mid.coords = &short_coords;
+    if (bad == 1) mid.sketch = &wrong_k;
+    if (bad == 2) mid.kll = &wrong_kll;
+    const Status st = store.ApplyDeltas(refs.data(), refs.size());
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(StoreBytes(store), before);
+    EXPECT_EQ(store.column_version(), version);
+  }
+  refs = next.Refs();
+  EXPECT_TRUE(store.ApplyDeltas(refs.data(), refs.size()).ok());
+  EXPECT_NE(StoreBytes(store), before);
 }
 
 // The MomentsSummary cube surfaces the planner through MergeWhere and

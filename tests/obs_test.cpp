@@ -422,6 +422,14 @@ TEST(ObsIntegrationTest, OneScrapeCoversEverySubsystem) {
               stats.publisher.epochs_published);
     EXPECT_GE(stats.publisher.drain_hist.count,
               stats.publisher.epochs_published);
+    // Apply and refresh are observed once per published epoch, and each
+    // lies inside its publish.
+    EXPECT_EQ(stats.publisher.apply_hist.count,
+              stats.publisher.epochs_published);
+    EXPECT_EQ(stats.publisher.refresh_hist.count,
+              stats.publisher.epochs_published);
+    EXPECT_LE(stats.publisher.last_apply_ms + stats.publisher.last_refresh_ms,
+              stats.publisher.last_publish_ms);
 
     const MetricsSnapshot scrape = GlobalRegistry().Scrape();
     for (const char* family :
@@ -439,6 +447,7 @@ TEST(ObsIntegrationTest, OneScrapeCoversEverySubsystem) {
     // Latency histograms (not sums) on the acceptance-listed paths.
     for (const char* family :
          {"msk_publisher_drain_seconds", "msk_publisher_publish_seconds",
+          "msk_publisher_apply_seconds", "msk_publisher_refresh_seconds",
           "msk_wal_append_seconds", "msk_wal_fsync_seconds"}) {
       const Sample* s = scrape.Find(family);
       ASSERT_NE(s, nullptr) << family;

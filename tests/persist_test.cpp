@@ -149,7 +149,7 @@ std::vector<uint8_t> EpochPayload(uint64_t epoch, const CubeCoords& coords,
   KllSketch kll(8);
   for (int i = 0; i < 40; ++i) kll.Accumulate(0.25 * i + epoch);
   BytesWriter w;
-  std::vector<WalCellRef> refs = {{&coords, &sketch, &kll}};
+  std::vector<DeltaRef> refs = {{&coords, &sketch, &kll}};
   EncodeEpochRecord(
       epoch,
       std::vector<uint32_t>(num_dims, static_cast<uint32_t>(epoch - 1)),

@@ -582,6 +582,101 @@ TEST(ReplicationTest, LostHelloStillStallsAndRetries) {
   EXPECT_EQ(FollowerFingerprint(applier), leader.fingerprint());
 }
 
+// A CRC-valid delta record whose middle cell has the wrong sketch order
+// must not half-apply: the round fails, the follower's state (columns,
+// coordinates, KLL column, dictionaries) and applied epoch stay as they
+// were, and the next valid record for that epoch applies once, cleanly.
+TEST(ReplicationTest, RefusedRecordLeavesTheFollowerUnchanged) {
+  Leader leader(/*epochs=*/2);
+  ReplicaApplier applier(kK, kDims, ApplierOptions());
+  {
+    auto pipe = MakeInProcessPipe();
+    std::thread serve([&] { (void)leader.source->Serve(pipe.first.get()); });
+    ASSERT_TRUE(applier.SyncWithRetry(pipe.second.get()).ok());
+    leader.source->RequestStop();
+    pipe.second->Close();
+    serve.join();
+  }
+  const uint64_t applied = applier.applied_epoch();
+  ASSERT_EQ(applied, leader.epoch());
+  const std::vector<uint8_t> before = FollowerFingerprint(applier);
+  std::unique_ptr<CubeStore> expected;
+  std::vector<uint32_t> dict_start(kDims);
+  applier.Inspect([&](const CubeStore& store,
+                      const std::vector<Dictionary>& dicts) {
+    expected = std::make_unique<CubeStore>(store);
+    for (size_t d = 0; d < kDims; ++d) {
+      dict_start[d] = static_cast<uint32_t>(dicts[d].size());
+    }
+  });
+  ASSERT_GE(expected->num_cells(), 2u);
+
+  // Epoch applied + 1: an existing cell, the middle cell, and a cell on
+  // two newly interned values; the two outer cells carry KLL deltas.
+  const std::vector<std::vector<std::string>> dict_values = {{"sa-east"},
+                                                             {"queue"}};
+  const CubeCoords existing = expected->CoordsOf(0);
+  const CubeCoords middle = expected->CoordsOf(1);
+  const CubeCoords fresh = {dict_start[0], dict_start[1]};
+  MomentsSketch good(kK), bad(kK + 1);
+  KllSketch kll(kKllK);
+  for (double x : {1.5, 2.5, 4.0}) {
+    good.Accumulate(x);
+    bad.Accumulate(x);
+    kll.Accumulate(x);
+  }
+  auto record = [&](const MomentsSketch& mid) {
+    const std::vector<DeltaRef> cells = {
+        {&existing, &good, &kll}, {&middle, &mid, nullptr},
+        {&fresh, &good, &kll}};
+    BytesWriter w;
+    EncodeEpochRecord(applied + 1, dict_start, dict_values, cells, &w);
+    return w.Take();
+  };
+  // Plays the leader's side of one round: the record, then the
+  // caught-up frame answering the follower's next Hello.
+  auto deliver = [&](const std::vector<uint8_t>& payload) {
+    auto pipe = MakeInProcessPipe();
+    CaughtUpFrame done;
+    done.round = applier.stats().rounds + 1;
+    done.through_epoch = applied + 1;
+    EXPECT_TRUE(
+        pipe.first->Send(EncodeFrame(FrameType::kDelta, payload)).ok());
+    EXPECT_TRUE(pipe.first
+                    ->Send(EncodeFrame(FrameType::kCaughtUp,
+                                       EncodeCaughtUp(done)))
+                    .ok());
+    return applier.SyncOnce(pipe.second.get());
+  };
+
+  const Status refused = deliver(record(bad));
+  EXPECT_FALSE(refused.ok());
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(applier.applied_epoch(), applied);
+  EXPECT_EQ(FollowerFingerprint(applier), before);
+
+  ASSERT_TRUE(deliver(record(good)).ok());
+  EXPECT_EQ(applier.applied_epoch(), applied + 1);
+  // Each cell applied exactly once on top of the pre-record state.
+  const std::vector<DeltaRef> cells = {{&existing, &good, &kll},
+                                       {&middle, &good, nullptr},
+                                       {&fresh, &good, &kll}};
+  ASSERT_TRUE(expected->ApplyDeltas(cells.data(), cells.size()).ok());
+  std::vector<std::vector<std::string>> values;
+  applier.Inspect([&](const CubeStore&, const std::vector<Dictionary>& dicts) {
+    for (const Dictionary& dict : dicts) {
+      values.emplace_back();
+      for (uint32_t id = 0; id < dict.size(); ++id) {
+        values.back().push_back(dict.ValueOf(id));
+      }
+    }
+  });
+  ASSERT_EQ(values.size(), kDims);
+  EXPECT_EQ(values[0].back(), "sa-east");
+  EXPECT_EQ(values[1].back(), "queue");
+  EXPECT_EQ(FollowerFingerprint(applier), Fingerprint(*expected, values));
+}
+
 // ------------------------------------------- WAL and replica composed
 
 /// Forwards to a base env but never deletes, so every WAL file the
