@@ -161,20 +161,19 @@ void RegisterAll() {
   }
 }
 
-// ---------------------------------- batched estimation: lane vs cold
+// ----------------------------- batched estimation: warm chain vs cold
 //
 // The acceptance experiment for the estimation engine. Two workloads
-// (drifting lognormal cohorts; uniform cells — the lane solver's
-// packing benchmark), two paths each:
+// (drifting lognormal cohorts; uniform cells of near-identical shape),
+// two paths each:
 //
 //   cold    per-group SolveMaxEnt loop
-//   lane    GroupByQuantiles: similarity order, warm chains, cache, and
-//           the lane-batched SIMD Newton solver
+//   chain   GroupByQuantiles: similarity order, warm chains and cache
 //
-// Reports wall clock per group, groups/s, the BatchStats lane counters
-// (occupancy, packed solves, fallbacks), and the worst quantile
-// deviation of the lane path against the cold solves. Everything lands
-// in BENCH_fig5.json.
+// Reports wall clock per group, groups/s, the BatchStats solve counters
+// (warm/cold solves, cache hits), and the worst quantile deviation of
+// the warm chain against the cold solves. Everything lands in
+// BENCH_fig5.json.
 struct BatchRunResult {
   std::vector<double> ms;  // per-rep wall clock
   BatchStats stats;
@@ -223,19 +222,20 @@ void RunBatchSolverSection(JsonReport* report, const char* workload,
   });
   const double cold_ms = tc.Millis();
 
-  BatchRunResult lane = RunBatch(cube, phis, threads, reps);
+  BatchRunResult chain = RunBatch(cube, phis, threads, reps);
 
-  // Lane-vs-cold parity: groups fitting the same moment subset must
-  // agree to Newton tolerance; subset changes (warm chains or fallback
-  // chains dropping moments differently) are counted, not folded into
+  // Chain-vs-cold parity: groups fitting the same moment subset must
+  // agree to Newton tolerance (a warm seed converges to the same moment
+  // match, not the same bits); subset changes (a warm seed converging
+  // where the cold start drops a moment) are counted, not folded into
   // the deviation.
   double max_rel_dev = 0.0;
   size_t subset_diff = 0;
-  for (const GroupQuantiles& rl : lane.results) {
-    auto it = cold.find(rl.key);
-    if (!rl.status.ok() || rl.used_atomic || it == cold.end()) continue;
+  for (const GroupQuantiles& rc : chain.results) {
+    auto it = cold.find(rc.key);
+    if (!rc.status.ok() || rc.used_atomic || it == cold.end()) continue;
     const MaxEntDiagnostics& diag = it->second.diagnostics();
-    if (std::make_pair(rl.k1, rl.k2) != std::make_pair(diag.k1, diag.k2)) {
+    if (std::make_pair(rc.k1, rc.k2) != std::make_pair(diag.k1, diag.k2)) {
       ++subset_diff;
       continue;
     }
@@ -243,13 +243,13 @@ void RunBatchSolverSection(JsonReport* report, const char* workload,
       const double qc = it->second.Quantile(phis[p]);
       max_rel_dev = std::max(
           max_rel_dev,
-          std::fabs(rl.quantiles[p] - qc) / std::max(1.0, std::fabs(qc)));
+          std::fabs(rc.quantiles[p] - qc) / std::max(1.0, std::fabs(qc)));
     }
   }
 
   const double g = static_cast<double>(groups);
-  const double lane_ms = MedianOf(lane.ms);
-  const double speedup = lane_ms > 0 ? cold_ms / lane_ms : 0.0;
+  const double chain_ms = MedianOf(chain.ms);
+  const double speedup = chain_ms > 0 ? cold_ms / chain_ms : 0.0;
   auto groups_per_s = [&](double ms) { return ms > 0 ? 1e3 * g / ms : 0.0; };
   std::printf(
       "  cold loop   : %9.1f ms  (%7.1f us/group, %8.0f groups/s)  "
@@ -259,19 +259,17 @@ void RunBatchSolverSection(JsonReport* report, const char* workload,
                         static_cast<double>(cold_solved)
                   : 0.0);
   std::printf(
-      "  lane solver : %9.1f ms  (%7.1f us/group, %8.0f groups/s)  "
+      "  warm chain  : %9.1f ms  (%7.1f us/group, %8.0f groups/s)  "
       "iters %.2f  -> %.2fx cold loop\n",
-      lane_ms, 1e3 * lane_ms / g, groups_per_s(lane_ms),
-      lane.stats.solve.MeanNewtonIterations(), speedup);
+      chain_ms, 1e3 * chain_ms / g, groups_per_s(chain_ms),
+      chain.stats.solve.MeanNewtonIterations(), speedup);
   std::printf(
-      "  lane stats  : occupancy %.2f | packed %llu (%llu lanes) | "
-      "escalated %llu | fallbacks %llu | warm lanes %llu\n",
-      lane.stats.LaneOccupancy(),
-      static_cast<unsigned long long>(lane.stats.lane.packed_solves),
-      static_cast<unsigned long long>(lane.stats.lane.packed_lanes),
-      static_cast<unsigned long long>(lane.stats.lane.lane_escalated),
-      static_cast<unsigned long long>(lane.stats.lane.lane_fallbacks),
-      static_cast<unsigned long long>(lane.stats.lane.warm_lanes));
+      "  chain stats : warm %llu | cold %llu | cold restarts %llu | "
+      "cache hits %llu\n",
+      static_cast<unsigned long long>(chain.stats.solve.warm_solves),
+      static_cast<unsigned long long>(chain.stats.solve.cold_solves),
+      static_cast<unsigned long long>(chain.stats.solve.cold_restarts),
+      static_cast<unsigned long long>(chain.stats.cache_hits));
   std::printf(
       "  parity      : max relative quantile deviation vs cold %.3g "
       "(same subset); %zu group(s) fit a different subset\n",
@@ -281,20 +279,13 @@ void RunBatchSolverSection(JsonReport* report, const char* workload,
   report->Add(section, "cold_loop", {cold_ms},
               {{"groups", g}, {"groups_per_s", groups_per_s(cold_ms)}});
   report->Add(
-      section, "lane_solver", lane.ms,
+      section, "warm_chain", chain.ms,
       {{"groups", g},
-       {"groups_per_s", groups_per_s(lane_ms)},
+       {"groups_per_s", groups_per_s(chain_ms)},
        {"speedup_vs_cold_loop", speedup},
-       {"lane_occupancy", lane.stats.LaneOccupancy()},
-       {"packed_solves",
-        static_cast<double>(lane.stats.lane.packed_solves)},
-       {"packed_lanes", static_cast<double>(lane.stats.lane.packed_lanes)},
-       {"lane_fallbacks",
-        static_cast<double>(lane.stats.lane.lane_fallbacks)},
-       {"lane_escalated",
-        static_cast<double>(lane.stats.lane.lane_escalated)},
-       {"mean_newton_iters", lane.stats.solve.MeanNewtonIterations()},
-       {"cache_hits", static_cast<double>(lane.stats.cache_hits)},
+       {"warm_solves", static_cast<double>(chain.stats.solve.warm_solves)},
+       {"mean_newton_iters", chain.stats.solve.MeanNewtonIterations()},
+       {"cache_hits", static_cast<double>(chain.stats.cache_hits)},
        {"max_rel_dev_vs_cold", max_rel_dev},
        {"subset_diffs", static_cast<double>(subset_diff)}});
 }

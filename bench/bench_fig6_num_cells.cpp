@@ -25,19 +25,19 @@ using namespace msketch;
 using namespace msketch::bench;
 
 // GROUP BY sweep: total estimation time vs number of groups — cold
-// loop, lane-batched pipeline, and the lane pipeline with hardware
-// threads, plus the lane answers' worst deviation from the cold solves.
-// Rows land in BENCH_fig6.json.
+// loop, the warm-chain pipeline, and the pipeline with hardware threads,
+// plus the chain answers' worst deviation from the cold solves. Rows
+// land in BENCH_fig6.json.
 void RunGroupCountSweep(JsonReport* report,
                         const std::vector<uint64_t>& group_counts) {
   PrintHeader("Figure 6b: GROUP BY estimation time vs number of groups");
   std::printf(
-      "cold = per-group SolveMaxEnt loop; lane = GroupByQuantiles (warm\n"
-      "chains + cache + lane-batched SIMD Newton solver); laneN = lane\n"
-      "with threads; dev = max relative deviation of lane vs cold\n"
-      "(same moment subset)\n\n");
-  std::printf("%10s %12s %12s %12s %10s %8s %10s\n", "groups", "cold(ms)",
-              "lane(ms)", "laneN(ms)", "it/lane", "occ", "dev");
+      "cold = per-group SolveMaxEnt loop; chain = GroupByQuantiles\n"
+      "(similarity-ordered warm chain + cache); chainN = chain with\n"
+      "threads; dev = max relative deviation of chain vs cold (same\n"
+      "moment subset)\n\n");
+  std::printf("%10s %12s %12s %12s %10s %10s\n", "groups", "cold(ms)",
+              "chain(ms)", "chainN(ms)", "it/chain", "dev");
   const std::vector<double> phis = {0.5, 0.99};
   const int hw = std::max(2u, std::thread::hardware_concurrency());
   for (uint64_t groups : group_counts) {
@@ -51,7 +51,7 @@ void RunGroupCountSweep(JsonReport* report,
       if (dist.ok()) cold.emplace(key, std::move(dist).value());
     });
     const double cold_ms = tc.Millis();
-    std::vector<GroupQuantiles> lane_results;
+    std::vector<GroupQuantiles> chain_results;
     auto run = [&](int threads, BatchStats* stats) {
       BatchOptions options;
       options.threads = threads;
@@ -59,14 +59,14 @@ void RunGroupCountSweep(JsonReport* report,
       auto results = cube.GroupByQuantiles({0}, phis, options, stats);
       const double ms = t.Millis();
       MSKETCH_CHECK(results.size() == groups);
-      lane_results = std::move(results);
+      chain_results = std::move(results);
       return ms;
     };
-    BatchStats lane_stats, threaded_stats;
+    BatchStats chain_stats, threaded_stats;
     const double threaded_ms = run(hw, &threaded_stats);
-    const double lane_ms = run(1, &lane_stats);
+    const double chain_ms = run(1, &chain_stats);
     double max_rel_dev = 0.0;
-    for (const GroupQuantiles& r : lane_results) {
+    for (const GroupQuantiles& r : chain_results) {
       auto it = cold.find(r.key);
       if (!r.status.ok() || r.used_atomic || it == cold.end()) continue;
       const MaxEntDiagnostics& diag = it->second.diagnostics();
@@ -77,26 +77,25 @@ void RunGroupCountSweep(JsonReport* report,
                                                 std::max(1.0, std::fabs(qc)));
       }
     }
-    std::printf("%10llu %12.1f %12.1f %12.1f %10.2f %8.2f %10.3g\n",
-                static_cast<unsigned long long>(groups), cold_ms, lane_ms,
-                threaded_ms, lane_stats.solve.MeanNewtonIterations(),
-                lane_stats.LaneOccupancy(), max_rel_dev);
+    std::printf("%10llu %12.1f %12.1f %12.1f %10.2f %10.3g\n",
+                static_cast<unsigned long long>(groups), cold_ms, chain_ms,
+                threaded_ms, chain_stats.solve.MeanNewtonIterations(),
+                max_rel_dev);
     const double g = static_cast<double>(groups);
     char name[32];
     std::snprintf(name, sizeof(name), "groups_%llu",
                   static_cast<unsigned long long>(groups));
     report->Add(
-        "group_sweep", name, {lane_ms},
+        "group_sweep", name, {chain_ms},
         {{"groups", g},
          {"cold_ms", cold_ms},
-         {"lane_ms", lane_ms},
-         {"lane_threaded_ms", threaded_ms},
-         {"speedup_vs_cold_loop", lane_ms > 0 ? cold_ms / lane_ms : 0.0},
-         {"lane_occupancy", lane_stats.LaneOccupancy()},
-         {"mean_newton_iters_lane", lane_stats.solve.MeanNewtonIterations()},
+         {"chain_ms", chain_ms},
+         {"chain_threaded_ms", threaded_ms},
+         {"speedup_vs_cold_loop", chain_ms > 0 ? cold_ms / chain_ms : 0.0},
+         {"mean_newton_iters_chain", chain_stats.solve.MeanNewtonIterations()},
          {"max_rel_dev_vs_cold", max_rel_dev}});
   }
-  std::printf("\n(laneN uses %d threads)\n", hw);
+  std::printf("\n(chainN uses %d threads)\n", hw);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 //                value of the phi=0.5 answer.
 //   groupby      the same datasets as groups of one cube (four cells
 //                each, KLL side column on), answered by one certified
-//                GROUP BY (GroupByQuantilesCertified: the lane-batched
+//                GROUP BY (GroupByQuantilesCertified: the warm-chain
 //                pipeline with the router's chain around its solves).
 //                Rows carry the same `certified` / `contains_truth`
 //                flags; the samples time the whole GROUP BY call.

@@ -39,9 +39,8 @@ inline DataCube<MomentsSummary> BuildDriftingCohortCube(
 
 /// Uniform-cells workload: `groups` cells of uniform data whose support
 /// drifts over a small family of (offset, width) pairs. Most groups
-/// select the same moment subset, so this is the lane solver's
-/// best-case packing benchmark (the acceptance workload for lane
-/// occupancy); it also models the common telemetry shape of many
+/// select the same moment subset, so warm seeds transfer along the
+/// whole chain; it also models the common telemetry shape of many
 /// near-identical cells.
 inline DataCube<MomentsSummary> BuildUniformCellsCube(
     size_t groups, int rows_per_group, uint64_t seed = 0xFACE) {

@@ -1,7 +1,7 @@
 // One scrape over every subsystem: drives the full engine — sharded
 // ingest with the background publisher, a durable WAL + checkpoint,
 // certified point and GROUP BY queries through the summary router, the
-// lane-batched solver and its warm-start cache — then prints the
+// warm-chain GROUP BY solver and its cache — then prints the
 // structured JSON export on stdout. Human-readable progress goes to
 // stderr so the output pipes cleanly:
 //
@@ -69,7 +69,7 @@ int main() {
                static_cast<unsigned long long>(snap->epoch));
 
   // Queries: plain merge, certified point, certified GROUP BY (router +
-  // lane solver + solver cache), plus a threshold scan.
+  // warm chain + solver cache), plus a threshold scan.
   (void)cube.QueryWhere(CubeFilter(2, kAnyValue));
   auto filter = cube.EncodeFilter({"eu-west", "checkout"});
   MSKETCH_CHECK(filter.ok());

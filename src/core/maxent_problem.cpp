@@ -193,7 +193,7 @@ class GridObjective {
 
 }  // namespace
 
-void MaxEntProblem::BuildGridInternal(int n) {
+void MaxEntProblem::BuildGrid(int n) {
   grid_n_ = n;
   fit_valid_ = false;
   nodes_ = CachedLobatto(n);
@@ -230,8 +230,6 @@ void MaxEntProblem::BuildGridInternal(int n) {
               basis_.begin() + static_cast<size_t>(a1_ + 1) * npts);
   }
 }
-
-void MaxEntProblem::BuildGrid(int n) { BuildGridInternal(n); }
 
 Matrix MaxEntProblem::UniformHessian(const std::vector<int>& rows) const {
   const size_t d = rows.size();
@@ -343,7 +341,7 @@ void MaxEntProblem::SelectMoments(CondMemo* cond_memo) {
   // Canonical slot order: ascending basis row (row 0 stays first). The
   // greedy trials above keep their historical insertion order — the
   // condition screen sees the same matrices as always — but downstream
-  // consumers (Newton, packaging, the lane solver's bucket packing) see
+  // consumers (Newton, packaging, the warm-start export) see
   // one deterministic layout per selected subset.
   std::sort(selected_.begin(), selected_.end());
 }
@@ -367,22 +365,6 @@ double MaxEntProblem::TargetFor(size_t p) const {
   if (row == 0) return 1.0;
   return (row <= a1_) ? primary_moments_[row]
                       : secondary_moments_[row - a1_];
-}
-
-uint64_t MaxEntProblem::SelectedPrimaryMask() const {
-  uint64_t mask = 0;
-  for (int row : selected_) {
-    if (row >= 1 && row <= a1_) mask |= 1ull << (row - 1);
-  }
-  return mask;
-}
-
-uint64_t MaxEntProblem::SelectedSecondaryMask() const {
-  uint64_t mask = 0;
-  for (int row : selected_) {
-    if (row > a1_) mask |= 1ull << (row - a1_ - 1);
-  }
-  return mask;
 }
 
 ObjectiveFn MaxEntProblem::Objective() {
@@ -563,13 +545,28 @@ Status MaxEntProblem::Prepare(const MomentsSketch& sketch,
         cheb_log.begin() + (cheb_log.empty() ? 0 : a2_ + 1));
   }
 
-  BuildGridInternal(opt_.min_grid);
+  BuildGrid(opt_.min_grid);
   SelectMoments(cond_memo);
   if (selected_.size() <= 1) {
     return Status::NotConverged(
         "SolveMaxEnt: conditioning excluded all moments");
   }
   return Status::OK();
+}
+
+Result<MaxEntDistribution> MaxEntProblem::Solve(const MomentsSketch& sketch,
+                                                const MaxEntOptions& options,
+                                                const WarmStart* hint,
+                                                CondMemo* cond_memo) {
+  MaxEntProblem problem;
+  Status st = problem.Prepare(sketch, options, cond_memo);
+  if (!st.ok()) return st;
+  if (problem.degenerate_) return problem.MakeDegenerate();
+  std::vector<double> theta;
+  problem.ResetColdSeed(&theta);
+  const bool warm =
+      hint != nullptr && problem.TrySeedFromHint(*hint, &theta);
+  return problem.SolveFrom(std::move(theta), warm);
 }
 
 MaxEntDistribution MaxEntProblem::MakeDegenerate() const {
@@ -594,7 +591,7 @@ Result<MaxEntDistribution> MaxEntProblem::SolveFrom(std::vector<double> theta,
         // must succeed or fail exactly as a hint-free solve would.
         ++cold_restarts_;
         warm = false;
-        if (grid_n_ != opt_.min_grid) BuildGridInternal(opt_.min_grid);
+        if (grid_n_ != opt_.min_grid) BuildGrid(opt_.min_grid);
         ResetColdSeed(&theta);
         continue;
       }
@@ -612,7 +609,7 @@ Result<MaxEntDistribution> MaxEntProblem::SolveFrom(std::vector<double> theta,
     total_newton_iters_ += res->iterations;
     theta = res->x;
     if (GridResolved(theta) || grid_n_ >= opt_.max_grid) break;
-    BuildGridInternal(grid_n_ * 2);
+    BuildGrid(grid_n_ * 2);
   }
   return Package(theta, warm);
 }

@@ -1,23 +1,17 @@
-// Internal engine behind SolveMaxEnt, factored out so the lane-batched
-// solver (core/batch_solver.h) can drive the same preparation, Newton,
-// and packaging machinery as the scalar path.
-//
-// A MaxEntProblem is one group's maxent solve split into phases:
+// Internal engine behind SolveMaxEnt: one group's maxent solve split
+// into phases, so the batch GROUP BY chain (cube/batch_query.cpp) runs
+// the very same solve with a per-shard condition-number memo.
 //
 //   Prepare   moment availability + scale maps, the atomic-measure
 //             screen, the Clenshaw-Curtis grid at min_grid, and the
 //             greedy (k1, k2) moment selection under kappa_max;
 //   SolveFrom the scalar damped-Newton loop with drop-moment backoff
-//             and per-density grid escalation (the historical
-//             SolveMaxEnt body), ending in Package;
+//             and per-density grid escalation, ending in Package;
 //   Package   CDF tabulation + warm-start export from a converged
 //             theta on the current grid.
 //
-// The lane-batched solver runs Prepare per group, executes the Newton
-// iterations itself eight lanes at a time, and comes back here for
-// GridResolved / Package / SolveFrom (grid escalation and divergence
-// fall back to the scalar loop, so lane answers can never regress
-// relative to per-group solves).
+// Solve runs the phases in order, seeding theta from a WarmStart hint
+// when it transfers; SolveMaxEnt is Solve without a memo.
 //
 // This header is an internal API: everything here may change shape
 // between versions. External callers use SolveMaxEnt / EstimateQuantiles
@@ -74,57 +68,28 @@ class MaxEntProblem {
  public:
   MaxEntProblem() = default;
 
+  /// The whole solve: Prepare (with `cond_memo` when given), the cold
+  /// seed or — when `hint` transfers — the hint's, then SolveFrom. Point
+  /// masses return the degenerate distribution without a solve. With a
+  /// null memo and hint this is SolveMaxEnt; the memo only caches
+  /// condition numbers, so it never changes the answer.
+  static Result<MaxEntDistribution> Solve(const MomentsSketch& sketch,
+                                          const MaxEntOptions& options,
+                                          const WarmStart* hint,
+                                          CondMemo* cond_memo);
+
   /// Runs every phase up to (and including) moment selection at
   /// options.min_grid. Statuses mirror SolveMaxEnt: InvalidArgument for
   /// empty sketches, Unsupported when no moment is usable, NotConverged
   /// when the moments match an atomic measure (reason
   /// StatusReason::kAtomicMeasure) or conditioning excluded every
-  /// moment. Point masses return OK with degenerate() set — the
-  /// caller packages those without a solve.
+  /// moment. Point masses return OK with degenerate_ set — Solve
+  /// packages those without a solve.
   Status Prepare(const MomentsSketch& sketch, const MaxEntOptions& options,
                  CondMemo* cond_memo = nullptr);
 
-  bool degenerate() const { return degenerate_; }
-  /// The point-mass distribution for a degenerate problem.
-  MaxEntDistribution MakeDegenerate() const;
-
-  /// Fallback-chain counters accumulated by SolveFrom (also exported in
-  /// MaxEntDiagnostics by Package).
-  int cold_restarts() const { return cold_restarts_; }
-  int iteration_capped() const { return iteration_capped_; }
-  int backoff_drops() const { return backoff_drops_; }
-
-  /// Seeds theta from a previous solution (see WarmStart); returns false
-  /// when the hint does not transfer. `theta` must already hold the cold
-  /// seed. Prepare must have succeeded.
-  bool TrySeedFromHint(const WarmStart& hint, std::vector<double>* theta) const;
   /// The zero-theta cold seed for the currently selected rows.
   void ResetColdSeed(std::vector<double>* theta) const;
-
-  /// The scalar solve loop from a given seed: damped Newton, warm-seed
-  /// restart, drop-moment backoff, grid escalation, packaging. `warm`
-  /// marks the seed as externally provided (adaptive opening step +
-  /// diagnostics flag). Also the lane solver's fallback for diverged
-  /// lanes and its continuation for lanes that need a finer grid.
-  Result<MaxEntDistribution> SolveFrom(std::vector<double> theta, bool warm);
-
-  /// Packages a converged theta on the current grid: monotone CDF table,
-  /// diagnostics, warm-start export. Reuses the Chebyshev fit cached by
-  /// the last GridResolved(theta) call when it matches.
-  Result<MaxEntDistribution> Package(const std::vector<double>& theta,
-                                     bool warm);
-
-  /// True when the Chebyshev tail of f(.; theta) is resolved on this
-  /// grid. Caches the fit for Package.
-  bool GridResolved(const std::vector<double>& theta);
-
-  /// Rebuilds nodes/weights/basis for grid size n (selection is not
-  /// re-run; escalation keeps the min_grid subset, as the scalar path
-  /// always did).
-  void BuildGrid(int n);
-
-  /// Scalar Newton on the selected rows from theta0, over Objective().
-  Result<OptimResult> RunNewton(std::vector<double> theta0, bool warm);
 
   /// The Newton objective on the selected rows at the current grid: the
   /// maxent potential, its gradient and its Hessian, as far as the
@@ -139,39 +104,50 @@ class MaxEntProblem {
   /// until its grid or selection changes.
   ObjectiveFn Objective();
 
-  /// Folds a lane-executed Newton run into the diagnostics this problem
-  /// will export from Package.
-  void AddNewtonWork(int iterations, int function_evals, int hessian_evals) {
-    total_newton_iters_ += iterations;
-    total_function_evals_ += function_evals;
-    total_hessian_evals_ += hessian_evals;
-  }
-
-  // ------------------------------------------------- lane-solver access
-  bool log_primary() const { return log_primary_; }
-  int a1() const { return a1_; }
-  int a2() const { return a2_; }
-  int grid_n() const { return grid_n_; }
-  const std::vector<double>& nodes() const { return nodes_; }
+  // ------------------------------------- grid and selection inspection
   const std::vector<double>& weights() const { return weights_; }
   /// Selected basis rows, ascending, always starting with row 0.
   const std::vector<int>& selected() const { return selected_; }
-  /// Basis row values on the grid (nodes().size() doubles).
+  /// Basis row values on the grid (weights().size() doubles).
   const double* BasisRow(int row) const {
     return basis_.data() + static_cast<size_t>(row) * nodes_.size();
   }
   /// Newton target for selected slot p (1.0 for slot 0, else the
   /// Chebyshev moment of the selected row).
   double TargetFor(size_t p) const;
-  /// Bitmasks of the selected orders per family (bit i-1 = order i) —
-  /// the lane solver's bucket signature.
-  uint64_t SelectedPrimaryMask() const;
-  uint64_t SelectedSecondaryMask() const;
 
  private:
+  // The point-mass distribution for a degenerate problem.
+  MaxEntDistribution MakeDegenerate() const;
+
+  // Seeds theta from a previous solution (see WarmStart); returns false
+  // when the hint does not transfer. `theta` must already hold the cold
+  // seed. Prepare must have succeeded.
+  bool TrySeedFromHint(const WarmStart& hint, std::vector<double>* theta) const;
+
+  // The scalar solve loop from a given seed: damped Newton, warm-seed
+  // restart, drop-moment backoff, grid escalation, packaging. `warm`
+  // marks the seed as externally provided (adaptive opening step +
+  // diagnostics flag).
+  Result<MaxEntDistribution> SolveFrom(std::vector<double> theta, bool warm);
+
+  // Packages a converged theta on the current grid: monotone CDF table,
+  // diagnostics, warm-start export. Reuses the Chebyshev fit cached by
+  // the last GridResolved(theta) call when it matches.
+  Result<MaxEntDistribution> Package(const std::vector<double>& theta,
+                                     bool warm);
+
+  // True when the Chebyshev tail of f(.; theta) is resolved on this
+  // grid. Caches the fit for Package.
+  bool GridResolved(const std::vector<double>& theta);
+
+  // Scalar Newton on the selected rows from theta0, over Objective().
+  Result<OptimResult> RunNewton(std::vector<double> theta0, bool warm);
+
   // Fills grid nodes/weights and the full basis-value matrix for the
-  // available moment counts (a1_, a2_) at grid size n.
-  void BuildGridInternal(int n);
+  // available moment counts (a1_, a2_) at grid size n. Selection is not
+  // re-run: escalation keeps the min_grid subset.
+  void BuildGrid(int n);
   // Gram matrix (uniform-density Hessian) restricted to `rows`.
   Matrix UniformHessian(const std::vector<int>& rows) const;
   // Greedy (k1, k2) selection under the kappa_max budget; consults the

@@ -10,9 +10,10 @@
 namespace msketch {
 
 // The solve machinery (grid, basis, greedy selection, Newton objective,
-// packaging) lives in core/maxent_problem.{h,cc}, shared with the
-// lane-batched solver. This file keeps the public scalar entry points
-// and the solved-distribution query methods.
+// packaging) lives in core/maxent_problem.{h,cpp}, which the batch
+// GROUP BY chain also calls with its condition-number memo. This file
+// keeps the public scalar entry points and the solved-distribution query
+// methods.
 
 double MaxEntDistribution::Cdf(double x) const {
   if (degenerate_) return x >= xmin_ ? 1.0 : 0.0;
@@ -66,15 +67,7 @@ std::vector<double> MaxEntDistribution::Quantiles(
 Result<MaxEntDistribution> SolveMaxEnt(const MomentsSketch& sketch,
                                        const MaxEntOptions& options,
                                        const WarmStart* hint) {
-  MaxEntProblem problem;
-  Status st = problem.Prepare(sketch, options);
-  if (!st.ok()) return st;
-  if (problem.degenerate()) return problem.MakeDegenerate();
-  std::vector<double> theta;
-  problem.ResetColdSeed(&theta);
-  const bool warm =
-      hint != nullptr && problem.TrySeedFromHint(*hint, &theta);
-  return problem.SolveFrom(std::move(theta), warm);
+  return MaxEntProblem::Solve(sketch, options, hint, /*cond_memo=*/nullptr);
 }
 
 Result<std::vector<double>> EstimateQuantiles(const MomentsSketch& sketch,

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
-#include "common/macros.h"
 #include "core/atomic_fit.h"
 #include "core/chebyshev_moments.h"
+#include "core/maxent_problem.h"
 #include "cube/data_cube.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_for.h"
@@ -42,44 +39,12 @@ void PublishBatchStats(const BatchStats& s) {
   static obs::Counter* const atomic_fb = reg.GetCounter(
       "msk_batch_atomic_fallbacks_total", {},
       "Groups answered by the atomic-fit fallback");
-  static obs::Counter* const lane_enqueued = reg.GetCounter(
-      "msk_lane_solver_enqueued_total", {},
-      "Groups enqueued into the lane-batched solver");
-  static obs::Counter* const lane_packed_solves = reg.GetCounter(
-      "msk_lane_solver_packed_solves_total", {},
-      "Packed SIMD Newton solves");
-  static obs::Counter* const lane_packed_lanes = reg.GetCounter(
-      "msk_lane_solver_packed_lanes_total", {},
-      "Occupied lanes across packed solves");
-  static obs::Counter* const lane_converged = reg.GetCounter(
-      "msk_lane_solver_lane_converged_total", {},
-      "Lanes solved entirely in the packed path");
-  static obs::Counter* const lane_escalated = reg.GetCounter(
-      "msk_lane_solver_lane_escalated_total", {},
-      "Converged lanes escalated to a finer scalar grid");
-  static obs::Counter* const lane_fallbacks = reg.GetCounter(
-      "msk_lane_solver_lane_fallbacks_total", {},
-      "Lanes finished on the scalar fallback path");
-  static obs::Counter* const lane_warm = reg.GetCounter(
-      "msk_lane_solver_warm_lanes_total", {},
-      "Lanes seeded from the bucket's warm chain");
-  static obs::Counter* const lane_prep_failures = reg.GetCounter(
-      "msk_lane_solver_prep_failures_total", {},
-      "Groups refused at lane prep (empty, atomic or unusable moments)");
   groups->Add(s.groups);
   cold->Add(s.solve.cold_solves);
   warm->Add(s.solve.warm_solves);
   cache_hits->Add(s.cache_hits);
   failed->Add(s.failed_solves);
   atomic_fb->Add(s.atomic_fallbacks);
-  lane_enqueued->Add(s.lane.enqueued);
-  lane_packed_solves->Add(s.lane.packed_solves);
-  lane_packed_lanes->Add(s.lane.packed_lanes);
-  lane_converged->Add(s.lane.lane_converged);
-  lane_escalated->Add(s.lane.lane_escalated);
-  lane_fallbacks->Add(s.lane.lane_fallbacks);
-  lane_warm->Add(s.lane.warm_lanes);
-  lane_prep_failures->Add(s.lane.prep_failures);
 }
 
 // A materialized group with its similarity-ordering features.
@@ -175,99 +140,57 @@ std::vector<Group> CollectGroups(const CubeStore& store,
   return groups;
 }
 
-// Per-shard solve facade over the lane-batched solver: cache lookup,
-// in-flight coalescing of identical-key groups, then a lane. Results
-// arrive through a consumer, possibly after later Solve calls fill the
-// lane bucket; callers must invoke Finish() to drain pending lanes
-// before reading results.
+// One shard's warm chain over its slice of the similarity order. Solve
+// looks the group up in the batch's cache and, on a miss, runs the
+// scalar solve (MaxEntProblem::Solve, the SolveMaxEnt sequence) with the
+// shard's condition-number memo, seeded from the chain's last solution
+// when options.use_warm_start is set, then inserts the result. A
+// duplicate group later in the chain hits that entry.
 class ChainSolver {
  public:
   using DistResult = Result<std::shared_ptr<const MaxEntDistribution>>;
-  using Consumer = std::function<void(const DistResult&)>;
 
   ChainSolver(SolverCache* cache, const BatchOptions& options,
               BatchStats* stats)
-      : cache_(cache),
-        options_(options),
-        stats_(stats),
-        lane_(options.maxent, options.use_warm_start,
-              [this](size_t req, Result<MaxEntDistribution> res) {
-                OnLaneResult(req, std::move(res));
-              }) {}
+      : cache_(cache), options_(options), stats_(stats) {}
 
-  /// Requests a solve; `consumer` runs exactly once, either now (cache
-  /// hit / degenerate or refused group) or when the group's lane bucket
-  /// solves. References captured by the consumer must outlive Finish().
-  void Solve(const MomentsSketch& sketch, Consumer consumer) {
+  DistResult Solve(const MomentsSketch& sketch) {
     std::string key;
     if (cache_ != nullptr) {
       if (auto hit = cache_->Lookup(sketch, options_.maxent, &key)) {
         ++stats_->cache_hits;
-        consumer(DistResult(std::move(hit)));
-        return;
-      }
-      // In-flight coalescing: an identical-key group already waiting in
-      // a lane bucket answers this request too — the similarity order
-      // packs duplicates back-to-back, and solving them in separate
-      // lanes would waste the cache's whole economy.
-      auto pending = pending_by_key_.find(key);
-      if (pending != pending_by_key_.end()) {
-        ++stats_->cache_hits;
-        requests_[pending->second].consumers.push_back(std::move(consumer));
-        return;
+        return hit;
       }
     }
-    const size_t req = requests_.size();
-    requests_.push_back(Request{std::move(key), {}});
-    requests_[req].consumers.push_back(std::move(consumer));
-    if (cache_ != nullptr) pending_by_key_[requests_[req].key] = req;
-    lane_.Enqueue(req, sketch);
-  }
-
-  /// Drains every pending lane bucket (delivering their consumers).
-  void Finish() {
-    lane_.FlushAll();
-    stats_->lane.MergeFrom(lane_.stats());
+    const WarmStart* hint =
+        options_.use_warm_start && last_ != nullptr ? &last_->warm_start()
+                                                    : nullptr;
+    Result<MaxEntDistribution> solved =
+        MaxEntProblem::Solve(sketch, options_.maxent, hint, &cond_memo_);
+    if (!solved.ok()) {
+      stats_->solve.RecordRefusal(solved.status());
+      return solved.status();
+    }
+    stats_->solve.Record(solved->diagnostics());
+    auto dist =
+        std::make_shared<const MaxEntDistribution>(std::move(solved).value());
+    if (cache_ != nullptr) cache_->InsertWithKey(std::move(key), dist);
+    // Point masses export no seed; the chain keeps the last one that does.
+    if (dist->warm_start().valid()) last_ = dist;
+    return dist;
   }
 
  private:
-  struct Request {
-    std::string key;  // cache key ("" when the cache is off)
-    std::vector<Consumer> consumers;
-  };
-
-  void OnLaneResult(size_t req, Result<MaxEntDistribution> res) {
-    Request& r = requests_[req];
-    if (cache_ != nullptr) pending_by_key_.erase(r.key);
-    DistResult out = [&]() -> DistResult {
-      if (!res.ok()) {
-        stats_->solve.RecordRefusal(res.status());
-        return res.status();
-      }
-      stats_->solve.Record(res->diagnostics());
-      auto dist =
-          std::make_shared<const MaxEntDistribution>(std::move(res.value()));
-      if (cache_ != nullptr && !r.key.empty()) {
-        cache_->InsertWithKey(std::move(r.key), dist);
-      }
-      return dist;
-    }();
-    for (const Consumer& c : r.consumers) c(out);
-    r.consumers.clear();
-  }
-
   SolverCache* cache_;
   const BatchOptions& options_;
   BatchStats* stats_;
-  LaneMaxEntSolver lane_;
-  std::deque<Request> requests_;
-  std::unordered_map<std::string, size_t> pending_by_key_;
+  CondMemo cond_memo_;
+  std::shared_ptr<const MaxEntDistribution> last_;
 };
 
 // Shards the similarity-ordered groups and runs `process(index, solver,
 // shard_stats, shard)` for each group index; merges per-shard stats into
-// *stats and publishes them. Pending lane solves drain before a shard
-// finishes, so every consumer has run by the time this returns.
+// *stats and publishes them.
 template <typename ProcessFn>
 void RunChains(size_t num_groups, const BatchOptions& options,
                BatchStats* stats, const ProcessFn& process) {
@@ -287,7 +210,6 @@ void RunChains(size_t num_groups, const BatchOptions& options,
                    for (size_t i = begin; i < end; ++i) {
                      process(i, &solver, &st, shard);
                    }
-                   solver.Finish();
                  });
   stats->groups = num_groups;
   for (const BatchStats& st : shard_stats) stats->MergeFrom(st);
@@ -321,34 +243,25 @@ std::vector<GroupQuantiles> GroupByQuantiles(
               GroupQuantiles& r = out[i];
               r.key = g.key;
               r.count = g.sketch.count();
-              // `st` is this per-group lambda's parameter: the consumer
-              // may run after this frame is gone (lane bucket fill /
-              // Finish), so it must be captured by value — it points at
-              // the long-lived shard_stats slot.
-              solver->Solve(
-                  g.sketch, [&, i, st](const ChainSolver::DistResult& dist) {
-                    const Group& g = groups[i];
-                    GroupQuantiles& r = out[i];
-                    if (dist.ok()) {
-                      r.quantiles = dist.value()->Quantiles(phis);
-                      r.k1 = dist.value()->diagnostics().k1;
-                      r.k2 = dist.value()->diagnostics().k2;
-                      return;
-                    }
-                    // Near-discrete group: mirror the cascade's fallback.
-                    if (auto atomic = FitAtomicDistribution(g.sketch);
-                        atomic.ok()) {
-                      ++st->atomic_fallbacks;
-                      r.used_atomic = true;
-                      r.quantiles.reserve(phis.size());
-                      for (double phi : phis) {
-                        r.quantiles.push_back(atomic->Quantile(phi));
-                      }
-                      return;
-                    }
-                    ++st->failed_solves;
-                    r.status = dist.status();
-                  });
+              const ChainSolver::DistResult dist = solver->Solve(g.sketch);
+              if (dist.ok()) {
+                r.quantiles = dist.value()->Quantiles(phis);
+                r.k1 = dist.value()->diagnostics().k1;
+                r.k2 = dist.value()->diagnostics().k2;
+                return;
+              }
+              // Near-discrete group: mirror the cascade's fallback.
+              if (auto atomic = FitAtomicDistribution(g.sketch); atomic.ok()) {
+                ++st->atomic_fallbacks;
+                r.used_atomic = true;
+                r.quantiles.reserve(phis.size());
+                for (double phi : phis) {
+                  r.quantiles.push_back(atomic->Quantile(phi));
+                }
+                return;
+              }
+              ++st->failed_solves;
+              r.status = dist.status();
             });
   std::sort(out.begin(), out.end(),
             [](const GroupQuantiles& a, const GroupQuantiles& b) {
@@ -366,7 +279,7 @@ std::vector<GroupThreshold> GroupByThreshold(
   BatchStats local_stats;
   // One bounds cascade per shard; stats merge afterwards. The cascade's
   // own maxent stage is bypassed — unresolved groups route through the
-  // shard's chain solver so they join the lane buckets.
+  // shard's chain solver, so they share its cache and warm chain.
   std::vector<ThresholdCascade> cascades(
       static_cast<size_t>(std::max(1, options.threads)),
       ThresholdCascade(options.cascade));
@@ -388,28 +301,17 @@ std::vector<GroupThreshold> GroupByThreshold(
                 case ThresholdCascade::Decision::kUnresolved:
                   break;
               }
-              // Cascade survivor: the final maxent stage streams through
-              // the shard's chain solver, lane-filling with the other
-              // survivors; the decision lands when the lane solves. `st`
-              // (this lambda's parameter) is captured by value — the
-              // consumer can outlive this frame.
-              solver->Solve(
-                  g.sketch, [&, i, shard, bounds,
-                             st](const ChainSolver::DistResult& dist) {
-                    const Group& g = groups[i];
-                    const MaxEntDistribution* dp =
-                        dist.ok() ? dist.value().get() : nullptr;
-                    ThresholdCascade::MaxEntResolution resolution;
-                    out[i].exceeds = cascades[shard].DecideWithDistribution(
-                        dp, g.sketch, phi, t, bounds, &resolution);
-                    if (resolution ==
-                        ThresholdCascade::MaxEntResolution::kAtomic) {
-                      ++st->atomic_fallbacks;
-                    } else if (resolution ==
-                               ThresholdCascade::MaxEntResolution::kBounds) {
-                      ++st->failed_solves;
-                    }
-                  });
+              const ChainSolver::DistResult dist = solver->Solve(g.sketch);
+              ThresholdCascade::MaxEntResolution resolution;
+              r.exceeds = cascade.DecideWithDistribution(
+                  dist.ok() ? dist.value().get() : nullptr, g.sketch, phi, t,
+                  bounds, &resolution);
+              if (resolution == ThresholdCascade::MaxEntResolution::kAtomic) {
+                ++st->atomic_fallbacks;
+              } else if (resolution ==
+                         ThresholdCascade::MaxEntResolution::kBounds) {
+                ++st->failed_solves;
+              }
             });
   for (const ThresholdCascade& c : cascades) {
     local_stats.cascade.MergeFrom(c.stats());
@@ -429,9 +331,6 @@ std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
   std::vector<Group> groups = CollectGroups(store, group_dims);
   const size_t n = groups.size();
   std::vector<GroupQuantilesCertified> out(n);
-  // Each group's sorted rank sketch from the pre-solve stage (empty
-  // without a KLL column), kept only while its group waits for a solve.
-  std::vector<std::optional<KllSortedView>> sorted(n);
   BatchOptions batch;
   batch.maxent = options.maxent;
   BatchStats batch_stats;
@@ -448,21 +347,16 @@ std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
                     store.MergeKllWhere(GroupFilter(store, group_dims, g.key));
                 if (merged.ok()) kll = std::move(merged).value();
               }
+              // The group's sorted rank sketch (empty without a KLL).
+              std::optional<KllSortedView> sorted;
               if (RoutePreSolve(g.sketch, kll ? &*kll : nullptr, phis,
-                                &out[i].answers, &router_stats,
-                                &sorted[i])) {
-                sorted[i].reset();
+                                &out[i].answers, &router_stats, &sorted)) {
                 return;
               }
-              solver->Solve(g.sketch,
-                            [&, i](const ChainSolver::DistResult& dist) {
-                              RoutePostSolve(
-                                  groups[i].sketch,
-                                  sorted[i] ? &*sorted[i] : nullptr, phis,
-                                  dist.ok() ? dist.value().get() : nullptr,
-                                  &out[i].answers, &router_stats);
-                              sorted[i].reset();
-                            });
+              const ChainSolver::DistResult dist = solver->Solve(g.sketch);
+              RoutePostSolve(g.sketch, sorted ? &*sorted : nullptr, phis,
+                             dist.ok() ? dist.value().get() : nullptr,
+                             &out[i].answers, &router_stats);
             });
   std::sort(out.begin(), out.end(),
             [](const GroupQuantilesCertified& a,

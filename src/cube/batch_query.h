@@ -3,25 +3,23 @@
 //
 // A high-cardinality GROUP BY pays one maximum entropy solve per group
 // (Section 4.3, ~1 ms each), which dominates end-to-end latency past a
-// few thousand groups. The batch pipeline amortizes that work three ways:
+// few thousand groups. The batch pipeline amortizes that work four ways:
 //
-//   1. groups from a chain that selected the same moment subset are
-//      packed eight-wide into the lane-batched SIMD Newton solver
-//      (core/batch_solver.h), which runs their solves simultaneously
-//      over one shared quadrature grid;
-//   2. groups are ordered by moment similarity, so solves warm-start
-//      from their neighbors' solutions (fewer Newton iterations) and
-//      same-subset groups land in the same lane bucket;
-//   3. a SolverCache keyed on quantized scaled moments lets repeated and
-//      identical-moment groups skip the solve entirely (in-flight
-//      duplicates coalesce onto one pending lane);
-//   4. threshold queries run the cascade's bound stages first, so most
-//      groups never reach the solver at all (Section 5.2) — survivors
-//      stream into the lane buckets;
-//   5. certified GROUP BY runs the summary router's pre-solve stage per
+//   1. groups are ordered by moment similarity, and each shard solves
+//      its slice as a warm chain: every solve is the scalar SolveMaxEnt
+//      sequence, seeded from the chain's last solution when that hint
+//      passes the warm gate (fewer Newton iterations), with one
+//      condition-number memo per shard for the moment selection;
+//   2. a SolverCache keyed on quantized scaled moments lets repeated and
+//      identical-moment groups skip the solve entirely (the similarity
+//      order puts duplicates back-to-back, so each hits the entry its
+//      predecessor's solve inserted);
+//   3. threshold queries run the cascade's bound stages first, so most
+//      groups never reach the solver at all (Section 5.2);
+//   4. certified GROUP BY runs the summary router's pre-solve stage per
 //      group first (certificates, point masses, the Hankel pre-screen
-//      to KLL), so only groups that need a solve enter a lane; the
-//      router's post-solve stage runs in the lane consumer.
+//      to KLL), so only groups that need a solve reach the chain; the
+//      router's post-solve stage runs on the chain's answer.
 //
 // Chains are contiguous slices of the similarity order, sharded across
 // threads via parallel/parallel_for.h; the (lock-striped) cache is
@@ -33,7 +31,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/batch_solver.h"
 #include "core/cascade.h"
 #include "core/maxent_solver.h"
 #include "core/solver_cache.h"
@@ -48,11 +45,10 @@ struct BatchOptions {
   CascadeOptions cascade;
   /// Worker threads; each gets a contiguous chain of similar groups.
   int threads = 1;
-  /// Seed each lane from the last converged solution in its bucket.
-  /// Warm and cold solves converge to the same grad_tol moment match;
-  /// disable to make every lane start cold. Either way the lane engine
-  /// agrees with per-group SolveMaxEnt to Newton tolerance, not
-  /// bit-for-bit (the vectorized exp kernel differs from libm by ~1 ulp).
+  /// Seed each solve from the last solution of its shard's chain (see
+  /// WarmStart). Warm and cold solves converge to the same grad_tol
+  /// moment match, not to the same bits; disable to make every solve
+  /// start cold, which answers each group bit for bit as SolveMaxEnt.
   bool use_warm_start = true;
   /// Consult/populate a solver cache. Uses `cache` when set, else a
   /// per-batch cache of `cache_capacity` entries.
@@ -71,11 +67,6 @@ struct BatchStats {
   SolveCounters solve;
   /// Bound-stage counters (GroupByThreshold only).
   CascadeStats cascade;
-  /// Lane-solver counters (packed solves, occupancy, fallbacks).
-  LaneSolverStats lane;
-
-  /// Mean fraction of solver lanes occupied per packed Newton run.
-  double LaneOccupancy() const { return lane.LaneOccupancy(); }
 
   uint64_t CascadePruned() const {
     return cascade.resolved_simple + cascade.resolved_markov +
@@ -88,7 +79,6 @@ struct BatchStats {
     atomic_fallbacks += other.atomic_fallbacks;
     solve.MergeFrom(other.solve);
     cascade.MergeFrom(other.cascade);
-    lane.MergeFrom(other.lane);
   }
 };
 

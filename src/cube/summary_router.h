@@ -27,7 +27,7 @@
 //
 // The solve path is a bounded retry/fallback chain, split into a
 // pre-solve and a post-solve stage so point queries (SummaryRouter) and
-// certified GROUP BY (cube/batch_query.h, lane-batched solves) run the
+// certified GROUP BY (cube/batch_query.h, warm-chained solves) run the
 // same chain; no query ever returns an unbounded-error or failed answer
 // on non-empty data. One RankBoundOracle per sketch serves the
 // pre-screen and every phi's moment interval:
@@ -116,8 +116,8 @@ struct RouterStats {
   uint64_t conditioning_rejects = 0;  // pre-screen skipped the solve
   uint64_t solver_failures = 0;       // maxent refused/diverged (absorbed)
   /// Distributions reused instead of solved: solver-cache hits of point
-  /// queries, and GROUP BY groups answered by the batch cache or
-  /// coalesced onto an identical group's solve. Not counted in `solve`.
+  /// queries, and GROUP BY groups answered by the batch cache (an
+  /// identical earlier group's solve). Not counted in `solve`.
   uint64_t cache_hits = 0;
   SolveCounters solve;
 

@@ -238,7 +238,7 @@ class StreamingCube {
   // IngestOptions::enable_kll dual-wrote one). Solver failures on
   // pathological cells degrade through atomic-fit -> KLL ->
   // bounds-midpoint instead of surfacing; the only non-OK status is an
-  // empty selection/group. GROUP BY solves run lane-batched
+  // empty selection/group. GROUP BY solves run as warm chains
   // (cube/batch_query.h). Uncertified estimates come from the
   // store-level functions on Snapshot()->store.
   CertifiedQuantile QueryQuantileCertified(const CubeFilter& filter,

@@ -34,8 +34,8 @@ void ChebyshevEvalMany(const std::vector<double>& coeffs, const double* xs,
 /// Batched basis tabulation: fills out[i * m + j] = T_i(xs[j]) for
 /// i = 0..n, j = 0..m-1 (row-major by order). The three-term recurrence
 /// runs point-parallel — each point is an independent lane — so the
-/// maxent grid builds (solver and lane-batched solver) get one
-/// vectorizable pass instead of m ChebyshevTAll calls.
+/// maxent grid builds get one vectorizable pass instead of m
+/// ChebyshevTAll calls.
 void ChebyshevTAllMany(int n, const double* xs, size_t m, double* out);
 
 /// Length of the shortest coefficient prefix that keeps every dropped

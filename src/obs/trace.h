@@ -6,9 +6,9 @@
 // and observes the duration into a per-span-name latency histogram
 // (`msk_span_seconds{span="<name>"}`) in the tracer's registry. Trace
 // ids are per-thread: the outermost live span on a thread allocates a
-// fresh id and nested spans inherit it, so one certified GROUP BY
-// shows up as one trace with `query.certified_groupby` at depth 0 and
-// its lane-solve children below it.
+// fresh id and nested spans inherit it, so one certified point query
+// shows up as one trace with `query.certified` at depth 0 and its
+// `query.router` child below it.
 //
 // Span names must be string literals (the ring stores the pointer).
 // When metrics are disabled a span costs one relaxed load and a
@@ -16,7 +16,7 @@
 //
 // Span taxonomy (see src/cube/README.md and src/ingest/README.md):
 //   query.where | query.certified | query.certified_groupby |
-//   query.threshold | query.router | query.lane_solve
+//   query.threshold | query.router
 //   ingest.drain | ingest.publish | ingest.wal_append |
 //   ingest.checkpoint | ingest.recover
 //   replica.ship | replica.apply | replica.resync | replica.heartbeat

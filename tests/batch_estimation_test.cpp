@@ -1,10 +1,12 @@
 // Tests for the batched estimation pipeline: warm-started maxent solves,
-// the solver cache, and the cube's GroupByQuantiles / GroupByThreshold
-// batch APIs.
+// the (lock-striped) solver cache, and the cube's GroupByQuantiles /
+// GroupByThreshold batch APIs, whose cold answers are per-group
+// SolveMaxEnt bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -13,6 +15,7 @@
 #include "core/moments_sketch.h"
 #include "core/solver_cache.h"
 #include "cube/data_cube.h"
+#include "datasets/datasets.h"
 
 namespace msketch {
 namespace {
@@ -25,6 +28,12 @@ MomentsSketch DriftingSketch(uint64_t seed, double shift, int rows = 4000) {
   for (int i = 0; i < rows; ++i) {
     s.Accumulate(rng.NextLognormal(1.0 + 0.05 * shift, 0.5 + 0.01 * shift));
   }
+  return s;
+}
+
+MomentsSketch SketchOf(const std::vector<double>& data, int k = 10) {
+  MomentsSketch s(k);
+  s.AccumulateBatch(data.data(), data.size());
   return s;
 }
 
@@ -133,7 +142,7 @@ TEST(SolverCacheTest, DistinguishesSketchesAndOptions) {
 
 TEST(SolverCacheTest, EvictsLeastRecentlyUsed) {
   // One segment: exact global LRU order (the striped default evicts per
-  // segment; see batch_solver_test for the striping behavior).
+  // segment; see StripedCacheTest for the striping behavior).
   SolverCache cache(SolverCacheOptions{2, 1e-9, 1});
   MaxEntOptions options;
   std::vector<MomentsSketch> sketches;
@@ -187,39 +196,93 @@ DataCube<MomentsSummary> BuildGroupedCube(size_t num_groups,
   return cube;
 }
 
-TEST(BatchQueryTest, GroupByQuantilesMatchesPerGroupSolveWithinTolerance) {
-  const auto cube = BuildGroupedCube(24, 500);
-  const std::vector<double> phis = {0.1, 0.5, 0.95};
-  // Cold lanes, no cache: every group is solved by the lane engine from
-  // the cold seed, which agrees with per-group SolveMaxEnt to Newton
-  // tolerance (the vectorized exp kernel differs from libm by ~1 ulp).
+// The sketch GroupByQuantiles solves for group `key` of a one-dim GROUP BY.
+MomentsSketch GroupSketch(const DataCube<MomentsSummary>& cube,
+                          const CubeCoords& key) {
+  MomentsSketch group(10);
+  cube.store().ForEachGroup({0}, [&](const CubeCoords& k,
+                                     const MomentsSketch& sketch) {
+    if (k == key) group = sketch;
+  });
+  return group;
+}
+
+// Cold chain, no cache: every group's answer is per-group SolveMaxEnt's,
+// bit for bit, with the same moment subset (or the atomic fallback
+// exactly where SolveMaxEnt refuses).
+void ExpectColdBatchMatchesSolveMaxEnt(const DataCube<MomentsSummary>& cube,
+                                       const std::vector<double>& phis,
+                                       const std::string& what) {
   BatchOptions options;
   options.use_warm_start = false;
   options.use_cache = false;
   BatchStats stats;
   auto results = cube.GroupByQuantiles({0}, phis, options, &stats);
+  EXPECT_EQ(stats.groups, results.size()) << what;
+  EXPECT_EQ(stats.solve.warm_solves, 0u) << what;
+  for (const auto& r : results) {
+    const std::string where = what + " group " + std::to_string(r.key[0]);
+    auto dist = SolveMaxEnt(GroupSketch(cube, r.key));
+    ASSERT_EQ(dist.ok(), r.status.ok() && !r.used_atomic) << where;
+    if (!dist.ok()) continue;
+    EXPECT_EQ(r.k1, dist->diagnostics().k1) << where;
+    EXPECT_EQ(r.k2, dist->diagnostics().k2) << where;
+    ASSERT_EQ(r.quantiles.size(), phis.size()) << where;
+    for (size_t i = 0; i < phis.size(); ++i) {
+      EXPECT_EQ(r.quantiles[i], dist->Quantile(phis[i]))
+          << where << " phi " << phis[i];
+    }
+  }
+}
+
+TEST(BatchQueryTest, GroupByQuantilesMatchesPerGroupSolveBitForBit) {
+  const auto cube = BuildGroupedCube(24, 500);
+  BatchOptions options;
+  options.use_warm_start = false;
+  options.use_cache = false;
+  BatchStats stats;
+  auto results = cube.GroupByQuantiles({0}, {0.5}, options, &stats);
   ASSERT_EQ(results.size(), 24u);
-  EXPECT_EQ(stats.groups, 24u);
   EXPECT_EQ(stats.solve.cold_solves + stats.atomic_fallbacks +
                 stats.failed_solves,
             24u);
-  EXPECT_EQ(stats.solve.warm_solves, 0u);
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-    MomentsSketch group(10);
-    cube.store().ForEachGroup({0}, [&](const CubeCoords& key,
-                                       const MomentsSketch& sketch) {
-      if (key == r.key) group = sketch;
-    });
-    auto dist = SolveMaxEnt(group);
-    ASSERT_TRUE(dist.ok());
-    EXPECT_EQ(r.k1, dist->diagnostics().k1) << "group " << r.key[0];
-    EXPECT_EQ(r.k2, dist->diagnostics().k2) << "group " << r.key[0];
-    const double span = group.max() - group.min();
-    for (size_t i = 0; i < phis.size(); ++i) {
-      EXPECT_NEAR(r.quantiles[i], dist->Quantile(phis[i]), 1e-6 * span)
-          << "group " << r.key[0] << " phi " << phis[i];
+  ExpectColdBatchMatchesSolveMaxEnt(cube, {0.1, 0.5, 0.95}, "drifting");
+}
+
+// The same cold bit-identity over dataset shapes: 24 contiguous cells of
+// each dataset, one group per cell.
+TEST(BatchQueryTest, ColdParityAcrossDatasets) {
+  struct Workload {
+    const char* name;
+    std::vector<double> data;
+  };
+  Rng rng(0x5EED);
+  std::vector<Workload> workloads;
+  workloads.push_back(
+      {"milan", GenerateDataset(DatasetId::kMilan, 48'000)});
+  workloads.push_back(
+      {"hepmass", GenerateDataset(DatasetId::kHepmass, 48'000)});
+  {
+    std::vector<double> uniform(48'000);
+    for (double& x : uniform) x = 5.0 + 3.0 * rng.NextDouble();
+    workloads.push_back({"uniform", std::move(uniform)});
+  }
+  {
+    std::vector<double> lognormal(48'000);
+    for (double& x : lognormal) x = rng.NextLognormal(1.0, 0.5);
+    workloads.push_back({"lognormal", std::move(lognormal)});
+  }
+  const std::vector<double> phis = {0.01, 0.1, 0.5, 0.9, 0.99};
+  constexpr uint32_t kCells = 24;
+  for (const Workload& w : workloads) {
+    DataCube<MomentsSummary> cube(1, MomentsSummary(10));
+    const size_t per = w.data.size() / kCells;
+    for (uint32_t c = 0; c < kCells; ++c) {
+      for (size_t i = c * per; i < (c + 1) * per; ++i) {
+        cube.Ingest({c}, w.data[i]);
+      }
     }
+    ExpectColdBatchMatchesSolveMaxEnt(cube, phis, w.name);
   }
 }
 
@@ -344,6 +407,87 @@ TEST(BatchQueryTest, GroupByThresholdMatchesPerGroupCascade) {
     EXPECT_EQ(r.exceeds, reference.Threshold(group, phi, t))
         << "group " << r.key[0];
   }
+}
+
+// Every group ends in exactly one solve outcome: a cold or warm solve,
+// a cache hit, the atomic fallback, or a failure.
+TEST(BatchStatsTest, SolveOutcomesAccountForEveryGroup) {
+  DataCube<MomentsSummary> cube(1, MomentsSummary(10));
+  Rng rng(0xBEA7);
+  for (uint32_t g = 0; g < 20; ++g) {
+    for (int i = 0; i < 400; ++i) {
+      cube.Ingest({g}, rng.NextLognormal(1.0 + 0.01 * g, 0.5));
+    }
+  }
+  // Identical groups (cache hits), near-discrete ones (atomic fallback)
+  // and a point mass.
+  std::vector<double> repeated(300);
+  for (double& x : repeated) x = rng.NextLognormal(0.5, 0.7);
+  for (uint32_t g = 20; g < 24; ++g) {
+    for (double x : repeated) cube.Ingest({g}, x);
+  }
+  for (uint32_t g = 24; g < 26; ++g) {
+    for (int i = 0; i < 300; ++i) cube.Ingest({g}, double(1 + i % 3));
+  }
+  for (int i = 0; i < 10; ++i) cube.Ingest({26u}, 4.0);
+  BatchOptions options;
+  BatchStats stats;
+  auto results = cube.GroupByQuantiles({0}, {0.5}, options, &stats);
+  ASSERT_EQ(results.size(), 27u);
+  EXPECT_EQ(stats.groups, 27u);
+  EXPECT_GE(stats.cache_hits, 3u);
+  EXPECT_EQ(stats.atomic_fallbacks, 2u);
+  EXPECT_GT(stats.solve.warm_solves, 0u);
+  EXPECT_EQ(stats.solve.cold_solves + stats.solve.warm_solves +
+                stats.cache_hits + stats.atomic_fallbacks +
+                stats.failed_solves,
+            stats.groups);
+}
+
+// ----------------------------------------------- striped solver cache
+
+TEST(StripedCacheTest, SegmentsPartitionCapacityAndCountStats) {
+  SolverCache cache(SolverCacheOptions{64, 1e-9, 8});
+  EXPECT_EQ(cache.num_segments(), 8u);
+  Rng rng(0xCAC);
+  MaxEntOptions options;
+  std::vector<MomentsSketch> sketches;
+  for (int i = 0; i < 24; ++i) {
+    std::vector<double> data(1000);
+    for (double& x : data) x = rng.NextLognormal(0.5 + 0.05 * i, 0.5);
+    sketches.push_back(SketchOf(data));
+    auto d = SolveMaxEnt(sketches.back(), options);
+    ASSERT_TRUE(d.ok());
+    cache.Insert(sketches.back(), options, d.value());
+  }
+  EXPECT_EQ(cache.size(), 24u);  // capacity 64 across segments: no evicts
+  for (const auto& s : sketches) {
+    EXPECT_NE(cache.Lookup(s, options), nullptr);
+  }
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.insertions, 24u);
+  EXPECT_EQ(stats.hits, 24u);
+  EXPECT_EQ(stats.evictions, 0u);
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(StripedCacheTest, TinyCapacityClampsSegmentsAndEvicts) {
+  // capacity < segments: segment count clamps so eviction still works.
+  SolverCache cache(SolverCacheOptions{2, 1e-9, 8});
+  EXPECT_LE(cache.num_segments(), 2u);
+  Rng rng(0xE71);
+  MaxEntOptions options;
+  for (int i = 0; i < 6; ++i) {
+    std::vector<double> data(800);
+    for (double& x : data) x = rng.NextLognormal(0.2 * i, 0.4);
+    MomentsSketch s = SketchOf(data);
+    auto d = SolveMaxEnt(s, options);
+    ASSERT_TRUE(d.ok());
+    cache.Insert(s, options, d.value());
+  }
+  EXPECT_LE(cache.size(), 2u);
+  EXPECT_GT(cache.stats().evictions, 0u);
 }
 
 TEST(CascadeMemoTest, MultiThresholdSweepSolvesOnce) {

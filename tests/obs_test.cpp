@@ -386,8 +386,9 @@ TEST(SnapshotWriterTest, FailedWritesCountInSnapshotErrorsCounter) {
 
 // End-to-end: drive every subsystem of a durable StreamingCube and
 // assert ONE scrape of the global registry exposes families from the
-// ingest shards, the publisher, the solver cache, the lane solver, the
-// summary router, and the WAL — with latency histograms, not just sums.
+// ingest shards, the publisher, the solver cache, the batched GROUP BY
+// pipeline, the summary router, and the WAL — with latency histograms,
+// not just sums.
 TEST(ObsIntegrationTest, OneScrapeCoversEverySubsystem) {
   MSKETCH_REQUIRE_OBS();
   char dir_template[] = "/tmp/msketch_obs_XXXXXX";
@@ -435,7 +436,7 @@ TEST(ObsIntegrationTest, OneScrapeCoversEverySubsystem) {
     for (const char* family :
          {"msk_ingest_rows_appended_total", "msk_ingest_staleness_rows",
           "msk_publisher_epochs_published_total",
-          "msk_solver_cache_hits_total", "msk_lane_solver_enqueued_total",
+          "msk_solver_cache_hits_total", "msk_batch_groups_total",
           "msk_wal_epochs_logged_total"}) {
       EXPECT_NE(scrape.Find(family), nullptr) << family;
     }

@@ -688,9 +688,9 @@ TEST(GroupByCertifiedTest, GroupsMatchPerGroupTruth) {
 }
 
 // Groups whose cells never compacted are answered in pre-solve from
-// their lossless KLL union; only the compacted group reaches the lane
+// their lossless KLL union; only the compacted group reaches the
 // solver.
-TEST(GroupByCertifiedTest, AllExactGroupsSkipTheLaneSolver) {
+TEST(GroupByCertifiedTest, AllExactGroupsSkipTheSolver) {
   CubeStore store(2, 10);
   store.EnableKll(64);
   Rng rng(0xe8ac7ULL);
