@@ -7,13 +7,15 @@
 // google-benchmark): the columnar filtered-merge kernels — exact
 // MergeWhere baseline vs the planned QueryWhere without and with the
 // rollup index — across ~10% / ~50% / ~90% selectivity filters at
-// k = 10, plus the full-cube scalar-vs-SIMD range merge. Results land in
+// k = 10, plus the full-cube scalar-vs-SIMD range merge and the GROUP BY
+// merge (ForEachGroup by one and two dimensions). Results land in
 // BENCH_fig4.json (median/p95 per row) so the perf trajectory is
 // tracked across PRs; CI runs `--merge-only` and uploads the JSON.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -151,6 +153,24 @@ void RunMergePathSection(const Args& args) {
       sink = std::move(out);
     });
     add_row("full-merge", "MergeFlatRangeFast(simd)", "-", n, simd_ms);
+  }
+
+  // GROUP BY merge: every group's sketch over the whole cube, 10 groups
+  // by dim 0 and 20 by dims 0 and 2 (the GroupByThreshold /
+  // GroupByQuantiles merge step off the rollup path).
+  {
+    const std::vector<std::pair<std::string, std::vector<size_t>>> groupings =
+        {{"ForEachGroup({0})", {0}}, {"ForEachGroup({0,2})", {0, 2}}};
+    for (const auto& [name, dims] : groupings) {
+      size_t groups = 0;
+      auto group_ms = TimeReps(reps, [&] {
+        groups = 0;
+        store.ForEachGroup(
+            dims, [&](const CubeCoords&, const MomentsSketch&) { ++groups; });
+      });
+      add_row("group", name, "-", n, group_ms,
+              {{"groups", static_cast<double>(groups)}});
+    }
   }
 
   // Filtered merges across selectivities; exact baseline vs planned

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "core/maxent_problem.h"
 #include "cube/data_cube.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "parallel/parallel_for.h"
 
 namespace msketch {
@@ -87,57 +89,70 @@ void FillSimilarityFeatures(Group* g) {
 
 std::vector<Group> CollectGroups(const CubeStore& store,
                                  const std::vector<size_t>& group_dims) {
-  std::vector<Group> groups;
-  if (group_dims.size() == 1 && store.HasFreshRollup()) {
-    // A single-dimension GROUP BY partitions the cells by that
-    // dimension's value — exactly the per-value postings the rollup
-    // index pre-merged. One planned query per distinct value folds span
-    // nodes instead of every cell, so the merge side of a
-    // high-cardinality GROUP BY shrinks by ~the span width.
-    const size_t d = group_dims[0];
-    CubeFilter filter(store.num_dims(), kAnyValue);
-    store.dim_index(d).ForEachValue(
-        [&](uint32_t value, const std::vector<uint32_t>&) {
-          filter[d] = static_cast<int64_t>(value);
-          Group g;
-          g.key = {value};
-          g.sketch = store.QueryWhere(filter);
-          FillSimilarityFeatures(&g);
-          groups.push_back(std::move(g));
-        });
-  } else {
-    store.ForEachGroup(group_dims, [&](const CubeCoords& key,
-                                       const MomentsSketch& sketch) {
-      Group g;
-      g.key = key;
-      g.sketch = sketch;
-      FillSimilarityFeatures(&g);
-      groups.push_back(std::move(g));
-    });
+  for (size_t d : group_dims) {
+    MSKETCH_CHECK_MSG(d < store.num_dims(),
+                      "GROUP BY dimension out of range");
   }
+  std::vector<Group> groups;
+  {
+    // The group-merge step alone, so a trace splits a GROUP BY into
+    // merge and estimation.
+    obs::Span span("query.group_merge");
+    if (group_dims.size() == 1 && store.HasFreshRollup()) {
+      // A single-dimension GROUP BY partitions the cells by that
+      // dimension's value — exactly the per-value postings the rollup
+      // index pre-merged. One planned query per distinct value folds
+      // span nodes instead of every cell, so the merge side of a
+      // high-cardinality GROUP BY shrinks by ~the span width.
+      const size_t d = group_dims[0];
+      CubeFilter filter(store.num_dims(), kAnyValue);
+      store.dim_index(d).ForEachValue(
+          [&](uint32_t value, const std::vector<uint32_t>&) {
+            filter[d] = static_cast<int64_t>(value);
+            Group g;
+            g.key = {value};
+            g.sketch = store.QueryWhere(filter);
+            groups.push_back(std::move(g));
+          });
+    } else {
+      store.ForEachGroup(group_dims, [&](const CubeCoords& key,
+                                         const MomentsSketch& sketch) {
+        Group g;
+        g.key = key;
+        g.sketch = sketch;
+        groups.push_back(std::move(g));
+      });
+    }
+  }
+  for (Group& g : groups) FillSimilarityFeatures(&g);
   // Similarity order: identical-moment groups land adjacent (same chain,
   // so the cache absorbs them), near-identical ones neighbor each other
   // for warm starts. A plain lexicographic (m1, m2) sort jumps in m2 at
   // every m1 step; snaking through coarse m1 buckets keeps *both*
   // coordinates slowly varying along a chain, which is what the solver's
-  // warm gate rewards. Key as final tiebreak keeps the order
-  // deterministic.
+  // warm gate rewards. Key as final tiebreak makes it a strict total
+  // order, so the result does not depend on the collection order. The
+  // sort permutes indexes; each group moves once, into its place.
   auto bucket = [](double m1) {
     return static_cast<int>(std::floor((m1 + 1.0) / 0.02));
   };
-  std::sort(groups.begin(), groups.end(),
-            [&](const Group& a, const Group& b) {
-              if (a.log_usable != b.log_usable) {
-                return a.log_usable < b.log_usable;
-              }
-              const int ba = bucket(a.m1), bb = bucket(b.m1);
-              if (ba != bb) return ba < bb;
-              const bool reverse = (ba & 1) != 0;  // snake direction
-              if (a.m2 != b.m2) return reverse ? a.m2 > b.m2 : a.m2 < b.m2;
-              if (a.m1 != b.m1) return a.m1 < b.m1;
-              return a.key < b.key;
-            });
-  return groups;
+  std::vector<uint32_t> order(groups.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t ia, uint32_t ib) {
+    const Group& a = groups[ia];
+    const Group& b = groups[ib];
+    if (a.log_usable != b.log_usable) return a.log_usable < b.log_usable;
+    const int ba = bucket(a.m1), bb = bucket(b.m1);
+    if (ba != bb) return ba < bb;
+    const bool reverse = (ba & 1) != 0;  // snake direction
+    if (a.m2 != b.m2) return reverse ? a.m2 > b.m2 : a.m2 < b.m2;
+    if (a.m1 != b.m1) return a.m1 < b.m1;
+    return a.key < b.key;
+  });
+  std::vector<Group> sorted;
+  sorted.reserve(groups.size());
+  for (uint32_t i : order) sorted.push_back(std::move(groups[i]));
+  return sorted;
 }
 
 // One shard's warm chain over its slice of the similarity order. Solve

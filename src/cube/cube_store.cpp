@@ -59,7 +59,8 @@ const char* QueryPlanName(QueryPlan plan) {
   return "unknown";
 }
 
-CubeStore::CubeStore(size_t num_dims, int k) : num_dims_(num_dims), k_(k) {
+CubeStore::CubeStore(size_t num_dims, int k)
+    : num_dims_(num_dims), k_(k), cell_index_(num_dims) {
   MSKETCH_CHECK(num_dims >= 1);
   MSKETCH_CHECK(k >= 1 && k <= 64);
   power_cols_.resize(k);
@@ -74,7 +75,7 @@ CubeStore::CubeStore(const CubeStore& other)
       k_(other.k_),
       num_rows_(other.num_rows_),
       version_(other.version_),
-      cell_ids_(other.cell_ids_),
+      cell_index_(other.cell_index_),
       coords_(other.coords_),
       power_cols_(other.power_cols_),
       log_cols_(other.log_cols_),
@@ -126,11 +127,11 @@ void CubeStore::OnCellMutated(uint32_t cell_id) {
 }
 
 uint32_t CubeStore::FindOrCreateCell(const CubeCoords& coords) {
-  const uint32_t id = static_cast<uint32_t>(coords_.size());
-  const auto [it, created] = cell_ids_.try_emplace(coords, id);
+  bool created = false;
+  const uint32_t id = cell_index_.FindOrInsert(coords.data(), &created);
   if (!created) {
-    OnCellMutated(it->second);
-    return it->second;
+    OnCellMutated(id);
+    return id;
   }
   coords_.push_back(coords);
   for (auto& col : power_cols_) col.push_back(0.0);
@@ -640,21 +641,62 @@ void CubeStore::ForEachGroup(
     const std::vector<size_t>& group_dims,
     const std::function<void(const CubeCoords&, const MomentsSketch&)>& fn)
     const {
-  const FlatMomentColumns cols = Columns();
-  std::unordered_map<CubeCoords, MomentsSketch, CubeCoordsHash> groups;
-  groups.reserve(coords_.size());
-  CubeCoords key;
-  key.reserve(group_dims.size());
-  for (uint32_t id = 0; id < coords_.size(); ++id) {
-    key.clear();
-    for (size_t d : group_dims) key.push_back(coords_[id][d]);
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      it = groups.emplace(key, MomentsSketch(k_)).first;
-    }
-    MSKETCH_CHECK(it->second.MergeFlat(cols, &id, 1).ok());
+  for (size_t d : group_dims) {
+    MSKETCH_CHECK_MSG(d < num_dims_,
+                      "ForEachGroup: group dimension out of range");
   }
-  for (const auto& [group_key, sketch] : groups) fn(group_key, sketch);
+  const size_t n = coords_.size();
+  const size_t width = group_dims.size();
+  // Pass 1: a dense group id per cell, groups numbered in first-seen
+  // (ascending first cell id) order.
+  TupleIndex groups(width);
+  std::vector<uint32_t> group_of(n);
+  std::vector<uint32_t> key(width);
+  for (uint32_t id = 0; id < n; ++id) {
+    const uint32_t* coords = cell_index_.Key(id);
+    for (size_t g = 0; g < width; ++g) key[g] = coords[group_dims[g]];
+    bool created = false;
+    group_of[id] = groups.FindOrInsert(key.data(), &created);
+  }
+  // Pass 2: one column at a time into per-group accumulators that start
+  // in a fresh sketch's state, ascending cell id within each column — the
+  // addition sequence of per-cell MergeFlat calls into a fresh sketch, so
+  // each group's sums are bit-identical to it.
+  const size_t num_groups = groups.size();
+  MomentSlab acc(k_);
+  acc.AppendEmpty(num_groups);
+  const MutableFlatMomentColumns out = acc.MutableColumns();
+  const uint32_t* gid = group_of.data();
+  for (int i = 0; i < k_; ++i) {
+    const double* src = power_ptrs_[i];
+    double* dst = out.power_sums[i];
+    for (size_t c = 0; c < n; ++c) dst[gid[c]] += src[c];
+  }
+  for (int i = 0; i < k_; ++i) {
+    const double* src = log_ptrs_[i];
+    double* dst = out.log_sums[i];
+    for (size_t c = 0; c < n; ++c) dst[gid[c]] += src[c];
+  }
+  for (size_t c = 0; c < n; ++c) out.counts[gid[c]] += counts_[c];
+  for (size_t c = 0; c < n; ++c) out.log_counts[gid[c]] += log_counts_[c];
+  for (size_t c = 0; c < n; ++c) {
+    out.mins[gid[c]] = std::min(out.mins[gid[c]], mins_[c]);
+  }
+  for (size_t c = 0; c < n; ++c) {
+    out.maxs[gid[c]] = std::max(out.maxs[gid[c]], maxs_[c]);
+  }
+  // Each group's sketch is its accumulator folded into a fresh sketch
+  // (0.0 + sum keeps every sum's bits).
+  const FlatMomentColumns sums = acc.Columns();
+  const MomentsSketch empty(k_);
+  MomentsSketch sketch(k_);
+  CubeCoords group_key;
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    group_key.assign(groups.Key(g), groups.Key(g) + width);
+    sketch = empty;
+    MSKETCH_CHECK(sketch.MergeFlat(sums, &g, 1).ok());
+    fn(group_key, sketch);
+  }
 }
 
 MomentsSketch CubeStore::CellSketch(uint32_t cell_id) const {

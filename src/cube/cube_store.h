@@ -45,7 +45,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -53,6 +52,7 @@
 #include "cube/cube_types.h"
 #include "cube/dim_index.h"
 #include "cube/rollup_index.h"
+#include "cube/tuple_index.h"
 #include "sketches/kll_sketch.h"
 
 namespace msketch {
@@ -119,8 +119,8 @@ class CubeStore {
   /// disabled). The batch is validated first (coordinate arity, moments
   /// order k, KLL k), so a bad cell rejects it without applying any
   /// cell. Then each cell with a non-empty delta is resolved, or
-  /// created with its postings, in batch order by one hash lookup; an
-  /// existing cell is marked dirty for the next RefreshRollup. The
+  /// created with its postings, in batch order by one directory probe;
+  /// an existing cell is marked dirty for the next RefreshRollup. The
   /// moment sums then land one column at a time, in batch order within
   /// each column: each slot gets one add per delta, counts add exactly,
   /// min/max widen to cover the delta, and the native-sum column grows
@@ -205,8 +205,15 @@ class CubeStore {
   /// Native sum over matching cells (Figure 11 baseline), indexed.
   double SumWhere(const CubeFilter& filter) const;
 
-  /// Groups cells by the given dimensions and hands each group's merged
-  /// sketch to `fn`. Group map is pre-reserved; merging is columnar.
+  /// Groups cells by the given dimensions (in the given order; a
+  /// dimension may repeat, and an empty list puts every cell in one
+  /// group) and hands each group's key and merged sketch to `fn`. Groups
+  /// come in first-seen order: ascending by their first cell id. Each
+  /// group's sketch sums its cells in ascending cell id, so it is
+  /// bit-identical to MergeFlat-ing the group's cells one at a time, in
+  /// id order, into a fresh sketch. Two passes: one tuple-index probe
+  /// per cell gives it a dense group id, then each moment column reduces
+  /// into per-group accumulators. A dimension >= num_dims() aborts.
   void ForEachGroup(
       const std::vector<size_t>& group_dims,
       const std::function<void(const CubeCoords&, const MomentsSketch&)>& fn)
@@ -306,7 +313,7 @@ class CubeStore {
   /// Bookkeeping for an in-place update of an existing cell: bumps the
   /// version and records the cell for incremental rollup refresh.
   void OnCellMutated(uint32_t cell_id);
-  /// The cell at `coords`, found or created with one hash lookup. An
+  /// The cell at `coords`, found or created with one directory probe. An
   /// existing cell goes through OnCellMutated. A new one gets one
   /// zeroed slot in every column, its postings and their positions, and
   /// goes through OnColumnsChanged (push_backs may reallocate). Shared
@@ -319,8 +326,13 @@ class CubeStore {
   uint64_t num_rows_ = 0;
   uint64_t version_ = 0;
 
-  // Cell directory.
-  std::unordered_map<CubeCoords, uint32_t, CubeCoordsHash> cell_ids_;
+  // Cell directory: each cell's coordinates packed num_dims_ u32s per
+  // cell in id order, behind power-of-two open-addressing slots (see
+  // tuple_index.h). It resolves coordinates to a cell id by comparing
+  // against the packed copy, about 8-16 B of slots plus 4 B per
+  // dimension per cell, with no heap node or key vector per cell.
+  // coords_ keeps the per-cell vectors CoordsOf hands out.
+  TupleIndex cell_index_;
   std::vector<CubeCoords> coords_;  // cell id -> coordinates
 
   // Struct-of-arrays sketch state, one entry per cell per column.

@@ -16,7 +16,9 @@
 //
 // Span taxonomy (see src/cube/README.md and src/ingest/README.md):
 //   query.where | query.certified | query.certified_groupby |
-//   query.threshold | query.router
+//   query.threshold | query.group_merge | query.router
+//   (query.group_merge = the group-merge step of a GROUP BY, nested
+//   under query.threshold or query.certified_groupby)
 //   ingest.drain | ingest.publish | ingest.wal_append |
 //   ingest.checkpoint | ingest.recover
 //   replica.ship | replica.apply | replica.resync | replica.heartbeat

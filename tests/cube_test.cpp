@@ -6,17 +6,21 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "core/compressed_sketch.h"
 #include "core/moments_summary.h"
+#include "cube/batch_query.h"
 #include "cube/cube_store.h"
 #include "cube/data_cube.h"
 #include "cube/dictionary.h"
 #include "cube/dim_index.h"
 #include "cube/summary_router.h"
+#include "datasets/datasets.h"
+#include "ingest/streaming_cube.h"
 #include "numerics/stats.h"
 #include "sketches/exact_sketch.h"
 #include "sketches/kll_sketch.h"
@@ -850,6 +854,184 @@ TEST(CubeStoreApplyTest, BadCellRejectsTheWholeBatch) {
   refs = next.Refs();
   EXPECT_TRUE(store.ApplyDeltas(refs.data(), refs.size()).ok());
   EXPECT_NE(StoreBytes(store), before);
+}
+
+std::vector<uint8_t> SketchBytes(const MomentsSketch& sketch) {
+  BytesWriter w;
+  sketch.Serialize(&w);
+  return w.Take();
+}
+
+// ForEachGroup against its contract, over milan and shifted-lognormal
+// rows (some non-positive, so log counts differ from counts) in 2-4-dim
+// cubes: one callback per distinct group key, in ascending order of the
+// group's first cell id, each sketch byte-equal to MergeFlat-ing the
+// group's cells one at a time in ascending id into a fresh sketch.
+TEST(CubeStoreTest, ForEachGroupBitIdenticalToPerCellMerge) {
+  constexpr size_t kRows = 20000;
+  Rng value_rng(2401);
+  std::vector<double> lognormal(kRows);
+  for (double& v : lognormal) v = value_rng.NextLognormal(0.0, 1.2) - 0.5;
+  const std::vector<std::pair<const char*, std::vector<double>>> datasets = {
+      {"milan", GenerateDataset(DatasetId::kMilan, kRows)},
+      {"lognormal", lognormal}};
+  const std::vector<std::vector<uint32_t>> shapes = {
+      {9, 6}, {7, 5, 4}, {5, 4, 3, 3}};
+  const std::vector<std::vector<size_t>> dim_sets = {
+      {0}, {1}, {0, 1}, {1, 0}, {0, 2}, {0, 1, 2}, {}, {1, 1}, {2, 0, 2}};
+  for (const auto& [name, rows] : datasets) {
+    for (const std::vector<uint32_t>& cards : shapes) {
+      CubeStore store(cards.size(), 10);
+      Rng rng(2402 + cards.size());
+      for (double v : rows) {
+        CubeCoords c;
+        for (uint32_t card : cards) {
+          c.push_back(static_cast<uint32_t>(rng.NextBelow(card)));
+        }
+        store.Ingest(c, v);
+      }
+      const FlatMomentColumns cols = store.Columns();
+      for (const std::vector<size_t>& dims : dim_sets) {
+        bool fits = true;
+        for (size_t d : dims) fits = fits && d < cards.size();
+        if (!fits) continue;
+        SCOPED_TRACE(std::string(name) + " dims=" +
+                     std::to_string(cards.size()) + " groups by " +
+                     std::to_string(dims.size()) + " dims");
+        // Reference: per-cell MergeFlat in ascending cell id.
+        struct Ref {
+          uint32_t first_id;
+          MomentsSketch sketch;
+        };
+        std::map<CubeCoords, Ref> ref;
+        for (uint32_t id = 0; id < store.num_cells(); ++id) {
+          CubeCoords key;
+          for (size_t d : dims) key.push_back(store.CoordsOf(id)[d]);
+          auto it = ref.try_emplace(key, Ref{id, MomentsSketch(10)}).first;
+          ASSERT_TRUE(it->second.sketch.MergeFlat(cols, &id, 1).ok());
+        }
+        size_t calls = 0;
+        int64_t last_first_id = -1;
+        store.ForEachGroup(dims, [&](const CubeCoords& key,
+                                     const MomentsSketch& sketch) {
+          ++calls;
+          auto it = ref.find(key);
+          ASSERT_NE(it, ref.end());
+          EXPECT_EQ(SketchBytes(sketch), SketchBytes(it->second.sketch));
+          EXPECT_GT(static_cast<int64_t>(it->second.first_id), last_first_id);
+          last_first_id = it->second.first_id;
+        });
+        EXPECT_EQ(calls, ref.size());
+      }
+    }
+  }
+}
+
+// The cell directory across growth, copies and moves: thousands of
+// cells whose coordinates agree in their low 16 bits, so the slots
+// double many times under keys that share low bits. Copy-constructed,
+// copy-assigned and moved stores each add cells of their own, then the
+// source grows through more rehashes and dies; each store must still
+// find every cell under its creation id, and resolve a delta batch to
+// the same ids as a store built directly.
+TEST(CubeStoreTest, CellDirectoryGrowthCopyAndMove) {
+  constexpr uint32_t kCells = 5000, kOwn = 50, kNew = 300;
+  std::vector<CubeCoords> keys, own_keys, new_keys;
+  for (uint32_t i = 0; i < kCells; ++i) {
+    keys.push_back({i << 16, (i % 7) << 16});
+  }
+  for (uint32_t i = 0; i < kOwn; ++i) own_keys.push_back({i << 16, 5u << 28});
+  for (uint32_t i = 0; i < kNew; ++i) new_keys.push_back({i << 16, 1u << 31});
+  auto fill = [&](CubeStore* store) {
+    for (uint32_t i = 0; i < kCells; ++i) {
+      ASSERT_EQ(store->Ingest(keys[i], 1.0 + i), i);
+    }
+  };
+  auto add_own = [&](CubeStore* store) {
+    for (uint32_t i = 0; i < kOwn; ++i) {
+      ASSERT_EQ(store->Ingest(own_keys[i], 3.0), kCells + i);
+    }
+  };
+  // A batch over every existing cell, newest first, then new cells.
+  std::vector<CubeCoords> batch_keys(keys.rbegin(), keys.rend());
+  batch_keys.insert(batch_keys.end(), own_keys.begin(), own_keys.end());
+  batch_keys.insert(batch_keys.end(), new_keys.begin(), new_keys.end());
+  std::vector<MomentsSketch> deltas;
+  Rng rng(2403);
+  for (size_t j = 0; j < batch_keys.size(); ++j) {
+    MomentsSketch s(6);
+    s.Accumulate(rng.NextLognormal(0.0, 1.0));
+    deltas.push_back(s);
+  }
+  std::vector<DeltaRef> refs;
+  for (size_t j = 0; j < batch_keys.size(); ++j) {
+    refs.push_back({&batch_keys[j], &deltas[j], nullptr});
+  }
+  auto exercise = [&](CubeStore* store) {
+    ASSERT_EQ(store->num_cells(), kCells + kOwn);
+    for (uint32_t i = 0; i < kCells + kOwn; ++i) {
+      const CubeCoords& key = i < kCells ? keys[i] : own_keys[i - kCells];
+      ASSERT_EQ(store->CoordsOf(i), key);
+      ASSERT_EQ(store->Ingest(key, 0.5), i);
+    }
+    ASSERT_TRUE(store->ApplyDeltas(refs.data(), refs.size()).ok());
+    ASSERT_EQ(store->num_cells(), kCells + kOwn + kNew);
+    for (uint32_t i = 0; i < kNew; ++i) {
+      ASSERT_EQ(store->Ingest(new_keys[i], 0.5), kCells + kOwn + i);
+    }
+  };
+  CubeStore direct(2, 6);
+  fill(&direct);
+  add_own(&direct);
+  exercise(&direct);
+  BytesWriter direct_cols;
+  EncodeSketchColumns(direct.Columns(), &direct_cols);
+  const std::vector<uint8_t> want_cols = direct_cols.Take();
+  const std::vector<uint8_t> want = StoreBytes(direct);
+
+  auto source = std::make_unique<CubeStore>(2, 6);
+  fill(source.get());
+  CubeStore copied(*source);
+  CubeStore assigned(2, 6);
+  assigned.Ingest({7, 7}, 1.0);
+  assigned = *source;
+  CubeStore move_source(*source);
+  CubeStore moved(std::move(move_source));
+  for (CubeStore* store : {&copied, &assigned, &moved}) add_own(store);
+  for (uint32_t i = 0; i < 3 * kCells; ++i) {
+    source->Ingest({i << 16, 3u << 30}, 2.0);
+  }
+  source.reset();
+  for (CubeStore* store : {&copied, &assigned, &moved}) {
+    exercise(store);
+    BytesWriter cols;
+    EncodeSketchColumns(store->Columns(), &cols);
+    EXPECT_EQ(cols.Take(), want_cols);
+    EXPECT_EQ(StoreBytes(*store), want);
+  }
+}
+
+// A GROUP BY dimension past the cube's arity is a programming error on
+// every path that reads one: ForEachGroup, the multi-dimension batch
+// and the single-dimension rollup branch, and the streaming facade.
+TEST(CubeStoreDeathTest, OutOfRangeGroupDimensionAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  CubeStore store(3, 6);
+  store.Ingest({0, 1, 2}, 1.0);
+  store.Ingest({1, 1, 0}, 2.0);
+  EXPECT_DEATH(store.ForEachGroup(
+                   {0, 7}, [](const CubeCoords&, const MomentsSketch&) {}),
+               "group dimension out of range");
+  EXPECT_DEATH(GroupByQuantiles(store, {0, 3}, {0.5}),
+               "dimension out of range");
+  store.BuildRollup();
+  EXPECT_DEATH(GroupByThreshold(store, {7}, 0.5, 1.0),
+               "dimension out of range");
+  StreamingCube cube(3, MomentsSummary(6));
+  ASSERT_TRUE(cube.Append({0, 1, 2}, 1.0).ok());
+  cube.Flush();
+  EXPECT_DEATH(cube.GroupByThreshold({7}, 0.5, 1.0),
+               "dimension out of range");
 }
 
 // The MomentsSummary cube surfaces the planner through MergeWhere and

@@ -473,6 +473,46 @@ TEST(ObsIntegrationTest, OneScrapeCoversEverySubsystem) {
   EXPECT_GE(width->hist.count, 1u);
 }
 
+// A GROUP BY's group-merge step is its own span, one level below the
+// query span and in the query's trace, on both collection paths: the
+// rollup-backed single-dimension path and ForEachGroup.
+TEST(ObsIntegrationTest, GroupMergeSpanSharesItsQueryTrace) {
+  MSKETCH_REQUIRE_OBS();
+  StreamingCube cube(/*num_dims=*/2, MomentsSummary(10));
+  Rng rng(12);
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(cube.Append({static_cast<uint32_t>(rng.NextBelow(4)),
+                             static_cast<uint32_t>(rng.NextBelow(3))},
+                            rng.NextLognormal(3.0, 0.7))
+                    .ok());
+  }
+  ASSERT_TRUE(cube.Flush()->store.HasFreshRollup());
+  (void)cube.GroupByThreshold({1}, 0.99, 100.0);
+  (void)cube.GroupByQuantilesCertified({0, 1}, {0.5, 0.99});
+  const std::vector<SpanRecord> spans = GlobalTracer().Snapshot();
+  for (const char* query : {"query.threshold", "query.certified_groupby"}) {
+    SCOPED_TRACE(query);
+    const SpanRecord* parent = nullptr;
+    for (const SpanRecord& r : spans) {
+      if (std::strcmp(r.name, query) == 0) parent = &r;
+    }
+    ASSERT_NE(parent, nullptr);
+    size_t merges = 0;
+    for (const SpanRecord& r : spans) {
+      if (std::strcmp(r.name, "query.group_merge") != 0 ||
+          r.trace_id != parent->trace_id) {
+        continue;
+      }
+      ++merges;
+      EXPECT_EQ(r.depth, parent->depth + 1);
+      EXPECT_GE(r.start_ns, parent->start_ns);
+      EXPECT_LE(r.start_ns + r.duration_ns,
+                parent->start_ns + parent->duration_ns);
+    }
+    EXPECT_EQ(merges, 1u);
+  }
+}
+
 // A long-lived router (a follower's ReplicaApplier holds one for its
 // whole life) must reach the registry as it answers, not when it dies.
 TEST(ObsIntegrationTest, LongLivedRouterPublishesWhileAlive) {
