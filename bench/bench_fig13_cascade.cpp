@@ -3,6 +3,8 @@
 //   (b) standalone throughput of each stage
 //   (c) fraction of queries resolved by each stage
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
@@ -151,14 +153,19 @@ int main(int argc, char** argv) {
                 st.resolved_maxent / total, st.resolved_maxent / total);
   }
 
-  // (d) cascade in batch: GroupByThreshold routes the bound stages per
-  // group and sends unresolved groups through the batch estimation tiers
-  // (warm chains + solver cache) instead of isolated cold solves.
+  // (d) cascade in batch: GroupByThreshold decides each group it can
+  // from its range before merging any moments, routes the open groups
+  // through the Markov/RTT bounds, and sends the rest through the batch
+  // estimation tiers (warm chains + solver cache) instead of isolated
+  // cold solves. The range-resolved share says how many groups were
+  // never merged.
   std::printf("\n(d) batched threshold queries (GroupByThreshold)\n");
-  for (size_t d = 0; d < 3; ++d) {
+  const std::vector<std::vector<size_t>> groupings = {{0},    {1},    {2},
+                                                      {0, 1}, {0, 2}, {1, 2}};
+  for (const std::vector<size_t>& dims : groupings) {
     // Per-group cascade loop (the (a) +RTT configuration).
     std::vector<MomentsSketch> dim_groups;
-    cube.ForEachGroup({d}, [&](const CubeCoords&, const MomentsSummary& s) {
+    cube.ForEachGroup(dims, [&](const CubeCoords&, const MomentsSummary& s) {
       dim_groups.push_back(s.sketch());
     });
     ThresholdCascade loop_cascade;
@@ -172,18 +179,24 @@ int main(int argc, char** argv) {
     BatchOptions options;
     BatchStats stats;
     Timer tb;
-    auto batched = cube.GroupByThreshold({d}, 0.7, t99, options, &stats);
+    auto batched = cube.GroupByThreshold(dims, 0.7, t99, options, &stats);
     const double batch_ms = tb.Millis();
     size_t batch_flagged = 0;
     for (const auto& r : batched) batch_flagged += r.exceeds ? 1 : 0;
 
+    std::string name = "dims";
+    for (size_t d : dims) name += " " + std::to_string(d);
     std::printf(
-        "  dim %zu: %4zu groups  loop %8.2f ms (%zu flagged)  "
+        "  %-10s %5zu groups  loop %8.2f ms (%zu flagged)  "
         "batch %8.2f ms (%zu flagged)\n"
-        "         pruned by bounds %llu | warm %llu | cold %llu | "
-        "cache hits %llu | mean Newton %.2f\n",
-        d, dim_groups.size(), loop_ms, loop_flagged, batch_ms,
+        "             range-resolved %5.3f | pruned by bounds %llu | "
+        "warm %llu | cold %llu | cache hits %llu | mean Newton %.2f\n",
+        name.c_str(), dim_groups.size(), loop_ms, loop_flagged, batch_ms,
         batch_flagged,
+        stats.cascade.total == 0
+            ? 0.0
+            : static_cast<double>(stats.cascade.resolved_simple) /
+                  static_cast<double>(stats.cascade.total),
         static_cast<unsigned long long>(stats.CascadePruned()),
         static_cast<unsigned long long>(stats.solve.warm_solves),
         static_cast<unsigned long long>(stats.solve.cold_solves),

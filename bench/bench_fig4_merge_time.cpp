@@ -156,8 +156,9 @@ void RunMergePathSection(const Args& args) {
   }
 
   // GROUP BY merge: every group's sketch over the whole cube, 10 groups
-  // by dim 0 and 20 by dims 0 and 2 (the GroupByThreshold /
-  // GroupByQuantiles merge step off the rollup path).
+  // by dim 0 and 20 by dims 0 and 2 (the GroupByQuantiles merge step
+  // off the rollup path; GroupByThreshold reduces only the groups its
+  // range stage leaves open).
   {
     const std::vector<std::pair<std::string, std::vector<size_t>>> groupings =
         {{"ForEachGroup({0})", {0}}, {"ForEachGroup({0,2})", {0, 2}}};

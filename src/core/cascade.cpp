@@ -4,24 +4,31 @@
 
 namespace msketch {
 
+ThresholdCascade::Decision ThresholdCascade::RangeStage(
+    const CascadeOptions& options, uint64_t count, double min, double max,
+    double t) {
+  // An empty dataset has no phi-quantile above t, and no bound stage
+  // could say more.
+  if (count == 0) return Decision::kFalse;
+  if (options.use_simple_check) {
+    if (t > max) return Decision::kFalse;  // every element <= xmax < t
+    if (t < min) return Decision::kTrue;   // every element >= xmin > t
+  }
+  return Decision::kUnresolved;
+}
+
 ThresholdCascade::Decision ThresholdCascade::CheckBounds(
     const MomentsSketch& sketch, double phi, double t,
     RankBounds* bounds_out) {
   ++stats_.total;
   *bounds_out = RankBounds{0.0, static_cast<double>(sketch.count())};
-  if (sketch.count() == 0) return Decision::kFalse;
-  const double rt = phi * static_cast<double>(sketch.count());
-
-  if (opt_.use_simple_check) {
-    if (t > sketch.max()) {
-      ++stats_.resolved_simple;
-      return Decision::kFalse;  // every element <= xmax < t
-    }
-    if (t < sketch.min()) {
-      ++stats_.resolved_simple;
-      return Decision::kTrue;  // every element >= xmin > t
-    }
+  const Decision range =
+      RangeStage(opt_, sketch.count(), sketch.min(), sketch.max(), t);
+  if (range != Decision::kUnresolved) {
+    ++stats_.resolved_simple;
+    return range;
   }
+  const double rt = phi * static_cast<double>(sketch.count());
 
   // rank(t) upper bound < n phi  =>  q_phi >= t       => predicate true
   // rank(t) lower bound > n phi  =>  q_phi < t        => predicate false

@@ -8,6 +8,14 @@
 // rank lower bound > n*phi implies q_phi < t (predicate false) and rank
 // upper bound < n*phi implies q_phi >= t (predicate true); we implement
 // these semantics, which match the algorithm's final `return q_phi > t`.
+//
+// The range stage reads only a group's count, min and max, so it has a
+// static entry point (RangeStage) that needs no sketch: the batched
+// GROUP BY (cube/batch_query.h) runs it on each group's exact range
+// before it builds any moment sums, and only the groups it leaves open
+// are merged and sent through CheckBounds, which runs the same stage
+// again. An empty dataset counts as resolved by the range stage, so the
+// per-stage counters always add up to `total`.
 #ifndef MSKETCH_CORE_CASCADE_H_
 #define MSKETCH_CORE_CASCADE_H_
 
@@ -70,13 +78,23 @@ class ThresholdCascade {
   /// Outcome of the bounds-only prefix of Algorithm 2.
   enum class Decision { kTrue, kFalse, kUnresolved };
 
+  /// The range stage alone, from a dataset's count and exact range: an
+  /// empty dataset is kFalse; with `options.use_simple_check`, a t above
+  /// every element (t > max) is kFalse and a t below every element
+  /// (t < min) is kTrue; anything else, including t equal to min or
+  /// max, is kUnresolved. Counts nothing; CheckBounds counts a decision
+  /// here as `resolved_simple`, and so must any caller that runs the
+  /// stage on its own.
+  static Decision RangeStage(const CascadeOptions& options, uint64_t count,
+                             double min, double max, double t);
+
   /// Runs the range / Markov / RTT stages without the maxent fallback and
   /// updates the per-stage counters (including `total`). A query the
-  /// range check settles builds no bound state; the Markov and RTT
+  /// range stage settles builds no bound state; the Markov and RTT
   /// stages share one RankBoundOracle, and the RTT stage's Hankel
   /// factorization is only built when the Markov stage leaves the query
-  /// open. The tightest
-  /// rank bounds seen are written to `*bounds_out`, so an unresolved
+  /// open. The tightest rank bounds seen are written to `*bounds_out`
+  /// (`[0, count]` when a stage before Markov decides), so an unresolved
   /// caller can finish the decision with its own estimator — the batch
   /// layer does this to route the final solve through its warm-start
   /// chain and solver cache.

@@ -47,12 +47,28 @@ void PublishBatchStats(const BatchStats& s) {
   cache_hits->Add(s.cache_hits);
   failed->Add(s.failed_solves);
   atomic_fb->Add(s.atomic_fallbacks);
+  if (s.cascade.total == 0) return;
+  static constexpr const char* kCascadeHelp =
+      "Threshold GROUP BY groups decided by each cascade stage";
+  static obs::Counter* const range = reg.GetCounter(
+      "msk_cascade_resolved_total", {{"stage", "range"}}, kCascadeHelp);
+  static obs::Counter* const markov = reg.GetCounter(
+      "msk_cascade_resolved_total", {{"stage", "markov"}}, kCascadeHelp);
+  static obs::Counter* const rtt = reg.GetCounter(
+      "msk_cascade_resolved_total", {{"stage", "rtt"}}, kCascadeHelp);
+  static obs::Counter* const maxent = reg.GetCounter(
+      "msk_cascade_resolved_total", {{"stage", "maxent"}}, kCascadeHelp);
+  range->Add(s.cascade.resolved_simple);
+  markov->Add(s.cascade.resolved_markov);
+  rtt->Add(s.cascade.resolved_rtt);
+  maxent->Add(s.cascade.resolved_maxent);
 }
 
 // A materialized group with its similarity-ordering features.
 struct Group {
   CubeCoords key;
   MomentsSketch sketch;
+  uint32_t id = 0;  // GroupByThreshold: the group's id in its partition
   bool log_usable = false;
   double m1 = 0.0, m2 = 0.0;  // scaled first/second moments
 };
@@ -87,33 +103,89 @@ void FillSimilarityFeatures(Group* g) {
   }
 }
 
-std::vector<Group> CollectGroups(const CubeStore& store,
-                                 const std::vector<size_t>& group_dims) {
+// Aborts on a group dimension the store does not have.
+void CheckGroupDims(const CubeStore& store,
+                    const std::vector<size_t>& group_dims) {
   for (size_t d : group_dims) {
     MSKETCH_CHECK_MSG(d < store.num_dims(),
                       "GROUP BY dimension out of range");
   }
+}
+
+// True when the GROUP BY reads its groups off a fresh rollup (see
+// ForEachRollupGroup).
+bool RollupBacked(const CubeStore& store,
+                  const std::vector<size_t>& group_dims) {
+  return group_dims.size() == 1 && store.HasFreshRollup();
+}
+
+// Hands each value of dimension `d` and its merged sketch to `fn`. A
+// single-dimension GROUP BY partitions the cells by that dimension's
+// value — exactly the per-value postings the rollup index pre-merged.
+// One planned query per distinct value folds span nodes instead of every
+// cell, so the merge side of a high-cardinality GROUP BY shrinks by ~the
+// span width.
+template <typename Fn>
+void ForEachRollupGroup(const CubeStore& store, size_t d, const Fn& fn) {
+  CubeFilter filter(store.num_dims(), kAnyValue);
+  store.dim_index(d).ForEachValue(
+      [&](uint32_t value, const std::vector<uint32_t>&) {
+        filter[d] = static_cast<int64_t>(value);
+        fn(value, store.QueryWhere(filter));
+      });
+}
+
+// Fills the groups' features and puts them in similarity order:
+// identical-moment groups land adjacent (same chain, so the cache
+// absorbs them), near-identical ones neighbor each other for warm
+// starts. A plain lexicographic (m1, m2) sort jumps in m2 at every m1
+// step; snaking through coarse m1 buckets keeps *both* coordinates
+// slowly varying along a chain, which is what the solver's warm gate
+// rewards. Key as final tiebreak makes it a strict total order, so the
+// result does not depend on the collection order, and the order of a
+// subset of groups is the subsequence of the full set's order. The sort
+// permutes indexes; each group moves once, into its place.
+void SimilarityOrder(std::vector<Group>* groups) {
+  for (Group& g : *groups) FillSimilarityFeatures(&g);
+  auto bucket = [](double m1) {
+    return static_cast<int>(std::floor((m1 + 1.0) / 0.02));
+  };
+  std::vector<uint32_t> order(groups->size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t ia, uint32_t ib) {
+    const Group& a = (*groups)[ia];
+    const Group& b = (*groups)[ib];
+    if (a.log_usable != b.log_usable) return a.log_usable < b.log_usable;
+    const int ba = bucket(a.m1), bb = bucket(b.m1);
+    if (ba != bb) return ba < bb;
+    const bool reverse = (ba & 1) != 0;  // snake direction
+    if (a.m2 != b.m2) return reverse ? a.m2 > b.m2 : a.m2 < b.m2;
+    if (a.m1 != b.m1) return a.m1 < b.m1;
+    return a.key < b.key;
+  });
+  std::vector<Group> sorted;
+  sorted.reserve(groups->size());
+  for (uint32_t i : order) sorted.push_back(std::move((*groups)[i]));
+  *groups = std::move(sorted);
+}
+
+// Every group of the GROUP BY, materialized, in similarity order.
+std::vector<Group> CollectGroups(const CubeStore& store,
+                                 const std::vector<size_t>& group_dims) {
+  CheckGroupDims(store, group_dims);
   std::vector<Group> groups;
   {
     // The group-merge step alone, so a trace splits a GROUP BY into
     // merge and estimation.
     obs::Span span("query.group_merge");
-    if (group_dims.size() == 1 && store.HasFreshRollup()) {
-      // A single-dimension GROUP BY partitions the cells by that
-      // dimension's value — exactly the per-value postings the rollup
-      // index pre-merged. One planned query per distinct value folds
-      // span nodes instead of every cell, so the merge side of a
-      // high-cardinality GROUP BY shrinks by ~the span width.
-      const size_t d = group_dims[0];
-      CubeFilter filter(store.num_dims(), kAnyValue);
-      store.dim_index(d).ForEachValue(
-          [&](uint32_t value, const std::vector<uint32_t>&) {
-            filter[d] = static_cast<int64_t>(value);
-            Group g;
-            g.key = {value};
-            g.sketch = store.QueryWhere(filter);
-            groups.push_back(std::move(g));
-          });
+    if (RollupBacked(store, group_dims)) {
+      ForEachRollupGroup(store, group_dims[0],
+                         [&](uint32_t value, MomentsSketch sketch) {
+                           Group g;
+                           g.key = {value};
+                           g.sketch = std::move(sketch);
+                           groups.push_back(std::move(g));
+                         });
     } else {
       store.ForEachGroup(group_dims, [&](const CubeCoords& key,
                                          const MomentsSketch& sketch) {
@@ -124,35 +196,8 @@ std::vector<Group> CollectGroups(const CubeStore& store,
       });
     }
   }
-  for (Group& g : groups) FillSimilarityFeatures(&g);
-  // Similarity order: identical-moment groups land adjacent (same chain,
-  // so the cache absorbs them), near-identical ones neighbor each other
-  // for warm starts. A plain lexicographic (m1, m2) sort jumps in m2 at
-  // every m1 step; snaking through coarse m1 buckets keeps *both*
-  // coordinates slowly varying along a chain, which is what the solver's
-  // warm gate rewards. Key as final tiebreak makes it a strict total
-  // order, so the result does not depend on the collection order. The
-  // sort permutes indexes; each group moves once, into its place.
-  auto bucket = [](double m1) {
-    return static_cast<int>(std::floor((m1 + 1.0) / 0.02));
-  };
-  std::vector<uint32_t> order(groups.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t ia, uint32_t ib) {
-    const Group& a = groups[ia];
-    const Group& b = groups[ib];
-    if (a.log_usable != b.log_usable) return a.log_usable < b.log_usable;
-    const int ba = bucket(a.m1), bb = bucket(b.m1);
-    if (ba != bb) return ba < bb;
-    const bool reverse = (ba & 1) != 0;  // snake direction
-    if (a.m2 != b.m2) return reverse ? a.m2 > b.m2 : a.m2 < b.m2;
-    if (a.m1 != b.m1) return a.m1 < b.m1;
-    return a.key < b.key;
-  });
-  std::vector<Group> sorted;
-  sorted.reserve(groups.size());
-  for (uint32_t i : order) sorted.push_back(std::move(groups[i]));
-  return sorted;
+  SimilarityOrder(&groups);
+  return groups;
 }
 
 // One shard's warm chain over its slice of the similarity order. Solve
@@ -205,7 +250,7 @@ class ChainSolver {
 
 // Shards the similarity-ordered groups and runs `process(index, solver,
 // shard_stats, shard)` for each group index; merges per-shard stats into
-// *stats and publishes them.
+// *stats. The caller sets `groups` and publishes.
 template <typename ProcessFn>
 void RunChains(size_t num_groups, const BatchOptions& options,
                BatchStats* stats, const ProcessFn& process) {
@@ -226,9 +271,7 @@ void RunChains(size_t num_groups, const BatchOptions& options,
                      process(i, &solver, &st, shard);
                    }
                  });
-  stats->groups = num_groups;
   for (const BatchStats& st : shard_stats) stats->MergeFrom(st);
-  PublishBatchStats(*stats);
 }
 
 // The filter selecting one group's cells.
@@ -282,6 +325,8 @@ std::vector<GroupQuantiles> GroupByQuantiles(
             [](const GroupQuantiles& a, const GroupQuantiles& b) {
               return a.key < b.key;
             });
+  local_stats.groups = groups.size();
+  PublishBatchStats(local_stats);
   if (stats != nullptr) *stats = local_stats;
   return out;
 }
@@ -289,36 +334,93 @@ std::vector<GroupQuantiles> GroupByQuantiles(
 std::vector<GroupThreshold> GroupByThreshold(
     const CubeStore& store, const std::vector<size_t>& group_dims,
     double phi, double t, const BatchOptions& options, BatchStats* stats) {
-  std::vector<Group> groups = CollectGroups(store, group_dims);
-  std::vector<GroupThreshold> out(groups.size());
+  CheckGroupDims(store, group_dims);
+  const size_t width = group_dims.size();
+  const bool rollup = RollupBacked(store, group_dims);
+  // Every group's key and exact count, min and max. A rollup-backed
+  // GROUP BY reads them off each value's sketch (keys and ranges only;
+  // the sketches are kept aside); otherwise the store's partition step
+  // provides them without reading a moment sum.
+  GroupPartition part(width);
+  std::vector<MomentsSketch> rollup_sketches;
+  std::vector<uint8_t> exceeds;  // per group id
+  std::vector<Group> groups;     // the groups the range stage leaves open
   BatchStats local_stats;
+  {
+    obs::Span span("query.group_merge");
+    if (rollup) {
+      ForEachRollupGroup(store, group_dims[0],
+                         [&](uint32_t value, MomentsSketch sketch) {
+                           bool created = false;
+                           part.keys.FindOrInsert(&value, &created);
+                           part.ranges.push_back(
+                               {sketch.count(), sketch.min(), sketch.max(), 0});
+                           rollup_sketches.push_back(std::move(sketch));
+                         });
+    } else {
+      part = store.PartitionGroups(group_dims);
+    }
+    // The cascade's range stage decides every group it can from its
+    // range alone; only the open groups get a sketch.
+    const size_t num_groups = part.num_groups();
+    exceeds.assign(num_groups, 0);
+    std::vector<uint32_t> open;
+    for (uint32_t g = 0; g < num_groups; ++g) {
+      const GroupRange& r = part.ranges[g];
+      switch (ThresholdCascade::RangeStage(options.cascade, r.count, r.min,
+                                           r.max, t)) {
+        case ThresholdCascade::Decision::kTrue:
+          exceeds[g] = 1;
+          break;
+        case ThresholdCascade::Decision::kFalse:
+          break;
+        case ThresholdCascade::Decision::kUnresolved:
+          open.push_back(g);
+          break;
+      }
+    }
+    local_stats.groups = num_groups;
+    local_stats.cascade.total = num_groups - open.size();
+    local_stats.cascade.resolved_simple = num_groups - open.size();
+    groups.resize(open.size());
+    for (size_t j = 0; j < open.size(); ++j) {
+      const uint32_t* key = part.keys.Key(open[j]);
+      groups[j].key.assign(key, key + width);
+      groups[j].id = open[j];
+      if (rollup) groups[j].sketch = std::move(rollup_sketches[open[j]]);
+    }
+    if (!rollup) {
+      store.ReduceGroups(part, open,
+                         [&](size_t j, const MomentsSketch& sketch) {
+                           groups[j].sketch = sketch;
+                         });
+    }
+  }
+  SimilarityOrder(&groups);
   // One bounds cascade per shard; stats merge afterwards. The cascade's
   // own maxent stage is bypassed — unresolved groups route through the
-  // shard's chain solver, so they share its cache and warm chain.
+  // shard's chain solver, so they share its cache and warm chain. Shards
+  // write disjoint entries of `exceeds`.
   std::vector<ThresholdCascade> cascades(
       static_cast<size_t>(std::max(1, options.threads)),
       ThresholdCascade(options.cascade));
   RunChains(groups.size(), options, &local_stats,
             [&](size_t i, ChainSolver* solver, BatchStats* st, int shard) {
               const Group& g = groups[i];
-              GroupThreshold& r = out[i];
-              r.key = g.key;
-              r.count = g.sketch.count();
               ThresholdCascade& cascade = cascades[shard];
               RankBounds bounds;
               switch (cascade.CheckBounds(g.sketch, phi, t, &bounds)) {
                 case ThresholdCascade::Decision::kTrue:
-                  r.exceeds = true;
+                  exceeds[g.id] = 1;
                   return;
                 case ThresholdCascade::Decision::kFalse:
-                  r.exceeds = false;
                   return;
                 case ThresholdCascade::Decision::kUnresolved:
                   break;
               }
               const ChainSolver::DistResult dist = solver->Solve(g.sketch);
               ThresholdCascade::MaxEntResolution resolution;
-              r.exceeds = cascade.DecideWithDistribution(
+              exceeds[g.id] = cascade.DecideWithDistribution(
                   dist.ok() ? dist.value().get() : nullptr, g.sketch, phi, t,
                   bounds, &resolution);
               if (resolution == ThresholdCascade::MaxEntResolution::kAtomic) {
@@ -331,10 +433,32 @@ std::vector<GroupThreshold> GroupByThreshold(
   for (const ThresholdCascade& c : cascades) {
     local_stats.cascade.MergeFrom(c.stats());
   }
-  std::sort(out.begin(), out.end(),
-            [](const GroupThreshold& a, const GroupThreshold& b) {
-              return a.key < b.key;
-            });
+  // Ascending key order through a permutation over the packed keys. Each
+  // key is built once: an open group hands over the one it carries.
+  const size_t num_groups = part.num_groups();
+  std::vector<uint32_t> order(num_groups);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    const uint32_t* ka = part.keys.Key(a);
+    const uint32_t* kb = part.keys.Key(b);
+    return std::lexicographical_compare(ka, ka + width, kb, kb + width);
+  });
+  constexpr uint32_t kDecided = ~0u;
+  std::vector<uint32_t> slot(num_groups, kDecided);
+  for (uint32_t j = 0; j < groups.size(); ++j) slot[groups[j].id] = j;
+  std::vector<GroupThreshold> out(num_groups);
+  for (size_t i = 0; i < num_groups; ++i) {
+    const uint32_t g = order[i];
+    GroupThreshold& r = out[i];
+    if (slot[g] != kDecided) {
+      r.key = std::move(groups[slot[g]].key);
+    } else {
+      r.key.assign(part.keys.Key(g), part.keys.Key(g) + width);
+    }
+    r.count = part.ranges[g].count;
+    r.exceeds = exceeds[g] != 0;
+  }
+  PublishBatchStats(local_stats);
   if (stats != nullptr) *stats = local_stats;
   return out;
 }
@@ -376,6 +500,8 @@ std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
   std::sort(out.begin(), out.end(),
             [](const GroupQuantilesCertified& a,
                const GroupQuantilesCertified& b) { return a.key < b.key; });
+  batch_stats.groups = n;
+  PublishBatchStats(batch_stats);
   router_stats.solve.MergeFrom(batch_stats.solve);
   router_stats.cache_hits += batch_stats.cache_hits;
   PublishRouterStats(router_stats);

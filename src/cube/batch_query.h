@@ -15,7 +15,9 @@
 //      order puts duplicates back-to-back, so each hits the entry its
 //      predecessor's solve inserted);
 //   3. threshold queries run the cascade's bound stages first, so most
-//      groups never reach the solver at all (Section 5.2);
+//      groups never reach the solver at all (Section 5.2), and decide
+//      each group they can from its exact range before any moment sum
+//      is built, so most groups are never merged either;
 //   4. certified GROUP BY runs the summary router's pre-solve stage per
 //      group first (certificates, point masses, the Hankel pre-screen
 //      to KLL), so only groups that need a solve reach the chain; the
@@ -137,6 +139,20 @@ std::vector<GroupQuantilesCertified> GroupByQuantilesCertified(
     const CubeStore& store, const std::vector<size_t>& group_dims,
     const std::vector<double>& phis, const RouterOptions& options = {},
     RouterStats* stats = nullptr);
+/// Threshold GROUP BY: per group, "is the phi-quantile above t?", by the
+/// cascade of core/cascade.h. Late materialisation: the store's
+/// partition step gives every group's key and exact count, min and max,
+/// and the range stage (ThresholdCascade::RangeStage) decides each group
+/// whose range excludes t from those alone. Only the groups it leaves
+/// open get a sketch (ReduceGroups; a fresh rollup's single-dimension
+/// groups come from one planned query per value instead), features, a
+/// place in the similarity order, Markov/RTT bounds and, when those do
+/// not decide, a warm-chain solve. With threads > 1 only the open groups
+/// are sharded. `stats` counts every group: `groups` and
+/// `cascade.total` include the range-decided ones, which count as
+/// `cascade.resolved_simple`. Results are in ascending key order; with
+/// threads == 1 the decisions and stats equal a run that merged every
+/// group first.
 std::vector<GroupThreshold> GroupByThreshold(const CubeStore& store,
                                              const std::vector<size_t>& group_dims,
                                              double phi, double t,

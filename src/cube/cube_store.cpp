@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/macros.h"
 
@@ -42,6 +43,19 @@ constexpr double kMaxCancellationBits = 12.0;
 // on hepmass and gauss; 4-core x86 container). Above the cap the merge
 // keeps its O(k log n) size.
 constexpr uint64_t kLosslessRowsPerK = 32;
+
+// Adds each cell's src value into its accumulator row, in ascending
+// cell id: with `cells` null, cell c of [0, len) into dst[rows[c]];
+// otherwise cell cells[j] into dst[rows[j]] for j in [0, len).
+template <typename T>
+void ReduceColumn(const T* src, const uint32_t* rows, const uint32_t* cells,
+                  size_t len, T* dst) {
+  if (cells == nullptr) {
+    for (size_t c = 0; c < len; ++c) dst[rows[c]] += src[c];
+  } else {
+    for (size_t j = 0; j < len; ++j) dst[rows[j]] += src[cells[j]];
+  }
+}
 
 }  // namespace
 
@@ -641,61 +655,137 @@ void CubeStore::ForEachGroup(
     const std::vector<size_t>& group_dims,
     const std::function<void(const CubeCoords&, const MomentsSketch&)>& fn)
     const {
+  const GroupPartition partition = PartitionGroups(group_dims);
+  std::vector<uint32_t> every_group(partition.num_groups());
+  std::iota(every_group.begin(), every_group.end(), 0u);
+  const size_t width = group_dims.size();
+  CubeCoords key;
+  ReduceGroups(partition, every_group,
+               [&](size_t g, const MomentsSketch& sketch) {
+                 const uint32_t* packed =
+                     partition.keys.Key(static_cast<uint32_t>(g));
+                 key.assign(packed, packed + width);
+                 fn(key, sketch);
+               });
+}
+
+GroupPartition CubeStore::PartitionGroups(
+    const std::vector<size_t>& group_dims) const {
   for (size_t d : group_dims) {
     MSKETCH_CHECK_MSG(d < num_dims_,
-                      "ForEachGroup: group dimension out of range");
+                      "GROUP BY: group dimension out of range");
   }
   const size_t n = coords_.size();
   const size_t width = group_dims.size();
-  // Pass 1: a dense group id per cell, groups numbered in first-seen
-  // (ascending first cell id) order.
-  TupleIndex groups(width);
+  // Built in locals and moved into the partition at the end, so the
+  // compiler can keep the index's state in registers across the stores.
+  TupleIndex index(width);
   std::vector<uint32_t> group_of(n);
+  std::vector<GroupRange> ranges;
+  // Each group's range starts in a fresh sketch's state and folds its
+  // cells in ascending id, as the sketch's own min/max would.
+  const MomentsSketch empty(k_);
+  const GroupRange fresh{0, empty.min(), empty.max(), 0};
   std::vector<uint32_t> key(width);
   for (uint32_t id = 0; id < n; ++id) {
     const uint32_t* coords = cell_index_.Key(id);
     for (size_t g = 0; g < width; ++g) key[g] = coords[group_dims[g]];
     bool created = false;
-    group_of[id] = groups.FindOrInsert(key.data(), &created);
+    const uint32_t g = index.FindOrInsert(key.data(), &created);
+    if (created) ranges.push_back(fresh);
+    group_of[id] = g;
+    GroupRange& r = ranges[g];
+    r.count += counts_[id];
+    r.min = std::min(r.min, mins_[id]);
+    r.max = std::max(r.max, maxs_[id]);
+    ++r.num_cells;
   }
-  // Pass 2: one column at a time into per-group accumulators that start
-  // in a fresh sketch's state, ascending cell id within each column — the
-  // addition sequence of per-cell MergeFlat calls into a fresh sketch, so
-  // each group's sums are bit-identical to it.
-  const size_t num_groups = groups.size();
+  GroupPartition p(width);
+  p.keys = std::move(index);
+  p.group_of = std::move(group_of);
+  p.ranges = std::move(ranges);
+  return p;
+}
+
+void CubeStore::ReduceGroups(
+    const GroupPartition& partition, const std::vector<uint32_t>& groups,
+    const std::function<void(size_t, const MomentsSketch&)>& fn) const {
+  const size_t n = partition.group_of.size();
+  MSKETCH_CHECK_MSG(n == coords_.size(),
+                    "ReduceGroups: partition of another store state");
+  const size_t num_groups = partition.num_groups();
+  const size_t m = groups.size();
+  for (size_t j = 0; j < m; ++j) {
+    MSKETCH_CHECK_MSG(
+        groups[j] < num_groups && (j == 0 || groups[j - 1] < groups[j]),
+        "ReduceGroups: group ids must be strictly ascending");
+  }
+  // Listed group j accumulates in row j. When every group is listed,
+  // groups[j] == j, so the partition's group ids are the rows.
+  const uint32_t* rows = partition.group_of.data();
+  const uint32_t* cells = nullptr;  // null: every cell, in id order
+  size_t len = n;
+  size_t num_rows = m;
+  std::vector<uint32_t> row_buf, cell_buf;
+  if (m < num_groups) {
+    // Unlisted groups map to the discard row m.
+    std::vector<uint32_t> row_of(num_groups, static_cast<uint32_t>(m));
+    size_t listed_cells = 0;
+    for (size_t j = 0; j < m; ++j) {
+      row_of[groups[j]] = static_cast<uint32_t>(j);
+      listed_cells += partition.ranges[groups[j]].num_cells;
+    }
+    if (2 * listed_cells >= n) {
+      // Direct: visit every cell; unlisted cells add into the discard
+      // row, so the column loops stay unit-stride over the sources.
+      row_buf.resize(n);
+      for (size_t c = 0; c < n; ++c) {
+        row_buf[c] = row_of[partition.group_of[c]];
+      }
+      num_rows = m + 1;
+    } else {
+      // Gather: the listed groups' cells only, still in ascending id.
+      row_buf.reserve(listed_cells);
+      cell_buf.reserve(listed_cells);
+      for (uint32_t c = 0; c < n; ++c) {
+        const uint32_t r = row_of[partition.group_of[c]];
+        if (r == m) continue;
+        cell_buf.push_back(c);
+        row_buf.push_back(r);
+      }
+      cells = cell_buf.data();
+      len = listed_cells;
+    }
+    rows = row_buf.data();
+  }
+  // One column at a time into accumulators that start in a fresh
+  // sketch's state, ascending cell id within each column: the addition
+  // sequence of per-cell MergeFlat calls into a fresh sketch.
   MomentSlab acc(k_);
-  acc.AppendEmpty(num_groups);
+  acc.AppendEmpty(num_rows);
   const MutableFlatMomentColumns out = acc.MutableColumns();
-  const uint32_t* gid = group_of.data();
   for (int i = 0; i < k_; ++i) {
-    const double* src = power_ptrs_[i];
-    double* dst = out.power_sums[i];
-    for (size_t c = 0; c < n; ++c) dst[gid[c]] += src[c];
+    ReduceColumn(power_ptrs_[i], rows, cells, len, out.power_sums[i]);
   }
   for (int i = 0; i < k_; ++i) {
-    const double* src = log_ptrs_[i];
-    double* dst = out.log_sums[i];
-    for (size_t c = 0; c < n; ++c) dst[gid[c]] += src[c];
+    ReduceColumn(log_ptrs_[i], rows, cells, len, out.log_sums[i]);
   }
-  for (size_t c = 0; c < n; ++c) out.counts[gid[c]] += counts_[c];
-  for (size_t c = 0; c < n; ++c) out.log_counts[gid[c]] += log_counts_[c];
-  for (size_t c = 0; c < n; ++c) {
-    out.mins[gid[c]] = std::min(out.mins[gid[c]], mins_[c]);
+  ReduceColumn(log_counts_.data(), rows, cells, len, out.log_counts);
+  for (size_t j = 0; j < m; ++j) {
+    const GroupRange& r = partition.ranges[groups[j]];
+    out.counts[j] = r.count;
+    out.mins[j] = r.min;
+    out.maxs[j] = r.max;
   }
-  for (size_t c = 0; c < n; ++c) {
-    out.maxs[gid[c]] = std::max(out.maxs[gid[c]], maxs_[c]);
-  }
-  // Each group's sketch is its accumulator folded into a fresh sketch
-  // (0.0 + sum keeps every sum's bits).
+  // Each group's sketch is its row folded into a fresh sketch (0.0 + sum
+  // keeps every sum's bits).
   const FlatMomentColumns sums = acc.Columns();
   const MomentsSketch empty(k_);
   MomentsSketch sketch(k_);
-  CubeCoords group_key;
-  for (uint32_t g = 0; g < num_groups; ++g) {
-    group_key.assign(groups.Key(g), groups.Key(g) + width);
+  for (uint32_t j = 0; j < m; ++j) {
     sketch = empty;
-    MSKETCH_CHECK(sketch.MergeFlat(sums, &g, 1).ok());
-    fn(group_key, sketch);
+    MSKETCH_CHECK(sketch.MergeFlat(sums, &j, 1).ok());
+    fn(j, sketch);
   }
 }
 

@@ -66,6 +66,36 @@ enum class QueryPlan : uint8_t {
 };
 const char* QueryPlanName(QueryPlan plan);
 
+/// One group's exact count, min and max, folded over its cells in
+/// ascending cell id from a fresh sketch's state, so each equals the
+/// group sketch's count(), min() and max() bit for bit; and the number
+/// of cells folded. One struct per group, so folding a cell touches one
+/// cache line.
+struct GroupRange {
+  uint64_t count = 0;
+  double min = 0.0;
+  double max = 0.0;
+  uint32_t num_cells = 0;
+};
+
+/// A GROUP BY's partition of a store's cells (CubeStore::PartitionGroups):
+/// a dense group id per cell, and each group's key and range. Valid for
+/// the store state it was built from; any mutation of the store
+/// invalidates it.
+struct GroupPartition {
+  explicit GroupPartition(size_t width) : keys(width) {}
+
+  /// Group id -> the group dimensions' values (keys.Key(g)); ids are
+  /// dense, in first-seen (ascending first cell id) order.
+  TupleIndex keys;
+  /// Cell id -> group id.
+  std::vector<uint32_t> group_of;
+  /// Group id -> range.
+  std::vector<GroupRange> ranges;
+
+  size_t num_groups() const { return ranges.size(); }
+};
+
 /// Cumulative per-plan query counts (relaxed atomics: const queries may
 /// run concurrently; the counters are diagnostics, not synchronization).
 struct PlanCounters {
@@ -211,13 +241,32 @@ class CubeStore {
   /// come in first-seen order: ascending by their first cell id. Each
   /// group's sketch sums its cells in ascending cell id, so it is
   /// bit-identical to MergeFlat-ing the group's cells one at a time, in
-  /// id order, into a fresh sketch. Two passes: one tuple-index probe
-  /// per cell gives it a dense group id, then each moment column reduces
-  /// into per-group accumulators. A dimension >= num_dims() aborts.
+  /// id order, into a fresh sketch. PartitionGroups, then ReduceGroups
+  /// over every group. A dimension >= num_dims() aborts.
   void ForEachGroup(
       const std::vector<size_t>& group_dims,
       const std::function<void(const CubeCoords&, const MomentsSketch&)>& fn)
       const;
+
+  /// The partition step of a GROUP BY: one tuple-index probe per cell
+  /// gives it a dense group id, and the same pass folds the cell's
+  /// count, min and max into its group's (see GroupPartition). No moment
+  /// sum is read. A dimension >= num_dims() aborts.
+  GroupPartition PartitionGroups(const std::vector<size_t>& group_dims) const;
+
+  /// The reduce step: builds the merged sketch of each group listed in
+  /// `groups` (ids of `partition`, strictly ascending) and hands it to
+  /// `fn` with its index in `groups`. Each moment column reduces into
+  /// one accumulator per listed group in ascending cell id, so every
+  /// sketch is bit-identical to ForEachGroup's; counts, mins and maxs
+  /// are copied from the partition. The kernel follows the listed
+  /// groups' share of the cells: at least half, and every cell is
+  /// visited, the cells of unlisted groups adding into one discard row;
+  /// less, and only the listed groups' cells are gathered. `partition`
+  /// must come from this store in its current state.
+  void ReduceGroups(
+      const GroupPartition& partition, const std::vector<uint32_t>& groups,
+      const std::function<void(size_t, const MomentsSketch&)>& fn) const;
 
   /// Reconstructs one cell's sketch from the columns.
   MomentsSketch CellSketch(uint32_t cell_id) const;

@@ -1,7 +1,7 @@
 // Dense ids for fixed-width tuples of u32 values: a flat open-addressing
 // index, used as CubeStore's cell directory (one tuple per cell, keyed
 // by its coordinates) and as the per-call group index of
-// CubeStore::ForEachGroup (keyed by the group dimensions' values).
+// CubeStore::PartitionGroups (keyed by the group dimensions' values).
 //
 // Layout. The tuples are packed `width` u32s each, in id order, and ids
 // are handed out 0, 1, 2, ... in insertion order. A power-of-two slot

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "core/solver_cache.h"
 #include "cube/data_cube.h"
 #include "datasets/datasets.h"
+#include "numerics/stats.h"
 
 namespace msketch {
 namespace {
@@ -380,32 +383,120 @@ TEST(BatchQueryTest, AtomicRefusalsCountOncePerGroup) {
   }
 }
 
+// GroupByThreshold against a per-group ThresholdCascade::Threshold over
+// each group's sketch, over milan and lognormal cubes, four groupings
+// (plus the rollup-backed single-dimension path), thresholds below every
+// min, above every max, exactly at one group's min and at its max (the
+// range checks are strict, so that group stays open) and at the global
+// p90/p99, and one and four threads. The chain runs cold and uncached,
+// so its maxent stage decides as the per-group solve does: decisions,
+// every CascadeStats field and BatchStats::groups must equal the
+// reference's, and the range stage must decide exactly the groups whose
+// range excludes t.
 TEST(BatchQueryTest, GroupByThresholdMatchesPerGroupCascade) {
-  const auto cube = BuildGroupedCube(30, 400);
-  const double phi = 0.7;
-  // Pick a threshold inside the data range so some groups reach maxent.
-  auto global = cube.MergeAll();
-  auto t_result = global.EstimateQuantile(0.9);
-  ASSERT_TRUE(t_result.ok());
-  const double t = t_result.value();
-
-  BatchOptions options;
-  options.use_warm_start = false;  // exact parity with the plain cascade
-  options.use_cache = false;
-  BatchStats stats;
-  auto batched = cube.GroupByThreshold({0}, phi, t, options, &stats);
-  ASSERT_EQ(batched.size(), 30u);
-  EXPECT_EQ(stats.cascade.total, 30u);
-
-  for (const auto& r : batched) {
-    MomentsSketch group(10);
-    cube.store().ForEachGroup({0}, [&](const CubeCoords& key,
-                                       const MomentsSketch& sketch) {
-      if (key == r.key) group = sketch;
-    });
-    ThresholdCascade reference;
-    EXPECT_EQ(r.exceeds, reference.Threshold(group, phi, t))
-        << "group " << r.key[0];
+  constexpr size_t kRows = 24000;
+  constexpr double kPhi = 0.9;
+  Rng value_rng(0x7E57);
+  std::vector<double> lognormal(kRows);
+  for (double& v : lognormal) v = value_rng.NextLognormal(1.0, 0.8);
+  const std::vector<std::pair<const char*, std::vector<double>>> datasets = {
+      {"milan", GenerateDataset(DatasetId::kMilan, kRows)},
+      {"lognormal", lognormal}};
+  struct Grouping {
+    std::vector<size_t> dims;
+    bool rollup;
+  };
+  const std::vector<Grouping> groupings = {{{0}, false},   {{1, 0}, false},
+                                           {{0, 2}, false}, {{0, 1, 2}, false},
+                                           {{0}, true}};
+  for (const auto& [name, rows] : datasets) {
+    DataCube<MomentsSummary> cube(3, MomentsSummary(10));
+    Rng rng(0x7E58);
+    for (double v : rows) {
+      cube.Ingest({static_cast<uint32_t>(rng.NextBelow(8)),
+                   static_cast<uint32_t>(rng.NextBelow(4)),
+                   static_cast<uint32_t>(rng.NextBelow(5))},
+                  v);
+    }
+    DataCube<MomentsSummary> rolled = cube;
+    rolled.BuildRollup();
+    ASSERT_TRUE(rolled.store().HasFreshRollup());
+    std::vector<double> sorted = rows;
+    std::sort(sorted.begin(), sorted.end());
+    for (const Grouping& grouping : groupings) {
+      const DataCube<MomentsSummary>& c = grouping.rollup ? rolled : cube;
+      // The sketch each group's cascade sees: the rollup path's planned
+      // query or ForEachGroup's merge.
+      std::map<CubeCoords, MomentsSketch> groups;
+      if (grouping.rollup) {
+        for (uint32_t v = 0; v < 8; ++v) {
+          CubeFilter filter(3, kAnyValue);
+          filter[0] = v;
+          groups.emplace(CubeCoords{v}, c.store().QueryWhere(filter));
+        }
+      } else {
+        c.store().ForEachGroup(grouping.dims, [&](const CubeCoords& key,
+                                                  const MomentsSketch& s) {
+          groups.emplace(key, s);
+        });
+      }
+      double lowest = groups.begin()->second.min();
+      double highest = groups.begin()->second.max();
+      for (const auto& [key, s] : groups) {
+        lowest = std::min(lowest, s.min());
+        highest = std::max(highest, s.max());
+      }
+      const MomentsSketch& middle =
+          std::next(groups.begin(), groups.size() / 2)->second;
+      const std::vector<double> thresholds = {
+          lowest - 1.0,
+          highest + 1.0,
+          middle.min(),
+          middle.max(),
+          QuantileOfSorted(sorted, 0.9),
+          QuantileOfSorted(sorted, 0.99)};
+      for (double t : thresholds) {
+        std::string where = std::string(name) + " dims";
+        for (size_t d : grouping.dims) where += " " + std::to_string(d);
+        if (grouping.rollup) where += " (rollup)";
+        where += " t=" + std::to_string(t);
+        SCOPED_TRACE(where);
+        ThresholdCascade reference;
+        std::vector<bool> expected;
+        uint64_t outside = 0;
+        for (const auto& [key, s] : groups) {
+          expected.push_back(reference.Threshold(s, kPhi, t));
+          if (s.count() == 0 || t > s.max() || t < s.min()) ++outside;
+        }
+        const CascadeStats& want = reference.stats();
+        EXPECT_EQ(want.resolved_simple, outside);
+        for (int threads : {1, 4}) {
+          SCOPED_TRACE("threads=" + std::to_string(threads));
+          BatchOptions options;
+          options.use_warm_start = false;
+          options.use_cache = false;
+          options.threads = threads;
+          BatchStats stats;
+          const std::vector<GroupThreshold> out =
+              c.GroupByThreshold(grouping.dims, kPhi, t, options, &stats);
+          ASSERT_EQ(out.size(), groups.size());
+          size_t i = 0;
+          for (const auto& [key, s] : groups) {
+            EXPECT_EQ(out[i].key, key);
+            EXPECT_EQ(out[i].count, s.count());
+            EXPECT_EQ(out[i].exceeds, expected[i]) << "group " << i;
+            ++i;
+          }
+          EXPECT_EQ(stats.groups, groups.size());
+          EXPECT_EQ(stats.cascade.total, want.total);
+          EXPECT_EQ(stats.cascade.resolved_simple, want.resolved_simple);
+          EXPECT_EQ(stats.cascade.resolved_markov, want.resolved_markov);
+          EXPECT_EQ(stats.cascade.resolved_rtt, want.resolved_rtt);
+          EXPECT_EQ(stats.cascade.resolved_maxent, want.resolved_maxent);
+          EXPECT_EQ(stats.cascade.maxent_memo_hits, want.maxent_memo_hits);
+        }
+      }
+    }
   }
 }
 

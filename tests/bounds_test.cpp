@@ -218,6 +218,59 @@ TEST(CascadeTest, SimpleRangeChecks) {
   EXPECT_EQ(cascade.stats().resolved_simple, 2u);
 }
 
+// The range stage's checks are strict: t equal to the min or the max
+// leaves the query open. An empty dataset is decided (false) even with
+// the range check off, since no bound stage could say more.
+TEST(CascadeTest, RangeStageIsStrictAndDecidesEmpty) {
+  using D = ThresholdCascade::Decision;
+  const CascadeOptions on;
+  EXPECT_EQ(ThresholdCascade::RangeStage(on, 10, 1.0, 5.0, 5.5), D::kFalse);
+  EXPECT_EQ(ThresholdCascade::RangeStage(on, 10, 1.0, 5.0, 0.5), D::kTrue);
+  EXPECT_EQ(ThresholdCascade::RangeStage(on, 10, 1.0, 5.0, 5.0),
+            D::kUnresolved);
+  EXPECT_EQ(ThresholdCascade::RangeStage(on, 10, 1.0, 5.0, 1.0),
+            D::kUnresolved);
+  EXPECT_EQ(ThresholdCascade::RangeStage(on, 0, 1.0, 5.0, 3.0), D::kFalse);
+  CascadeOptions off;
+  off.use_simple_check = false;
+  EXPECT_EQ(ThresholdCascade::RangeStage(off, 10, 1.0, 5.0, 9.0),
+            D::kUnresolved);
+  EXPECT_EQ(ThresholdCascade::RangeStage(off, 0, 1.0, 5.0, 3.0), D::kFalse);
+}
+
+// Every query is counted in exactly one stage, an empty sketch in the
+// range stage, so the stage counters add up to `total` under every
+// stage configuration.
+TEST(CascadeTest, StageCountersSumToTotal) {
+  auto data = GenerateDataset(DatasetId::kExponential, 5000);
+  MomentsSketch full(10);
+  for (double x : data) full.Accumulate(x);
+  std::sort(data.begin(), data.end());
+  const MomentsSketch empty(10);
+  for (const bool simple : {true, false}) {
+    for (const bool bounds : {true, false}) {
+      CascadeOptions opts;
+      opts.use_simple_check = simple;
+      opts.use_markov = bounds;
+      opts.use_rtt = bounds;
+      ThresholdCascade cascade(opts);
+      EXPECT_FALSE(cascade.Threshold(empty, 0.5, 1.0));
+      for (double phi : {0.1, 0.5, 0.99}) {
+        for (double t : {-1.0, QuantileOfSorted(data, phi), 100.0}) {
+          cascade.Threshold(full, phi, t);
+        }
+      }
+      const CascadeStats& st = cascade.stats();
+      EXPECT_EQ(st.total, 10u);
+      EXPECT_GE(st.resolved_simple, 1u);
+      EXPECT_EQ(st.resolved_simple + st.resolved_markov + st.resolved_rtt +
+                    st.resolved_maxent,
+                st.total)
+          << "simple=" << simple << " bounds=" << bounds;
+    }
+  }
+}
+
 TEST(CascadeTest, AgreesWithDirectMaxEntEstimate) {
   // Consistency property from Section 5.2: cascade decisions match
   // computing the maxent quantile up front.

@@ -927,6 +927,80 @@ TEST(CubeStoreTest, ForEachGroupBitIdenticalToPerCellMerge) {
   }
 }
 
+// ReduceGroups over subsets of a partition's groups: none, one, a
+// minority, a majority and all of them, so both the gather kernel
+// (listed groups hold under half the cells) and the direct kernel with
+// its discard row run. Each listed group's sketch must be byte-equal to
+// ForEachGroup's, come with its index in the list, and the partition's
+// ranges must equal the sketches'.
+TEST(CubeStoreTest, ReduceGroupsSubsetsMatchForEachGroup) {
+  constexpr size_t kRows = 20000;
+  Rng value_rng(2411);
+  std::vector<double> lognormal(kRows);
+  for (double& v : lognormal) v = value_rng.NextLognormal(0.0, 1.2) - 0.5;
+  const std::vector<std::pair<const char*, std::vector<double>>> datasets = {
+      {"milan", GenerateDataset(DatasetId::kMilan, kRows)},
+      {"lognormal", lognormal}};
+  const std::vector<std::vector<size_t>> dim_sets = {{0}, {0, 2}, {2, 1}};
+  for (const auto& [name, rows] : datasets) {
+    CubeStore store(3, 10);
+    Rng rng(2412);
+    for (double v : rows) {
+      store.Ingest({static_cast<uint32_t>(rng.NextBelow(9)),
+                    static_cast<uint32_t>(rng.NextBelow(5)),
+                    static_cast<uint32_t>(rng.NextBelow(4))},
+                   v);
+    }
+    for (const std::vector<size_t>& dims : dim_sets) {
+      SCOPED_TRACE(std::string(name) + " groups by " +
+                   std::to_string(dims.size()) + " dims");
+      std::vector<std::vector<uint8_t>> want;  // by group id
+      store.ForEachGroup(dims, [&](const CubeCoords&, const MomentsSketch& s) {
+        want.push_back(SketchBytes(s));
+      });
+      const GroupPartition part = store.PartitionGroups(dims);
+      const uint32_t num_groups = static_cast<uint32_t>(part.num_groups());
+      ASSERT_EQ(num_groups, want.size());
+      ASSERT_GE(num_groups, 9u);
+      // Subsets by the share of cells they hold.
+      std::vector<uint32_t> minority, majority, all;
+      size_t minority_cells = 0, majority_cells = 0;
+      for (uint32_t g = 0; g < num_groups; ++g) {
+        all.push_back(g);
+        if (g % 4 == 1) {
+          minority.push_back(g);
+          minority_cells += part.ranges[g].num_cells;
+        }
+        if (g % 4 != 1) {
+          majority.push_back(g);
+          majority_cells += part.ranges[g].num_cells;
+        }
+      }
+      ASSERT_LT(2 * minority_cells, store.num_cells());
+      ASSERT_GE(2 * majority_cells, store.num_cells());
+      ASSERT_LT(majority.size(), all.size());
+      for (const std::vector<uint32_t>& listed :
+           {std::vector<uint32_t>{}, std::vector<uint32_t>{num_groups / 2},
+            minority, majority, all}) {
+        SCOPED_TRACE("listing " + std::to_string(listed.size()) + " of " +
+                     std::to_string(num_groups));
+        size_t calls = 0;
+        store.ReduceGroups(part, listed,
+                           [&](size_t j, const MomentsSketch& s) {
+                             ASSERT_EQ(j, calls);
+                             ++calls;
+                             const uint32_t g = listed[j];
+                             EXPECT_EQ(SketchBytes(s), want[g]) << "group " << g;
+                             EXPECT_EQ(s.count(), part.ranges[g].count);
+                             EXPECT_EQ(s.min(), part.ranges[g].min);
+                             EXPECT_EQ(s.max(), part.ranges[g].max);
+                           });
+        EXPECT_EQ(calls, listed.size());
+      }
+    }
+  }
+}
+
 // The cell directory across growth, copies and moves: thousands of
 // cells whose coordinates agree in their low 16 bits, so the slots
 // double many times under keys that share low bits. Copy-constructed,

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "cube/batch_query.h"
+#include "cube/cube_store.h"
 #include "cube/summary_router.h"
 #include "ingest/streaming_cube.h"
 #include "obs/export.h"
@@ -440,6 +442,11 @@ TEST(ObsIntegrationTest, OneScrapeCoversEverySubsystem) {
           "msk_wal_epochs_logged_total"}) {
       EXPECT_NE(scrape.Find(family), nullptr) << family;
     }
+    for (const char* stage : {"range", "markov", "rtt", "maxent"}) {
+      EXPECT_NE(scrape.Find("msk_cascade_resolved_total", {{"stage", stage}}),
+                nullptr)
+          << stage;
+    }
     for (const char* shard : {"0", "1"}) {
       EXPECT_NE(scrape.Find("msk_ingest_shard_rows_appended_total",
                             {{"shard", shard}}),
@@ -471,6 +478,48 @@ TEST(ObsIntegrationTest, OneScrapeCoversEverySubsystem) {
   const Sample* width = after.Find("msk_router_interval_width");
   ASSERT_NE(width, nullptr);
   EXPECT_GE(width->hist.count, 1u);
+}
+
+// One threshold GROUP BY adds its cascade's stage counters to
+// msk_cascade_resolved_total, once per call: the per-stage deltas equal
+// the call's CascadeStats and add up to its groups.
+TEST(ObsIntegrationTest, CascadeStageCountersPublishOncePerCall) {
+  MSKETCH_REQUIRE_OBS();
+  CubeStore store(2, 10);
+  Rng rng(13);
+  for (int i = 0; i < 6000; ++i) {
+    store.Ingest({static_cast<uint32_t>(rng.NextBelow(40)),
+                  static_cast<uint32_t>(rng.NextBelow(3))},
+                 rng.NextLognormal(3.0, 0.7));
+  }
+  const char* const stages[] = {"range", "markov", "rtt", "maxent"};
+  auto read = [&] {
+    const MetricsSnapshot scrape = GlobalRegistry().Scrape();
+    std::vector<uint64_t> values;
+    for (const char* stage : stages) {
+      const Sample* s =
+          scrape.Find("msk_cascade_resolved_total", {{"stage", stage}});
+      values.push_back(s == nullptr ? 0 : s->counter_value);
+    }
+    return values;
+  };
+  const std::vector<uint64_t> before = read();
+  BatchStats stats;
+  (void)GroupByThreshold(store, {0, 1}, 0.9, 120.0, BatchOptions{}, &stats);
+  const std::vector<uint64_t> after = read();
+  ASSERT_EQ(stats.groups, 120u);
+  const uint64_t want[] = {stats.cascade.resolved_simple,
+                           stats.cascade.resolved_markov,
+                           stats.cascade.resolved_rtt,
+                           stats.cascade.resolved_maxent};
+  uint64_t sum = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(after[i] - before[i], want[i]) << stages[i];
+    sum += after[i] - before[i];
+  }
+  EXPECT_EQ(sum, stats.groups);
+  EXPECT_GT(want[0], 0u);
+  EXPECT_LT(want[0], stats.groups);
 }
 
 // A GROUP BY's group-merge step is its own span, one level below the
