@@ -23,14 +23,21 @@ class BytesWriter {
   void PutI64(int64_t v) { PutRaw(&v, sizeof(v)); }
   void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
   void PutDoubles(const std::vector<double>& vs) {
-    PutU32(static_cast<uint32_t>(vs.size()));
-    for (double v : vs) PutDouble(v);
+    PutDoubles(vs.data(), vs.size());
   }
+  /// A u32 count, then `n` doubles (PutDoubles' format).
+  void PutDoubles(const double* vs, size_t n) {
+    PutU32(static_cast<uint32_t>(n));
+    PutRaw(vs, n * sizeof(double));
+  }
+  /// `n` raw bytes, with no length prefix.
+  void PutBytes(const uint8_t* p, size_t n) { PutRaw(p, n); }
   void PutString(const std::string& s) {
     PutU32(static_cast<uint32_t>(s.size()));
     PutRaw(s.data(), s.size());
   }
 
+  void Reserve(size_t n) { buf_.reserve(n); }
   const std::vector<uint8_t>& bytes() const { return buf_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }
   /// Bytes written so far (checksum framing marks a section start here).
@@ -58,6 +65,8 @@ class BytesReader {
   Status GetI64(int64_t* out) { return GetRaw(out, sizeof(*out)); }
   Status GetDouble(double* out) { return GetRaw(out, sizeof(*out)); }
   Status GetDoubles(std::vector<double>* out);
+  /// Reads a PutDoubles array and appends it to `out`.
+  Status AppendDoubles(std::vector<double>* out);
   Status GetString(std::string* out);
 
   size_t remaining() const { return size_ - pos_; }

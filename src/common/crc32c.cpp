@@ -1,5 +1,14 @@
 #include "common/crc32c.h"
 
+#include <cstring>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <nmmintrin.h>
+#define MSKETCH_CRC32C_X86 1
+#else
+#define MSKETCH_CRC32C_X86 0
+#endif
+
 namespace msketch {
 namespace crc32c {
 
@@ -38,9 +47,61 @@ inline uint32_t LoadU32LE(const uint8_t* p) {
          (static_cast<uint32_t>(p[3]) << 24);
 }
 
+#if MSKETCH_CRC32C_X86
+// The crc32 instruction implements the same reflected Castagnoli CRC
+// step as the tables, on 1 or 8 bytes at a time.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t crc,
+                                                       const uint8_t* data,
+                                                       size_t n) {
+  uint32_t c = ~crc;
+  while (n > 0 && (reinterpret_cast<uintptr_t>(data) & 7) != 0) {
+    c = _mm_crc32_u8(c, *data++);
+    --n;
+  }
+#if defined(__x86_64__)
+  uint64_t c64 = c;
+  while (n >= 8) {
+    uint64_t word;
+    std::memcpy(&word, data, sizeof(word));
+    c64 = _mm_crc32_u64(c64, word);
+    data += 8;
+    n -= 8;
+  }
+  c = static_cast<uint32_t>(c64);
+#endif
+  while (n > 0) {
+    c = _mm_crc32_u8(c, *data++);
+    --n;
+  }
+  return ~c;
+}
+#endif
+
+using ExtendFn = uint32_t (*)(uint32_t, const uint8_t*, size_t);
+
+ExtendFn ChooseExtend() {
+#if MSKETCH_CRC32C_X86
+  if (__builtin_cpu_supports("sse4.2")) return ExtendSse42;
+#endif
+  return ExtendPortable;
+}
+
+// Chosen on first use (a function-local static, so a checksum taken
+// during another object's static initialization still finds it).
+ExtendFn Chosen() {
+  static const ExtendFn fn = ChooseExtend();
+  return fn;
+}
+
 }  // namespace
 
+bool HardwareAccelerated() { return Chosen() != ExtendPortable; }
+
 uint32_t Extend(uint32_t crc, const uint8_t* data, size_t n) {
+  return Chosen()(crc, data, n);
+}
+
+uint32_t ExtendPortable(uint32_t crc, const uint8_t* data, size_t n) {
   const Tables& tb = tables();
   uint32_t c = ~crc;
   // Byte-at-a-time until 8-byte alignment is cheap to exploit.

@@ -1,10 +1,13 @@
 // CRC32C (Castagnoli) checksums for the persistence layer's WAL records
 // and checkpoint files.
 //
-// Software slicing-by-8 implementation: no SSE4.2 dependency, ~1 byte per
-// cycle — plenty for an fsync-bound log. The Mask/Unmask pair follows the
-// LevelDB/RocksDB convention: a stored CRC is masked so that computing
-// the CRC of a byte stream that itself embeds CRCs does not degenerate.
+// Extend picks its kernel once per process: the SSE4.2 crc32 instruction
+// (8 bytes per step) on x86 hosts that have it, and otherwise a portable
+// slicing-by-8 table kernel (~2 GB/s). Both compute the same function,
+// so stored checksums do not depend on the host. The Mask/Unmask pair
+// follows the LevelDB/RocksDB convention: a stored CRC is masked so that
+// computing the CRC of a byte stream that itself embeds CRCs does not
+// degenerate.
 #ifndef MSKETCH_COMMON_CRC32C_H_
 #define MSKETCH_COMMON_CRC32C_H_
 
@@ -17,6 +20,13 @@ namespace crc32c {
 /// Extends `crc` (the running checksum of bytes seen so far, 0 for none)
 /// with `data[0, n)`.
 uint32_t Extend(uint32_t crc, const uint8_t* data, size_t n);
+
+/// Extend through the portable table kernel, whatever the host (tests
+/// compare it against Extend).
+uint32_t ExtendPortable(uint32_t crc, const uint8_t* data, size_t n);
+
+/// True when Extend runs the SSE4.2 crc32 instruction.
+bool HardwareAccelerated();
 
 /// Checksum of `data[0, n)`.
 inline uint32_t Value(const uint8_t* data, size_t n) {

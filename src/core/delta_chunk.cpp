@@ -108,12 +108,10 @@ void DeltaChunk::Reset() {
   std::fill_n(mins_.data(), used_, kInf);
   std::fill_n(maxs_.data(), used_, -kInf);
   std::fill_n(pending_len_.data(), used_, uint32_t{0});
-  // Fresh sketches, not Reset(): the drain moves slots' KLLs out, and a
-  // moved-from sketch must come back with its full invariants (including
-  // a zeroed coin) so every chunk reuse is deterministic.
-  for (size_t s = 0; s < used_ && kll_k_ > 0; ++s) {
-    klls_[s] = KllSketch(kll_k_);
-  }
+  // Reset() gives each used sketch a fresh sketch's state (zeroed coin
+  // included), so every chunk reuse is deterministic; level 0 keeps its
+  // buffer.
+  for (size_t s = 0; s < used_ && kll_k_ > 0; ++s) klls_[s].Reset();
   used_ = 0;
   rows_ = 0;
   session_ = 0;

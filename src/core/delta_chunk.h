@@ -103,9 +103,9 @@ class DeltaChunk {
   void Reset();
 
   bool kll_enabled() const { return kll_k_ > 0; }
-  /// The slot's rank sketch (KLL must be enabled). Mutable so the drain
-  /// can move it out; Reset() restores the slot to a fresh sketch.
-  KllSketch& SlotKll(size_t slot) {
+  /// The slot's rank sketch (KLL must be enabled); Reset() returns it to
+  /// a fresh sketch's state.
+  const KllSketch& SlotKll(size_t slot) const {
     MSKETCH_DCHECK(kll_k_ > 0 && slot < used_);
     return klls_[slot];
   }

@@ -316,36 +316,84 @@ size_t MomentsSketch::SizeBytes() const {
          2 * sizeof(uint64_t) + sizeof(uint16_t);
 }
 
+SketchColumns::SketchColumns(const MomentsSketch& sketch) {
+  for (int i = 0; i < sketch.k_; ++i) {
+    power_[i] = &sketch.power_sums_[i];
+    logs_[i] = &sketch.log_sums_[i];
+  }
+  cols_.k = sketch.k_;
+  cols_.num_cells = 1;
+  cols_.power_sums = power_;
+  cols_.log_sums = logs_;
+  cols_.counts = &sketch.count_;
+  cols_.log_counts = &sketch.log_count_;
+  cols_.mins = &sketch.min_;
+  cols_.maxs = &sketch.max_;
+}
+
+void WriteMomentRow(const FlatMomentColumns& cols, size_t row,
+                    BytesWriter* out) {
+  out->PutU32(static_cast<uint32_t>(cols.k));
+  out->PutU64(cols.counts[row]);
+  out->PutU64(cols.log_counts[row]);
+  out->PutDouble(cols.mins[row]);
+  out->PutDouble(cols.maxs[row]);
+  for (int i = 0; i < cols.k; ++i) out->PutDouble(cols.power_sums[i][row]);
+  for (int i = 0; i < cols.k; ++i) out->PutDouble(cols.log_sums[i][row]);
+}
+
+Status ReadMomentOrder(BytesReader* in, int* k) {
+  uint32_t order = 0;
+  MSKETCH_RETURN_NOT_OK(in->GetU32(&order));
+  if (order < 1 || order > 64) {
+    return Status::Serialization("MomentsSketch: bad order k");
+  }
+  *k = static_cast<int>(order);
+  return Status::OK();
+}
+
+Status ReadMomentState(BytesReader* in, const MutableFlatMomentColumns& cols,
+                       size_t row) {
+  MSKETCH_RETURN_NOT_OK(in->GetU64(&cols.counts[row]));
+  MSKETCH_RETURN_NOT_OK(in->GetU64(&cols.log_counts[row]));
+  MSKETCH_RETURN_NOT_OK(in->GetDouble(&cols.mins[row]));
+  MSKETCH_RETURN_NOT_OK(in->GetDouble(&cols.maxs[row]));
+  for (int i = 0; i < cols.k; ++i) {
+    MSKETCH_RETURN_NOT_OK(in->GetDouble(&cols.power_sums[i][row]));
+  }
+  for (int i = 0; i < cols.k; ++i) {
+    MSKETCH_RETURN_NOT_OK(in->GetDouble(&cols.log_sums[i][row]));
+  }
+  if (cols.log_counts[row] > cols.counts[row]) {
+    return Status::Serialization("MomentsSketch: log_count > count");
+  }
+  return Status::OK();
+}
+
 void MomentsSketch::Serialize(BytesWriter* out) const {
-  out->PutU32(static_cast<uint32_t>(k_));
-  out->PutU64(count_);
-  out->PutU64(log_count_);
-  out->PutDouble(min_);
-  out->PutDouble(max_);
-  for (double v : power_sums_) out->PutDouble(v);
-  for (double v : log_sums_) out->PutDouble(v);
+  WriteMomentRow(SketchColumns(*this).cols(), 0, out);
 }
 
 Result<MomentsSketch> MomentsSketch::Deserialize(BytesReader* in) {
-  uint32_t k = 0;
-  MSKETCH_RETURN_NOT_OK(in->GetU32(&k));
-  if (k < 1 || k > 64) {
-    return Status::Serialization("MomentsSketch: bad order k");
+  int k = 0;
+  MSKETCH_RETURN_NOT_OK(ReadMomentOrder(in, &k));
+  MomentsSketch s(k);
+  double* power[64];
+  double* logs[64];
+  for (int i = 0; i < k; ++i) {
+    power[i] = &s.power_sums_[i];
+    logs[i] = &s.log_sums_[i];
   }
-  MomentsSketch s(static_cast<int>(k));
-  MSKETCH_RETURN_NOT_OK(in->GetU64(&s.count_));
-  MSKETCH_RETURN_NOT_OK(in->GetU64(&s.log_count_));
-  MSKETCH_RETURN_NOT_OK(in->GetDouble(&s.min_));
-  MSKETCH_RETURN_NOT_OK(in->GetDouble(&s.max_));
-  for (int i = 0; i < s.k_; ++i) {
-    MSKETCH_RETURN_NOT_OK(in->GetDouble(&s.power_sums_[i]));
-  }
-  for (int i = 0; i < s.k_; ++i) {
-    MSKETCH_RETURN_NOT_OK(in->GetDouble(&s.log_sums_[i]));
-  }
-  if (s.log_count_ > s.count_) {
-    return Status::Serialization("MomentsSketch: log_count > count");
-  }
+  MutableFlatMomentColumns cols;
+  cols.k = k;
+  cols.num_cells = 1;
+  cols.power_sums = power;
+  cols.log_sums = logs;
+  cols.counts = &s.count_;
+  cols.log_counts = &s.log_count_;
+  cols.mins = &s.min_;
+  cols.maxs = &s.max_;
+  MSKETCH_RETURN_NOT_OK(ReadMomentState(in, cols, 0));
   return s;
 }
 

@@ -51,6 +51,41 @@ struct MutableFlatMomentColumns {
   double* maxs = nullptr;
 };
 
+class MomentsSketch;
+
+/// One MomentsSketch as one-row FlatMomentColumns (row 0), for code
+/// written against columns. Borrows the sketch, which must outlive it
+/// and stay unchanged; not copyable (the view points into this object).
+class SketchColumns {
+ public:
+  explicit SketchColumns(const MomentsSketch& sketch);
+  SketchColumns(const SketchColumns&) = delete;
+  SketchColumns& operator=(const SketchColumns&) = delete;
+
+  const FlatMomentColumns& cols() const { return cols_; }
+
+ private:
+  const double* power_[64];
+  const double* logs_[64];
+  FlatMomentColumns cols_;
+};
+
+/// The serialized MomentsSketch format, one definition for every
+/// writer and reader (MomentsSketch::Serialize/Deserialize and the
+/// columnar epoch record): u32 k | u64 count | u64 log_count | f64 min |
+/// f64 max | k f64 power sums | k f64 log sums.
+///
+/// Writes row `row` of `cols` in that format.
+void WriteMomentRow(const FlatMomentColumns& cols, size_t row,
+                    BytesWriter* out);
+/// Reads the order k that opens a serialized sketch; rejects k outside
+/// [1, 64].
+Status ReadMomentOrder(BytesReader* in, int* k);
+/// Reads the rest of a serialized sketch of order `cols.k` (everything
+/// after k) into row `row` of `cols`; rejects log_count > count.
+Status ReadMomentState(BytesReader* in, const MutableFlatMomentColumns& cols,
+                       size_t row);
+
 class MomentsSketch {
  public:
   /// `k`: highest moment power tracked (the sketch order). The paper's
@@ -166,6 +201,8 @@ class MomentsSketch {
   bool IdenticalTo(const MomentsSketch& other) const;
 
  private:
+  friend class SketchColumns;
+
   /// Post-subtraction numeric hygiene: resets to exact zeros when the
   /// sketch emptied (count == 0 admits only the all-zero moment state),
   /// and clamps even-power sums — sums of x^(2i) and log^(2i), both

@@ -140,14 +140,14 @@ void CubeStore::OnCellMutated(uint32_t cell_id) {
   }
 }
 
-uint32_t CubeStore::FindOrCreateCell(const CubeCoords& coords) {
+uint32_t CubeStore::FindOrCreateCell(const uint32_t* coords) {
   bool created = false;
-  const uint32_t id = cell_index_.FindOrInsert(coords.data(), &created);
+  const uint32_t id = cell_index_.FindOrInsert(coords, &created);
   if (!created) {
     OnCellMutated(id);
     return id;
   }
-  coords_.push_back(coords);
+  coords_.emplace_back(coords, coords + num_dims_);
   for (auto& col : power_cols_) col.push_back(0.0);
   for (auto& col : log_cols_) col.push_back(0.0);
   counts_.push_back(0);
@@ -171,7 +171,7 @@ uint32_t CubeStore::FindOrCreateCell(const CubeCoords& coords) {
 uint32_t CubeStore::Ingest(const CubeCoords& coords, double value) {
   MSKETCH_DCHECK(coords.size() == num_dims_);
   MSKETCH_DCHECK(std::isfinite(value));
-  const uint32_t id = FindOrCreateCell(coords);
+  const uint32_t id = FindOrCreateCell(coords.data());
   // Same accumulation recurrence as MomentsSketch::Accumulate, applied to
   // the cell's column entries.
   mins_[id] = std::min(mins_[id], value);
@@ -211,8 +211,13 @@ Status CubeStore::ApplyKllDelta(const CubeCoords& coords,
   if (!kll_enabled_) {
     return Status::Unsupported("ApplyKllDelta: KLL column disabled");
   }
-  const DeltaRef cell{&coords, nullptr, &delta};
-  return ApplyDeltas(&cell, 1);
+  if (coords.size() != num_dims_) {
+    return Status::InvalidArgument("ApplyDeltas: wrong coordinate arity");
+  }
+  EpochDelta cell(num_dims_, k_);
+  const KllView view = delta.View();
+  cell.Append(coords.data(), MomentsSketch(k_), &view);
+  return ApplyDeltas(cell);
 }
 
 Result<KllSketch> CubeStore::MergeKllCells(const uint32_t* cell_ids,
@@ -262,91 +267,90 @@ Result<KllSketch> CubeStore::MergeKllWhere(const CubeFilter& filter,
 
 Status CubeStore::ApplyDelta(const CubeCoords& coords,
                              const MomentsSketch& delta) {
-  const DeltaRef cell{&coords, &delta, nullptr};
-  return ApplyDeltas(&cell, 1);
+  if (coords.size() != num_dims_) {
+    return Status::InvalidArgument("ApplyDeltas: wrong coordinate arity");
+  }
+  EpochDelta cell(num_dims_, delta.k());
+  cell.Append(coords.data(), delta, nullptr);
+  return ApplyDeltas(cell);
 }
 
-Status CubeStore::ApplyDeltas(const DeltaRef* cells, size_t n) {
+Status CubeStore::ApplyDeltas(const EpochDelta& delta) {
+  const size_t n = delta.size();
+  if (n == 0) return Status::OK();
   // 1. Validate the whole batch before touching the store.
+  if (delta.num_dims() != num_dims_) {
+    return Status::InvalidArgument("ApplyDeltas: wrong coordinate arity");
+  }
+  if (delta.k() != k_) {
+    return Status::InvalidArgument("ApplyDeltas: mismatched order k");
+  }
+  const FlatMomentColumns src = delta.Moments();
+  auto has_kll = [&](size_t j) {
+    const KllHeader* kll = delta.KllHeaderOf(j);
+    return kll_enabled_ && kll != nullptr && kll->n > 0;
+  };
   for (size_t j = 0; j < n; ++j) {
-    const DeltaRef& c = cells[j];
-    if (c.coords->size() != num_dims_) {
-      return Status::InvalidArgument("ApplyDeltas: wrong coordinate arity");
-    }
-    if (c.sketch != nullptr && c.sketch->k() != k_) {
-      return Status::InvalidArgument("ApplyDeltas: mismatched order k");
-    }
-    if (kll_enabled_ && c.kll != nullptr && c.kll->count() > 0 &&
-        c.kll->k() != kll_k_) {
+    if (has_kll(j) && delta.KllHeaderOf(j)->k != kll_k_) {
       return Status::InvalidArgument("ApplyDeltas: mismatched KLL k");
     }
   }
   // 2. Resolve (or create) each cell in batch order, so new cells get
   // the ids a one-at-a-time replay would give them.
-  std::vector<uint32_t> moment_ids;
-  std::vector<const MomentsSketch*> moments;
-  std::vector<uint32_t> kll_ids;
-  std::vector<const KllSketch*> klls;
+  std::vector<uint32_t> moment_ids, moment_rows, kll_ids, kll_rows;
   moment_ids.reserve(n);
-  moments.reserve(n);
-  if (kll_enabled_) {
-    kll_ids.reserve(n);
-    klls.reserve(n);
-  }
+  moment_rows.reserve(n);
   for (size_t j = 0; j < n; ++j) {
-    const DeltaRef& c = cells[j];
-    const bool has_moments = c.sketch != nullptr && c.sketch->count() > 0;
-    const bool has_kll =
-        kll_enabled_ && c.kll != nullptr && c.kll->count() > 0;
-    if (!has_moments && !has_kll) continue;
-    const uint32_t id = FindOrCreateCell(*c.coords);
-    if (has_moments) {
+    const bool moments = src.counts[j] > 0;
+    const bool kll = has_kll(j);
+    if (!moments && !kll) continue;
+    const uint32_t id = FindOrCreateCell(delta.Coords(j));
+    if (moments) {
       moment_ids.push_back(id);
-      moments.push_back(c.sketch);
+      moment_rows.push_back(static_cast<uint32_t>(j));
     }
-    if (has_kll) {
+    if (kll) {
       kll_ids.push_back(id);
-      klls.push_back(c.kll);
+      kll_rows.push_back(static_cast<uint32_t>(j));
     }
   }
   // 3. Moment sums one column at a time (a column stays cache-resident
   // while the batch scatters into it), batch order within each column.
-  const size_t m = moments.size();
+  const size_t m = moment_ids.size();
   for (int i = 0; i < k_; ++i) {
     double* col = power_cols_[i].data();
-    for (size_t j = 0; j < m; ++j) {
-      col[moment_ids[j]] += moments[j]->power_sums()[i];
-    }
+    const double* in = src.power_sums[i];
+    for (size_t j = 0; j < m; ++j) col[moment_ids[j]] += in[moment_rows[j]];
   }
   for (int i = 0; i < k_; ++i) {
     double* col = log_cols_[i].data();
-    for (size_t j = 0; j < m; ++j) {
-      col[moment_ids[j]] += moments[j]->log_sums()[i];
-    }
+    const double* in = src.log_sums[i];
+    for (size_t j = 0; j < m; ++j) col[moment_ids[j]] += in[moment_rows[j]];
   }
   for (size_t j = 0; j < m; ++j) {
     const uint32_t id = moment_ids[j];
-    const MomentsSketch& delta = *moments[j];
-    counts_[id] += delta.count();
-    log_counts_[id] += delta.log_count();
-    mins_[id] = std::min(mins_[id], delta.min());
-    maxs_[id] = std::max(maxs_[id], delta.max());
-    // power_sums()[0] is the same addition sequence the sums_ column saw
-    // per row, so the native-sum baseline stays consistent with the
+    const uint32_t row = moment_rows[j];
+    counts_[id] += src.counts[row];
+    log_counts_[id] += src.log_counts[row];
+    mins_[id] = std::min(mins_[id], src.mins[row]);
+    maxs_[id] = std::max(maxs_[id], src.maxs[row]);
+    // The first power sum is the same addition sequence the sums_ column
+    // saw per row, so the native-sum baseline stays consistent with the
     // sketch columns bit-for-bit.
-    sums_[id] += delta.power_sums()[0];
-    num_rows_ += delta.count();
+    sums_[id] += src.power_sums[0][row];
+    num_rows_ += src.counts[row];
   }
   // 4. KLL deltas in batch order.
-  for (size_t j = 0; j < klls.size(); ++j) {
+  for (size_t j = 0; j < kll_ids.size(); ++j) {
     KllSketch& cell = kll_cells_[kll_ids[j]];
+    const KllView view = delta.Kll(kll_rows[j]);
     if (cell.count() == 0) {
       // Wholesale adoption keeps checkpoint restore bit-exact (a merge
       // into an empty sketch would reset the compaction coin state).
-      cell = *klls[j];
+      cell = KllSketch::FromView(view);
     } else {
       // Cannot fail: k was validated above.
-      MSKETCH_CHECK(cell.Merge(*klls[j]).ok());
+      MSKETCH_CHECK(cell.Merge(view).ok());
     }
   }
   return Status::OK();

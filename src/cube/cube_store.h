@@ -51,6 +51,7 @@
 #include "core/moments_sketch.h"
 #include "cube/cube_types.h"
 #include "cube/dim_index.h"
+#include "cube/epoch_delta.h"
 #include "cube/rollup_index.h"
 #include "cube/tuple_index.h"
 #include "sketches/kll_sketch.h"
@@ -142,25 +143,27 @@ class CubeStore {
   /// so a built rollup reads as stale until RefreshRollup().
   uint32_t Ingest(const CubeCoords& coords, double value);
 
-  /// Folds a batch of per-cell deltas into the store — the one apply
-  /// path of the epoch publisher, the follower and WAL recovery. Each
-  /// cell carries a moments delta (`sketch`, may be null) and an
-  /// optional KLL delta (`kll`, ignored while the KLL column is
-  /// disabled). The batch is validated first (coordinate arity, moments
-  /// order k, KLL k), so a bad cell rejects it without applying any
-  /// cell. Then each cell with a non-empty delta is resolved, or
-  /// created with its postings, in batch order by one directory probe;
-  /// an existing cell is marked dirty for the next RefreshRollup. The
+  /// Folds an epoch's per-cell deltas into the store — the one apply
+  /// path of the epoch publisher, the follower, and WAL and checkpoint
+  /// recovery. Each cell carries a moments delta and an optional KLL
+  /// delta (ignored while the KLL column is disabled). The batch is
+  /// validated first (coordinate arity, moments order k, KLL k), so a
+  /// bad cell rejects it without applying any cell. Then each cell with
+  /// a non-empty delta is resolved from its packed key, or created with
+  /// its postings, in batch order by one directory probe (no coordinate
+  /// vector is built per cell); an existing cell is marked dirty for the
+  /// next RefreshRollup. The
   /// moment sums then land one column at a time, in batch order within
   /// each column: each slot gets one add per delta, counts add exactly,
   /// min/max widen to cover the delta, and the native-sum column grows
   /// by the delta's first power sum (the addition sequence Ingest
   /// applies per row). Last, the KLL deltas apply in batch order: an
   /// empty cell adopts its delta wholesale (bit-exact for checkpoint
-  /// restore), otherwise the delta merges in. Same-cell deltas apply in
+  /// restore, coin state included), otherwise the delta merges in
+  /// through KllSketch::Merge of its view. Same-cell deltas apply in
   /// batch order, so the result is bit-identical to applying the cells
   /// one at a time. Empty deltas are no-ops.
-  Status ApplyDeltas(const DeltaRef* cells, size_t n);
+  Status ApplyDeltas(const EpochDelta& delta);
 
   /// One-cell ApplyDeltas of a moments delta.
   Status ApplyDelta(const CubeCoords& coords, const MomentsSketch& delta);
@@ -368,7 +371,7 @@ class CubeStore {
   /// goes through OnColumnsChanged (push_backs may reallocate). Shared
   /// by Ingest and ApplyDeltas so the parallel columns can never
   /// diverge.
-  uint32_t FindOrCreateCell(const CubeCoords& coords);
+  uint32_t FindOrCreateCell(const uint32_t* coords);
 
   size_t num_dims_;
   int k_;

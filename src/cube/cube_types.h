@@ -9,9 +9,6 @@
 
 namespace msketch {
 
-class KllSketch;
-class MomentsSketch;
-
 /// Cell coordinates: one dictionary-encoded value id per dimension.
 using CubeCoords = std::vector<uint32_t>;
 
@@ -25,17 +22,6 @@ struct CubeCoordsHash {
     }
     return static_cast<size_t>(h);
   }
-};
-
-/// One cell's delta, borrowed: the coordinates, the moments delta, and
-/// the KLL rank-sketch delta. CubeStore::ApplyDeltas replays a batch of
-/// these, and the WAL encoder writes the publisher's batch through the
-/// same view. `kll` is null for a moments-only cell; `sketch` is null
-/// only for a KLL-only apply (CubeStore::ApplyKllDelta).
-struct DeltaRef {
-  const CubeCoords* coords = nullptr;
-  const MomentsSketch* sketch = nullptr;
-  const KllSketch* kll = nullptr;
 };
 
 /// Filter: one entry per dimension; kAnyValue matches every value.

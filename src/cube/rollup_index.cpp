@@ -19,15 +19,31 @@ MomentSlab::MomentSlab(int k) : k_(k) {
 uint32_t MomentSlab::Append(const MomentsSketch& s) {
   MSKETCH_CHECK(s.k() == k_);
   const uint32_t node = static_cast<uint32_t>(counts_.size());
-  for (int i = 0; i < k_; ++i) {
-    power_cols_[i].push_back(s.power_sums()[i]);
-    log_cols_[i].push_back(s.log_sums()[i]);
-  }
-  counts_.push_back(s.count());
-  log_counts_.push_back(s.log_count());
-  mins_.push_back(s.min());
-  maxs_.push_back(s.max());
+  AppendRow(SketchColumns(s).cols(), 0);
   return node;
+}
+
+void MomentSlab::AppendRow(const FlatMomentColumns& src, size_t row) {
+  MSKETCH_DCHECK(src.k == k_);
+  for (int i = 0; i < k_; ++i) {
+    power_cols_[i].push_back(src.power_sums[i][row]);
+    log_cols_[i].push_back(src.log_sums[i][row]);
+  }
+  counts_.push_back(src.counts[row]);
+  log_counts_.push_back(src.log_counts[row]);
+  mins_.push_back(src.mins[row]);
+  maxs_.push_back(src.maxs[row]);
+}
+
+void MomentSlab::Clear() {
+  for (int i = 0; i < k_; ++i) {
+    power_cols_[i].clear();
+    log_cols_[i].clear();
+  }
+  counts_.clear();
+  log_counts_.clear();
+  mins_.clear();
+  maxs_.clear();
 }
 
 uint32_t MomentSlab::AppendEmpty(size_t n) {

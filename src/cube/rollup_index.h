@@ -57,6 +57,12 @@ class MomentSlab {
   /// Appends one node; returns its id.
   uint32_t Append(const MomentsSketch& s);
 
+  /// Appends a bit copy of row `row` of `src` (of order k()) as a node.
+  void AppendRow(const FlatMomentColumns& src, size_t row);
+
+  /// Drops every node, keeping the column buffers.
+  void Clear();
+
   /// Appends `n` empty nodes (the state of a fresh MomentsSketch) and
   /// returns the first one's id; the caller fills them through
   /// MutableColumns().

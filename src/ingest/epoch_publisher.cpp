@@ -54,40 +54,20 @@ std::shared_ptr<const CubeSnapshot> EpochPublisher::Current() const {
   return std::atomic_load(&published_);
 }
 
-EpochPublisher::DeltaBatch EpochPublisher::DrainShards() {
-  DeltaBatch all;
-  for (IngestShard* shard : shards_) {
-    DeltaBatch part = shard->Drain();
-    std::move(part.begin(), part.end(), std::back_inserter(all));
-  }
+void EpochPublisher::DrainShards(EpochDelta* batch) {
+  for (IngestShard* shard : shards_) shard->Drain(batch);
   // Deterministic application order: cells ascend by coordinates, and
   // the stable sort keeps a cell's multiple shard deltas in shard order
   // (they were appended shard-major above).
-  std::stable_sort(all.begin(), all.end(),
-                   [](const IngestShard::DeltaCell& a,
-                      const IngestShard::DeltaCell& b) {
-                     return a.coords < b.coords;
-                   });
-  return all;
+  batch->SortByCoords(&sort_scratch_);
 }
 
-std::vector<DeltaRef> DeltaRefsOf(const EpochPublisher::DeltaBatch& batch) {
-  std::vector<DeltaRef> refs;
-  refs.reserve(batch.size());
-  for (const IngestShard::DeltaCell& dc : batch) {
-    refs.push_back(
-        {&dc.coords, &dc.sketch, dc.kll.count() > 0 ? &dc.kll : nullptr});
-  }
-  return refs;
-}
-
-void EpochPublisher::ApplyBatch(CubeStore* store, const DeltaBatch& batch) {
-  const std::vector<DeltaRef> refs = DeltaRefsOf(batch);
-  // Arity and order are publisher invariants; a failure here is a
-  // programming error, not a data error. The rank-sketch side column
-  // replays the same deterministic merge sequence into every buffer, so
-  // all buffers stay bit-identical.
-  MSKETCH_CHECK(store->ApplyDeltas(refs.data(), refs.size()).ok());
+EpochDelta EpochPublisher::TakeSpareDelta() {
+  if (spare_.empty()) return EpochDelta(num_dims_, k_);
+  EpochDelta delta = std::move(spare_.back());
+  spare_.pop_back();
+  delta.Clear();
+  return delta;
 }
 
 std::shared_ptr<const CubeSnapshot> EpochPublisher::Publish() {
@@ -95,10 +75,10 @@ std::shared_ptr<const CubeSnapshot> EpochPublisher::Publish() {
   obs::Span publish_span("ingest.publish");
   std::unique_lock<std::mutex> publish_lock(publish_mu_);
   const Clock::time_point t0 = Clock::now();
-  DeltaBatch batch;
+  EpochDelta batch = TakeSpareDelta();
   {
     obs::Span drain_span("ingest.drain");
-    batch = DrainShards();
+    DrainShards(&batch);
   }
   latency_.last_drain_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -110,6 +90,7 @@ std::shared_ptr<const CubeSnapshot> EpochPublisher::Publish() {
   if (batch.empty()) {
     // Nothing new arrived: the current snapshot already covers every
     // appended row, so re-publishing would only churn buffers.
+    spare_.push_back(std::move(batch));
     return Current();
   }
   const uint64_t epoch = next_epoch_++;
@@ -130,9 +111,8 @@ std::shared_ptr<const CubeSnapshot> EpochPublisher::Publish() {
   }
   // The epoch's pane delta: merged total of the batch, in batch order.
   MomentsSketch epoch_delta(k_);
-  for (const IngestShard::DeltaCell& dc : batch) {
-    MSKETCH_CHECK(epoch_delta.Merge(dc.sketch).ok());
-  }
+  MSKETCH_CHECK(
+      epoch_delta.MergeFlatRange(batch.Moments(), 0, batch.size()).ok());
   history_.emplace_back(epoch, std::move(batch));
 
   std::unique_ptr<CubeSnapshot> buf = TakeBuffer();
@@ -142,7 +122,11 @@ std::shared_ptr<const CubeSnapshot> EpochPublisher::Publish() {
   // epoch-0 batch is always empty, so nothing is skipped).
   const Clock::time_point a0 = Clock::now();
   for (const auto& [e, b] : history_) {
-    if (e > buf->epoch) ApplyBatch(&buf->store, b);
+    // Arity and order are publisher invariants; a failure here is a
+    // programming error, not a data error. The rank-sketch side column
+    // replays the same deterministic merge sequence into every buffer,
+    // so all buffers stay bit-identical.
+    if (e > buf->epoch) MSKETCH_CHECK(buf->store.ApplyDeltas(b).ok());
   }
   buf->epoch = epoch;
   buf->epoch_delta = std::move(epoch_delta);
@@ -162,10 +146,14 @@ std::shared_ptr<const CubeSnapshot> EpochPublisher::Publish() {
   apply_h_.Observe(latency_.last_apply_ms * 1e-3);
   refresh_h_.Observe(latency_.last_refresh_ms * 1e-3);
   buffer_epoch_[buf->buffer_index] = epoch;
-  // Batches already replayed into every buffer can go.
   const uint64_t applied_min =
       *std::min_element(buffer_epoch_.begin(), buffer_epoch_.end());
+  // Batches already replayed into every buffer can go; their buffers
+  // serve the next drains.
   while (!history_.empty() && history_.front().first <= applied_min) {
+    if (spare_.size() < total_buffers_) {
+      spare_.push_back(std::move(history_.front().second));
+    }
     history_.pop_front();
   }
 

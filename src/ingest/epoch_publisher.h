@@ -6,10 +6,9 @@
 // Mechanism. The publisher owns a small pool of CubeStore buffers
 // (default two). Each Publish():
 //
-//   1. drains every shard's delta map (an O(1)-lock swap per shard) and
-//      stable-sorts the combined batch by cell coordinates, so cells
-//      are created in a deterministic order and same-cell deltas apply
-//      in shard order;
+//   1. drains every shard into one columnar EpochDelta (shard-major) and
+//      stably orders its cells by coordinates, so cells are created in
+//      a deterministic order and same-cell deltas apply in shard order;
 //   2. takes a free buffer from the pool — a buffer is free once the
 //      epoch that retired it has no readers left — and catches it up by
 //      replaying every batch published since the buffer last left the
@@ -154,7 +153,6 @@ struct PublisherStats {
 
 class EpochPublisher {
  public:
-  using DeltaBatch = std::vector<IngestShard::DeltaCell>;
   /// Called after each non-empty publish, from the publishing thread,
   /// with the snapshot just made current.
   using EpochSink = std::function<void(const CubeSnapshot&)>;
@@ -165,7 +163,7 @@ class EpochPublisher {
   /// held hostage to a failing disk; the durability layer re-bases at
   /// its next checkpoint.
   using DurabilityHook =
-      std::function<Status(uint64_t epoch, const DeltaBatch& batch)>;
+      std::function<Status(uint64_t epoch, const EpochDelta& batch)>;
 
   /// `shards` are borrowed and must outlive the publisher. Publishes an
   /// empty epoch-0 snapshot immediately (without draining), so
@@ -240,10 +238,12 @@ class EpochPublisher {
  private:
   std::unique_ptr<CubeSnapshot> TakeBuffer();
   void ReturnBuffer(CubeSnapshot* snap);
-  /// Drains every shard and stable-sorts the combined batch by coords
-  /// (stability keeps same-cell deltas in shard order).
-  DeltaBatch DrainShards();
-  void ApplyBatch(CubeStore* store, const DeltaBatch& batch);
+  /// Drains every shard into `batch` and stably sorts its cells by
+  /// coords (stability keeps same-cell deltas in shard order).
+  void DrainShards(EpochDelta* batch);
+  /// An empty delta for the next drain, reusing a trimmed epoch's
+  /// buffers when one is spare.
+  EpochDelta TakeSpareDelta();
 
   const size_t num_dims_;
   const int k_;
@@ -264,7 +264,10 @@ class EpochPublisher {
   // is the constructor's empty snapshot; real epochs start at 1.
   mutable std::mutex publish_mu_;
   uint64_t next_epoch_ = 1;
-  std::deque<std::pair<uint64_t, DeltaBatch>> history_;
+  std::deque<std::pair<uint64_t, EpochDelta>> history_;
+  // Trimmed deltas kept for their buffers, and the sort's scratch.
+  std::vector<EpochDelta> spare_;
+  EpochDelta sort_scratch_;
   std::vector<uint64_t> buffer_epoch_;
   PublisherStats latency_;  // epochs_published_ tracked separately
   // Per-Publish latency distributions (lock-free; snapshotted into
@@ -290,11 +293,6 @@ class EpochPublisher {
   std::condition_variable stop_cv_;
   bool stop_requested_ = false;
 };
-
-/// The batch as DeltaRef views (borrowing `batch`), for ApplyDeltas and
-/// the WAL record encoder. An empty KLL delta is left null, so the record
-/// carries no rank sketch for the cell.
-std::vector<DeltaRef> DeltaRefsOf(const EpochPublisher::DeltaBatch& batch);
 
 }  // namespace msketch
 

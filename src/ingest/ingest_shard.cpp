@@ -293,7 +293,8 @@ Status IngestShard::AppendRows(const IngestRow* rows, size_t n) {
   return Status::OK();
 }
 
-std::vector<IngestShard::DeltaCell> IngestShard::Drain() {
+void IngestShard::Drain(EpochDelta* out) {
+  MSKETCH_DCHECK(out->num_dims() == num_dims_ && out->k() == k_);
   std::vector<DeltaChunk*> chunks;
   DeltaChunk* c = nullptr;
   // Wait-free sweep: everything already sealed, then the parked working
@@ -312,31 +313,26 @@ std::vector<IngestShard::DeltaCell> IngestShard::Drain() {
               return a->session() < b->session();
             });
 
-  std::vector<DeltaCell> out;
-  size_t total_slots = 0;
-  for (const DeltaChunk* chunk : chunks) total_slots += chunk->used();
-  out.reserve(total_slots);
   for (DeltaChunk* chunk : chunks) {
     const FlatMomentColumns view = chunk->View();
     const size_t used = chunk->used();
     for (size_t s = 0; s < used; ++s) {
       if (view.counts[s] == 0) continue;
-      // MergeFlat into an empty sketch is a bit-exact copy of the slot
-      // (0 + x == x for finite sums; min/max fold from the sentinels).
-      const uint32_t id = static_cast<uint32_t>(s);
-      MomentsSketch sketch(k_);
-      MSKETCH_CHECK(sketch.MergeFlat(view, &id, 1).ok());
-      DeltaCell dc{chunk->SlotCoords(s), std::move(sketch), KllSketch()};
-      // The slot's rank sketch rides along (Reset() below re-arms the
-      // slot with a fresh one).
-      if (chunk->kll_enabled()) dc.kll = std::move(chunk->SlotKll(s));
-      out.push_back(std::move(dc));
+      // Slot lanes start at +0.0 and only ever add, so the bit copy
+      // equals a MergeFlat of the slot into an empty sketch.
+      // An empty rank sketch is left out, so the record carries no KLL
+      // delta for the cell.
+      if (chunk->kll_enabled() && chunk->SlotKll(s).count() > 0) {
+        const KllView kll = chunk->SlotKll(s).View();
+        out->Append(chunk->SlotCoords(s).data(), view, s, &kll);
+      } else {
+        out->Append(chunk->SlotCoords(s).data(), view, s, nullptr);
+      }
     }
     chunk->Reset();
     MSKETCH_CHECK(free_ring_.Push(chunk));
     chunks_drained_.fetch_add(1, std::memory_order_relaxed);
   }
-  return out;
 }
 
 IngestShardStats IngestShard::stats() const {

@@ -51,6 +51,7 @@
 #include "core/delta_chunk.h"
 #include "core/moments_sketch.h"
 #include "cube/cube_types.h"
+#include "cube/epoch_delta.h"
 #include "ingest/spsc_ring.h"
 
 namespace msketch {
@@ -134,24 +135,17 @@ class IngestShard {
   /// failure point stay appended; the error reports the dropped count.
   Status AppendRows(const IngestRow* rows, size_t n);
 
-  /// One drained cell delta: the sketch holds the cell's buffered
-  /// moment state (counts, min/max, power and log sums); `kll` holds
-  /// the same rows' rank sketch when the shard dual-writes (empty,
-  /// count() == 0, otherwise).
-  struct DeltaCell {
-    CubeCoords coords;
-    MomentsSketch sketch;
-    KllSketch kll;
-  };
-
   /// Publisher side: pops every sealed chunk from the FULL ring, steals
   /// the parked working chunk (bounded wait if a writer holds it —
   /// give-ups ride the next drain), orders the chunks by service entry,
-  /// converts slots to per-cell deltas, and recycles the chunks through
-  /// the FREE ring. Writers never stall on a drain. Callers must
-  /// serialize Drain() against itself (the publisher's publish lock
-  /// does; tests call it single-threaded).
-  std::vector<DeltaCell> Drain();
+  /// appends each chunk's non-empty slots to `out` as cells (the slot's
+  /// coordinates, its moment row copied straight from the chunk's
+  /// columns, and its KLL delta when the shard dual-writes), and
+  /// recycles the chunks through the FREE ring. No sketch is built per
+  /// slot. Writers never stall on a drain. Callers must serialize
+  /// Drain() against itself (the publisher's publish lock does; tests
+  /// call it single-threaded).
+  void Drain(EpochDelta* out);
 
   /// Rows appended so far (relaxed; readable while writers run). Rows
   /// are counted before the chunk carrying them can publish, so

@@ -225,14 +225,13 @@ Status StreamingCube::EnableDurability(const DurabilityOptions& options) {
 
 void StreamingCube::InstallEpochHook() {
   publisher_->SetDurabilityHook(
-      [this](uint64_t epoch, const EpochPublisher::DeltaBatch& batch) {
+      [this](uint64_t epoch, const EpochDelta& batch) {
         return OnEpochDrained(epoch, batch);
       });
 }
 
 Status StreamingCube::OnEpochDrained(uint64_t epoch,
-                                     const EpochPublisher::DeltaBatch& batch) {
-  const std::vector<DeltaRef> refs = DeltaRefsOf(batch);
+                                     const EpochDelta& batch) {
   // The current dictionary version covers every id in the batch: rows
   // encode against a version no newer than the one visible at publish
   // time, and versions only grow. The record carries the values beyond
@@ -247,7 +246,7 @@ Status StreamingCube::OnEpochDrained(uint64_t epoch,
     dict_watermark_[d] = static_cast<uint32_t>(dicts[d].size());
   }
   BytesWriter payload;
-  EncodeEpochRecord(epoch, dict_start, dict_delta, refs, &payload);
+  EncodeEpochRecord(epoch, dict_start, dict_delta, batch, &payload);
   auto record = std::make_shared<const std::vector<uint8_t>>(payload.Take());
   // Replication tee first: OnEpoch never fails, and followers want the
   // epoch even when the durable log is broken (availability-first).

@@ -322,8 +322,7 @@ class StreamingCube {
   /// encodes epoch `epoch`'s drained batch and the dictionary delta
   /// beyond dict_watermark_ into one record, then hands the same bytes
   /// to the replication tee and to the durable log, in that order.
-  Status OnEpochDrained(uint64_t epoch,
-                        const EpochPublisher::DeltaBatch& batch);
+  Status OnEpochDrained(uint64_t epoch, const EpochDelta& batch);
   /// The publisher's epoch sink: drives periodic checkpoints, then
   /// forwards to the user sink.
   void OnEpochPublished(const CubeSnapshot& snap);

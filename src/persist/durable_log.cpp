@@ -345,38 +345,37 @@ Status RebuildStore(const RecoveredState& state, CubeStore* store,
   cols.maxs = ckpt.columns.maxs.data();
 
   // Checkpoint cells in cell-id order, as ApplyDeltas batches of
-  // kRestoreBatch cells (bounding the decoded sketches held at once):
-  // each cell lands in the empty store as one add from zero per column —
-  // a bit-exact copy — under the same id for the same coordinates. The
+  // kRestoreBatch cells (bounding the delta held at once): each cell
+  // lands in the empty store as one add from zero per column — a
+  // bit-exact copy — under the same id for the same coordinates. The
   // KLL delta adopts wholesale into the just-created (empty) cell: a
   // bit-exact copy of the pre-crash rank sketch, coin state included.
   constexpr uint32_t kRestoreBatch = 4096;
-  std::vector<MomentsSketch> cells;
-  std::vector<DeltaRef> refs;
+  EpochDelta batch(ckpt.num_dims, ckpt.k);
   for (uint32_t begin = 0; begin < ckpt.columns.num_cells;
        begin += kRestoreBatch) {
     const uint32_t end = static_cast<uint32_t>(std::min<size_t>(
         ckpt.columns.num_cells, size_t{begin} + kRestoreBatch));
-    cells.assign(end - begin, MomentsSketch(ckpt.k));
-    refs.clear();
+    batch.Clear();
     for (uint32_t id = begin; id < end; ++id) {
-      MomentsSketch& cell = cells[id - begin];
-      MSKETCH_RETURN_NOT_OK(cell.MergeFlat(cols, &id, 1));
-      if (cell.count() == 0 && cell.log_count() == 0) {
+      if (cols.counts[id] == 0 && cols.log_counts[id] == 0) {
         // ApplyDeltas would skip an empty delta, shifting every later
         // cell id — and a live cube can't produce an empty cell anyway.
         return Status::Corruption("checkpoint contains an empty cell");
       }
-      refs.push_back({&ckpt.cell_coords[id], &cell,
-                      ckpt.kll_enabled ? &ckpt.kll_cells[id] : nullptr});
+      if (ckpt.kll_enabled) {
+        const KllView kll = ckpt.kll_cells[id].View();
+        batch.Append(ckpt.cell_coords[id].data(), cols, id, &kll);
+      } else {
+        batch.Append(ckpt.cell_coords[id].data(), cols, id, nullptr);
+      }
     }
-    MSKETCH_RETURN_NOT_OK(store->ApplyDeltas(refs.data(), refs.size()));
+    MSKETCH_RETURN_NOT_OK(store->ApplyDeltas(batch));
   }
   // WAL epochs in publish order: the exact ApplyDeltas calls the
   // pre-crash store executed after the checkpoint.
   for (const WalEpochRecord& rec : state.epochs) {
-    const std::vector<DeltaRef> refs = DeltaRefsOf(rec);
-    MSKETCH_RETURN_NOT_OK(store->ApplyDeltas(refs.data(), refs.size()));
+    MSKETCH_RETURN_NOT_OK(store->ApplyDeltas(rec.cells));
   }
   if (stats != nullptr) stats->rows_recovered = store->num_rows();
   return Status::OK();

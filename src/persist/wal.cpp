@@ -23,8 +23,7 @@ constexpr uint32_t kMaxDims = 1u << 16;
 void EncodeEpochRecord(uint64_t epoch,
                        const std::vector<uint32_t>& dict_start,
                        const std::vector<std::vector<std::string>>& dict_values,
-                       const std::vector<DeltaRef>& cells,
-                       BytesWriter* out) {
+                       const EpochDelta& cells, BytesWriter* out) {
   MSKETCH_CHECK(dict_start.size() == dict_values.size());
   out->PutU64(epoch);
   out->PutU32(static_cast<uint32_t>(dict_start.size()));
@@ -33,13 +32,21 @@ void EncodeEpochRecord(uint64_t epoch,
     out->PutU32(static_cast<uint32_t>(dict_values[d].size()));
     for (const std::string& v : dict_values[d]) out->PutString(v);
   }
-  out->PutU32(static_cast<uint32_t>(cells.size()));
-  for (const DeltaRef& cell : cells) {
-    out->PutU32(static_cast<uint32_t>(cell.coords->size()));
-    for (uint32_t c : *cell.coords) out->PutU32(c);
-    out->PutU8(cell.kll != nullptr ? kCellHasKll : 0);
-    cell.sketch->Serialize(out);
-    if (cell.kll != nullptr) cell.kll->Serialize(out);
+  const size_t n = cells.size();
+  const size_t dims = cells.num_dims();
+  const FlatMomentColumns moments = cells.Moments();
+  // Arity, coordinates, tag and the moment row: the fixed part of a cell.
+  const size_t moment_bytes = 36 + 16 * static_cast<size_t>(moments.k);
+  out->Reserve(out->size() + n * (5 + 4 * dims + moment_bytes));
+  out->PutU32(static_cast<uint32_t>(n));
+  for (size_t i = 0; i < n; ++i) {
+    out->PutU32(static_cast<uint32_t>(dims));
+    const uint32_t* coords = cells.Coords(i);
+    for (size_t d = 0; d < dims; ++d) out->PutU32(coords[d]);
+    const bool has_kll = cells.HasKll(i);
+    out->PutU8(has_kll ? kCellHasKll : 0);
+    WriteMomentRow(moments, i, out);
+    if (has_kll) WriteKll(cells.Kll(i), out);
   }
 }
 
@@ -70,14 +77,14 @@ Result<WalEpochRecord> DecodeEpochRecord(BytesReader* in) {
   if (num_cells > in->remaining()) {
     return Status::Corruption("epoch record: cell count exceeds buffer");
   }
-  rec.cells.reserve(num_cells);
+  rec.cells = EpochDelta(num_dims, 0);
+  std::vector<uint32_t> coords(num_dims);
   for (uint32_t i = 0; i < num_cells; ++i) {
     uint32_t arity = 0;
     MSKETCH_RETURN_NOT_OK(in->GetU32(&arity));
     if (arity != num_dims) {
       return Status::Corruption("epoch record: cell arity mismatch");
     }
-    CubeCoords coords(arity);
     for (uint32_t d = 0; d < arity; ++d) {
       MSKETCH_RETURN_NOT_OK(in->GetU32(&coords[d]));
     }
@@ -86,30 +93,19 @@ Result<WalEpochRecord> DecodeEpochRecord(BytesReader* in) {
     if ((tag & ~kCellHasKll) != 0) {
       return Status::Corruption("epoch record: unknown cell backend tag");
     }
-    Result<MomentsSketch> sketch = MomentsSketch::Deserialize(in);
-    if (!sketch.ok()) return sketch.status();
-    WalCell cell;
-    cell.coords = std::move(coords);
-    cell.sketch = std::move(sketch).value();
-    if ((tag & kCellHasKll) != 0) {
-      Result<KllSketch> kll = KllSketch::Deserialize(in);
-      if (!kll.ok()) return kll.status();
-      cell.has_kll = true;
-      cell.kll = std::move(kll).value();
+    int k = 0;
+    MSKETCH_RETURN_NOT_OK(ReadMomentOrder(in, &k));
+    // The first cell fixes the record's moment order; the columns hold
+    // one order.
+    if (i == 0) {
+      rec.cells = EpochDelta(num_dims, k);
+    } else if (k != rec.cells.k()) {
+      return Status::Corruption("epoch record: mixed moment orders");
     }
-    rec.cells.push_back(std::move(cell));
+    MSKETCH_RETURN_NOT_OK(rec.cells.AppendSerialized(
+        coords.data(), (tag & kCellHasKll) != 0, in));
   }
   return rec;
-}
-
-std::vector<DeltaRef> DeltaRefsOf(const WalEpochRecord& rec) {
-  std::vector<DeltaRef> refs;
-  refs.reserve(rec.cells.size());
-  for (const WalCell& cell : rec.cells) {
-    refs.push_back(
-        {&cell.coords, &cell.sketch, cell.has_kll ? &cell.kll : nullptr});
-  }
-  return refs;
 }
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Create(

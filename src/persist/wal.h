@@ -24,6 +24,11 @@
 // delta sketches in publish order. Each cell carries a backend tag byte
 // (bit 0: a KLL rank-sketch delta follows the moment sketch — the
 // multi-backend router's dual-write path); remaining bits are reserved.
+// In memory the cells are one columnar EpochDelta (cube/epoch_delta.h):
+// the encoder reads one and the decoder writes one, through the one
+// definition of each sketch's byte format (WriteMomentRow /
+// ReadMomentState, WriteKll / ReadKll), so the bytes are the ones the
+// per-cell sketches' Serialize calls write.
 // Replaying records in order onto a checkpoint reproduces the
 // publisher's CubeStore::ApplyDeltas calls exactly, which is what makes
 // recovery bit-exact. The publisher encodes each epoch's
@@ -44,8 +49,8 @@
 #include "common/status.h"
 #include "core/moments_sketch.h"
 #include "cube/cube_types.h"
+#include "cube/epoch_delta.h"
 #include "persist/env.h"
-#include "sketches/kll_sketch.h"
 
 namespace msketch {
 
@@ -58,15 +63,6 @@ enum class FsyncPolicy : uint8_t {
 
 constexpr uint8_t kWalRecordEpoch = 1;
 
-/// One decoded per-cell delta: the moment sketch, plus the KLL rank
-/// sketch when the writer dual-wrote one (backend tag bit 0).
-struct WalCell {
-  CubeCoords coords;
-  MomentsSketch sketch;
-  bool has_kll = false;
-  KllSketch kll;
-};
-
 /// One decoded epoch record.
 struct WalEpochRecord {
   uint64_t epoch = 0;
@@ -75,20 +71,21 @@ struct WalEpochRecord {
   /// reader may already hold a prefix of it and appends only the tail.
   std::vector<uint32_t> dict_start;
   std::vector<std::vector<std::string>> dict_values;
-  /// The epoch's delta batch in publish (ApplyDeltas) order.
-  std::vector<WalCell> cells;
+  /// The epoch's delta batch in publish (ApplyDeltas) order; a cell
+  /// has a KLL delta exactly when its tag bit 0 is set.
+  EpochDelta cells;
 };
 
+/// Writes one epoch record: `cells` in order, each with tag bit 0 set
+/// when it has a KLL delta.
 void EncodeEpochRecord(uint64_t epoch,
                        const std::vector<uint32_t>& dict_start,
                        const std::vector<std::vector<std::string>>& dict_values,
-                       const std::vector<DeltaRef>& cells,
-                       BytesWriter* out);
+                       const EpochDelta& cells, BytesWriter* out);
+/// Reads one epoch record. Rejects a bad dimension count, a cell of the
+/// wrong arity, an unknown tag bit, cells of mixed moment orders and
+/// every malformed sketch the format readers reject.
 Result<WalEpochRecord> DecodeEpochRecord(BytesReader* in);
-
-/// The record's cells as an ApplyDeltas batch (views into `rec`, which
-/// must outlive them); `kll` is set where the cell carries one.
-std::vector<DeltaRef> DeltaRefsOf(const WalEpochRecord& rec);
 
 struct WalWriterOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kPerEpoch;

@@ -96,10 +96,10 @@ Result<SnapBeginFrame> DecodeSnapBegin(const std::vector<uint8_t>& payload) {
 
 std::vector<uint8_t> EncodeSnapChunk(const SnapChunkFrame& f) {
   BytesWriter w;
+  w.Reserve(sizeof(uint32_t) + f.bytes.size());
   w.PutU32(f.chunk_index);
-  std::vector<uint8_t> out = w.Take();
-  out.insert(out.end(), f.bytes.begin(), f.bytes.end());
-  return out;
+  w.PutBytes(f.bytes.data(), f.bytes.size());
+  return w.Take();
 }
 
 Result<SnapChunkFrame> DecodeSnapChunk(const std::vector<uint8_t>& payload) {

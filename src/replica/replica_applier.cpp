@@ -133,8 +133,7 @@ Status ReplicaApplier::ApplyDeltaRecord(const std::vector<uint8_t>& payload) {
   // the whole record first, and the dictionaries patch only after it
   // succeeds, so a refused record leaves the follower as it was and a
   // redelivery cannot apply any cell twice.
-  const std::vector<DeltaRef> refs = DeltaRefsOf(rec);
-  MSKETCH_RETURN_NOT_OK(store_.ApplyDeltas(refs.data(), refs.size()));
+  MSKETCH_RETURN_NOT_OK(store_.ApplyDeltas(rec.cells));
   for (size_t d = 0; d < dicts_.size(); ++d) {
     const size_t have = dicts_[d].size();
     const uint32_t start = rec.dict_start[d];

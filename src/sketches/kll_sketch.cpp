@@ -20,9 +20,10 @@ uint64_t SplitMix64(uint64_t* state) {
 
 }  // namespace
 
-KllSketch::KllSketch(int k) : k_(std::max(k, 8)), coin_state_(0) {
+KllSketch::KllSketch(int k) : k_(std::max(k, kKllMinK)), coin_state_(0) {
+  // Level 0 grows on demand: k comes from decoded bytes too, and a
+  // sketch adopted from a view assigns its levels whole.
   levels_.emplace_back();
-  levels_[0].reserve(k_);
 }
 
 bool KllSketch::CoinFlip() { return (SplitMix64(&coin_state_) & 1u) != 0; }
@@ -87,35 +88,68 @@ void KllSketch::CompressPending() {
 }
 
 Status KllSketch::Merge(const KllSketch& other) {
-  if (other.k_ != k_) {
+  if (&other == this) {
+    const KllSketch copy = other;
+    return Merge(copy.View());
+  }
+  return Merge(other.View());
+}
+
+Status KllSketch::Merge(const KllView& other) {
+  const KllHeader& oh = other.header;
+  if (oh.k != k_) {
     return Status::InvalidArgument("KllSketch::Merge: mismatched k");
   }
-  if (other.n_ == 0) return Status::OK();
+  if (oh.n == 0) return Status::OK();
   if (n_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
+    min_ = oh.min;
+    max_ = oh.max;
   } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
+    min_ = std::min(min_, oh.min);
+    max_ = std::max(max_, oh.max);
   }
-  n_ += other.n_;
-  rank_error_bound_ += other.rank_error_bound_;
-  // Safe under self-merge: sizes are captured before any append, so we
-  // never read elements the loop itself inserted (vector growth is handled
-  // by reserving up front, which keeps iterators out of the loop entirely).
-  if (other.levels_.size() > levels_.size()) {
-    levels_.resize(other.levels_.size());
-  }
-  for (size_t h = 0; h < other.levels_.size(); ++h) {
-    const std::vector<double>& src = other.levels_[h];
-    const size_t src_n = src.size();
-    if (src_n == 0) continue;
-    std::vector<double>& dst = levels_[h];
-    dst.reserve(dst.size() + src_n);
-    for (size_t i = 0; i < src_n; ++i) dst.push_back(src[i]);
+  n_ += oh.n;
+  rank_error_bound_ += oh.rank_error_bound;
+  if (oh.num_levels > levels_.size()) levels_.resize(oh.num_levels);
+  for (size_t h = 0; h < oh.num_levels; ++h) {
+    const double* src = other.level_items[h];
+    levels_[h].insert(levels_[h].end(), src, src + other.level_sizes[h]);
   }
   CompressPending();
   return Status::OK();
+}
+
+KllSketch KllSketch::FromView(const KllView& view) {
+  const KllHeader& h = view.header;
+  KllSketch out(h.k);
+  out.n_ = h.n;
+  out.rank_error_bound_ = h.rank_error_bound;
+  out.coin_state_ = h.coin_state;
+  out.min_ = h.min;
+  out.max_ = h.max;
+  out.levels_.resize(std::max<uint32_t>(h.num_levels, 1));
+  for (size_t l = 0; l < h.num_levels; ++l) {
+    out.levels_[l].assign(view.level_items[l],
+                          view.level_items[l] + view.level_sizes[l]);
+  }
+  return out;
+}
+
+KllView KllSketch::View() const {
+  MSKETCH_CHECK(levels_.size() <= kKllMaxLevels);
+  KllView view;
+  view.header.k = k_;
+  view.header.n = n_;
+  view.header.rank_error_bound = rank_error_bound_;
+  view.header.coin_state = coin_state_;
+  view.header.min = min_;
+  view.header.max = max_;
+  view.header.num_levels = static_cast<uint32_t>(levels_.size());
+  for (size_t h = 0; h < levels_.size(); ++h) {
+    view.level_items[h] = levels_[h].data();
+    view.level_sizes[h] = levels_[h].size();
+  }
+  return view;
 }
 
 uint64_t KllSketch::RankBelow(double x) const {
@@ -169,25 +203,27 @@ void KllSketch::Reset() {
   rank_error_bound_ = 0;
   coin_state_ = 0;
   min_ = max_ = 0.0;
-  levels_.clear();
-  levels_.emplace_back();
-  levels_[0].reserve(k_);
+  // A fresh sketch's one empty level; level 0 keeps its buffer.
+  levels_.resize(1);
+  levels_[0].clear();
 }
 
-void KllSketch::Serialize(BytesWriter* w) const {
-  w->PutU32(static_cast<uint32_t>(k_));
-  w->PutU64(n_);
-  w->PutU64(rank_error_bound_);
-  w->PutU64(coin_state_);
-  w->PutDouble(min_);
-  w->PutDouble(max_);
-  w->PutU32(static_cast<uint32_t>(levels_.size()));
-  for (const auto& level : levels_) {
-    w->PutDoubles(level);
+void WriteKll(const KllView& view, BytesWriter* w) {
+  const KllHeader& h = view.header;
+  w->PutU32(static_cast<uint32_t>(h.k));
+  w->PutU64(h.n);
+  w->PutU64(h.rank_error_bound);
+  w->PutU64(h.coin_state);
+  w->PutDouble(h.min);
+  w->PutDouble(h.max);
+  w->PutU32(h.num_levels);
+  for (size_t l = 0; l < h.num_levels; ++l) {
+    w->PutDoubles(view.level_items[l], view.level_sizes[l]);
   }
 }
 
-Result<KllSketch> KllSketch::Deserialize(BytesReader* r) {
+Status ReadKll(BytesReader* r, KllHeader* header, std::vector<double>* items,
+               std::vector<uint32_t>* level_ends) {
   uint32_t k = 0, num_levels = 0;
   uint64_t n = 0, err = 0, coin = 0;
   double mn = 0.0, mx = 0.0;
@@ -198,24 +234,25 @@ Result<KllSketch> KllSketch::Deserialize(BytesReader* r) {
   MSKETCH_RETURN_NOT_OK(r->GetDouble(&mn));
   MSKETCH_RETURN_NOT_OK(r->GetDouble(&mx));
   MSKETCH_RETURN_NOT_OK(r->GetU32(&num_levels));
-  if (k > (1u << 24) || num_levels > 64) {
+  if (k > (1u << 24) || num_levels > kKllMaxLevels) {
     return Status::Serialization("KllSketch: implausible header");
   }
-  KllSketch out(static_cast<int>(k));
-  out.n_ = n;
-  out.rank_error_bound_ = err;
-  out.coin_state_ = coin;
-  out.min_ = mn;
-  out.max_ = mx;
-  out.levels_.clear();
-  out.levels_.resize(std::max<uint32_t>(num_levels, 1));
+  header->k = std::max(static_cast<int>(k), kKllMinK);
+  header->n = n;
+  header->rank_error_bound = err;
+  header->coin_state = coin;
+  header->min = mn;
+  header->max = mx;
+  header->num_levels = num_levels;
   // Compaction keeps the weighted retained count equal to the row count,
   // and only compaction lifts items above level 0 or raises the error
   // bound. The exact-answer path trusts both invariants.
   uint64_t weighted = 0;
   for (uint32_t h = 0; h < num_levels; ++h) {
-    MSKETCH_RETURN_NOT_OK(r->GetDoubles(&out.levels_[h]));
-    const uint64_t size = out.levels_[h].size();
+    const size_t begin = items->size();
+    MSKETCH_RETURN_NOT_OK(r->AppendDoubles(items));
+    level_ends->push_back(static_cast<uint32_t>(items->size()));
+    const uint64_t size = items->size() - begin;
     if (size == 0) continue;
     if (err == 0 && h > 0) {
       return Status::Serialization(
@@ -230,7 +267,23 @@ Result<KllSketch> KllSketch::Deserialize(BytesReader* r) {
     return Status::Serialization(
         "KllSketch: weighted retained count differs from count");
   }
-  return out;
+  return Status::OK();
+}
+
+void KllSketch::Serialize(BytesWriter* w) const { WriteKll(View(), w); }
+
+Result<KllSketch> KllSketch::Deserialize(BytesReader* r) {
+  KllView view;
+  std::vector<double> items;
+  std::vector<uint32_t> level_ends;
+  MSKETCH_RETURN_NOT_OK(ReadKll(r, &view.header, &items, &level_ends));
+  size_t begin = 0;
+  for (size_t h = 0; h < level_ends.size(); ++h) {
+    view.level_items[h] = items.data() + begin;
+    view.level_sizes[h] = level_ends[h] - begin;
+    begin = level_ends[h];
+  }
+  return FromView(view);
 }
 
 bool KllSketch::IdenticalTo(const KllSketch& other) const {

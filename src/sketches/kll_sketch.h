@@ -40,6 +40,46 @@ struct KllInterval {
   double upper;
 };
 
+/// Smallest per-level capacity a KllSketch keeps (a smaller k clamps).
+constexpr int kKllMinK = 8;
+/// Most levels a sketch can hold: level h weighs 2^h and the row count
+/// is a u64, and the decoder rejects more.
+constexpr size_t kKllMaxLevels = 64;
+
+/// A KLL sketch's scalar state, as its serialized header carries it.
+struct KllHeader {
+  int k = kKllMinK;
+  uint64_t n = 0;
+  uint64_t rank_error_bound = 0;
+  uint64_t coin_state = 0;
+  double min = 0.0;
+  double max = 0.0;
+  uint32_t num_levels = 0;
+};
+
+/// A borrowed view of one KLL sketch's full state: the header plus each
+/// level's items (level h weighs 2^h). A KllSketch and a columnar arena
+/// (cube/epoch_delta.h) both hand these out, so one writer, one merge and
+/// one adoption serve both. Valid while the viewed storage is unchanged.
+struct KllView {
+  KllHeader header;
+  const double* level_items[kKllMaxLevels];
+  size_t level_sizes[kKllMaxLevels];
+};
+
+/// The serialized KllSketch format, one definition for every writer and
+/// reader: u32 k | u64 n | u64 rank error bound | u64 coin state | f64
+/// min | f64 max | u32 level count | per level: u32 count, f64 items.
+void WriteKll(const KllView& view, BytesWriter* out);
+/// Reads one serialized sketch: its header into `header` (k clamped as
+/// the KllSketch constructor clamps it) and each level's items appended
+/// to `items`, with the level's end offset in `items` appended to
+/// `level_ends`. Rejects an implausible header, items above level 0
+/// under a zero error bound, and a weighted item count that overflows
+/// or differs from n.
+Status ReadKll(BytesReader* in, KllHeader* header, std::vector<double>* items,
+               std::vector<uint32_t>* level_ends);
+
 class KllSketch {
  public:
   /// `k`: per-level compactor capacity (clamped to >= 8). Retained items
@@ -54,6 +94,13 @@ class KllSketch {
   /// certificates plus whatever compactions the merge itself triggers.
   /// Self-merge is safe and equivalent to merging a copy.
   Status Merge(const KllSketch& other);
+  /// The same merge from a view (which must not alias this sketch).
+  Status Merge(const KllView& other);
+
+  /// A sketch bit-identical to the viewed one, coin state included.
+  static KllSketch FromView(const KllView& view);
+  /// This sketch's state as a view.
+  KllView View() const;
 
   /// Point estimate of the phi-quantile, phi in [0, 1]. Each call sorts
   /// the retained items; a query over many phis should sort once with

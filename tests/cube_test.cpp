@@ -706,11 +706,11 @@ TEST(CubeStoreTest, RollupRefreshNodesBitIdenticalToBuild) {
         for (int r = 0; r < 3; ++r) delta.Accumulate(rng.NextLognormal(0, 1));
         deltas.push_back(delta);
       }
-      std::vector<DeltaRef> refs;
+      EpochDelta batch(3, 6);
       for (size_t i = 0; i < coords.size(); ++i) {
-        refs.push_back({&coords[i], &deltas[i], nullptr});
+        batch.Append(coords[i].data(), deltas[i], nullptr);
       }
-      ASSERT_TRUE(store.ApplyDeltas(refs.data(), refs.size()).ok());
+      ASSERT_TRUE(store.ApplyDeltas(batch).ok());
       CubeStore rebuilt = store;
       rebuilt.BuildRollup(options);
       store.RefreshRollup();
@@ -729,12 +729,14 @@ struct DeltaBatch {
   std::vector<MomentsSketch> sketches;
   std::vector<KllSketch> klls;
 
-  std::vector<DeltaRef> Refs() const {
-    std::vector<DeltaRef> refs;
+  // Every cell carries its KLL delta, the empty ones included.
+  EpochDelta Delta() const {
+    EpochDelta delta(coords[0].size(), sketches[0].k());
     for (size_t i = 0; i < coords.size(); ++i) {
-      refs.push_back({&coords[i], &sketches[i], &klls[i]});
+      const KllView kll = klls[i].View();
+      delta.Append(coords[i].data(), sketches[i], &kll);
     }
-    return refs;
+    return delta;
   }
 };
 
@@ -790,8 +792,7 @@ TEST(CubeStoreApplyTest, BatchApplyMatchesCellByCellReplay) {
       SCOPED_TRACE(epoch);
       const DeltaBatch b =
           MakeDeltaBatch(&rng, 400, 40 + 30 * epoch, 7, /*kll_k=*/16);
-      const std::vector<DeltaRef> refs = b.Refs();
-      ASSERT_TRUE(batched.ApplyDeltas(refs.data(), refs.size()).ok());
+      ASSERT_TRUE(batched.ApplyDeltas(b.Delta()).ok());
       ApplyCellByCell(&single, b);
       EXPECT_EQ(StoreBytes(batched), StoreBytes(single));
       for (size_t i = 0; i < b.coords.size(); ++i) {
@@ -828,31 +829,35 @@ TEST(CubeStoreApplyTest, BadCellRejectsTheWholeBatch) {
   store.EnableKll(16);
   Rng rng(0xbad);
   const DeltaBatch first = MakeDeltaBatch(&rng, 200, 30, 7, 16);
-  std::vector<DeltaRef> refs = first.Refs();
-  ASSERT_TRUE(store.ApplyDeltas(refs.data(), refs.size()).ok());
+  ASSERT_TRUE(store.ApplyDeltas(first.Delta()).ok());
   const std::vector<uint8_t> before = StoreBytes(store);
   const uint64_t version = store.column_version();
 
-  DeltaBatch next = MakeDeltaBatch(&rng, 200, 60, 7, 16);
-  const CubeCoords short_coords = {1};
-  MomentsSketch wrong_k(8);
-  wrong_k.Accumulate(2.0);
+  const DeltaBatch next = MakeDeltaBatch(&rng, 200, 60, 7, 16);
   KllSketch wrong_kll(32);
   wrong_kll.Accumulate(2.0);
+  // An epoch delta holds one arity and one moments order, so those two
+  // are batches of cells of the wrong shape; a KLL delta's k is per cell.
   for (int bad = 0; bad < 3; ++bad) {
     SCOPED_TRACE(bad);
-    refs = next.Refs();
-    DeltaRef& mid = refs[refs.size() / 2];
-    if (bad == 0) mid.coords = &short_coords;
-    if (bad == 1) mid.sketch = &wrong_k;
-    if (bad == 2) mid.kll = &wrong_kll;
-    const Status st = store.ApplyDeltas(refs.data(), refs.size());
+    DeltaBatch b = next;
+    if (bad == 0) {
+      for (CubeCoords& c : b.coords) c.pop_back();
+    }
+    if (bad == 1) {
+      for (MomentsSketch& sketch : b.sketches) {
+        MomentsSketch wrong_k(8);
+        wrong_k.Accumulate(2.0);
+        sketch = wrong_k;
+      }
+    }
+    if (bad == 2) b.klls[b.klls.size() / 2] = wrong_kll;
+    const Status st = store.ApplyDeltas(b.Delta());
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(StoreBytes(store), before);
     EXPECT_EQ(store.column_version(), version);
   }
-  refs = next.Refs();
-  EXPECT_TRUE(store.ApplyDeltas(refs.data(), refs.size()).ok());
+  EXPECT_TRUE(store.ApplyDeltas(next.Delta()).ok());
   EXPECT_NE(StoreBytes(store), before);
 }
 
@@ -1037,9 +1042,9 @@ TEST(CubeStoreTest, CellDirectoryGrowthCopyAndMove) {
     s.Accumulate(rng.NextLognormal(0.0, 1.0));
     deltas.push_back(s);
   }
-  std::vector<DeltaRef> refs;
+  EpochDelta batch(2, 6);
   for (size_t j = 0; j < batch_keys.size(); ++j) {
-    refs.push_back({&batch_keys[j], &deltas[j], nullptr});
+    batch.Append(batch_keys[j].data(), deltas[j], nullptr);
   }
   auto exercise = [&](CubeStore* store) {
     ASSERT_EQ(store->num_cells(), kCells + kOwn);
@@ -1048,7 +1053,7 @@ TEST(CubeStoreTest, CellDirectoryGrowthCopyAndMove) {
       ASSERT_EQ(store->CoordsOf(i), key);
       ASSERT_EQ(store->Ingest(key, 0.5), i);
     }
-    ASSERT_TRUE(store->ApplyDeltas(refs.data(), refs.size()).ok());
+    ASSERT_TRUE(store->ApplyDeltas(batch).ok());
     ASSERT_EQ(store->num_cells(), kCells + kOwn + kNew);
     for (uint32_t i = 0; i < kNew; ++i) {
       ASSERT_EQ(store->Ingest(new_keys[i], 0.5), kCells + kOwn + i);

@@ -115,13 +115,17 @@ TEST(IngestShardTest, DrainMatchesInOrderAccumulate) {
     it->second.Accumulate(r.value);
   }
   EXPECT_EQ(shard.rows_appended(), rows.size());
-  auto drained = shard.Drain();
+  EpochDelta drained(kDims, 10);
+  shard.Drain(&drained);
   ASSERT_EQ(drained.size(), direct.size());
-  for (const auto& dc : drained) {
-    EXPECT_TRUE(dc.sketch.IdenticalTo(direct.at(dc.coords)));
+  for (size_t i = 0; i < drained.size(); ++i) {
+    EXPECT_TRUE(
+        drained.CellSketch(i).IdenticalTo(direct.at(drained.CellCoords(i))));
   }
   // The shard is empty after a drain.
-  EXPECT_TRUE(shard.Drain().empty());
+  EpochDelta again(kDims, 10);
+  shard.Drain(&again);
+  EXPECT_TRUE(again.empty());
 }
 
 // AppendBatch == the equivalent Append loop, including the buffer
@@ -142,11 +146,12 @@ TEST(IngestShardTest, AppendBatchBitIdenticalToAppendLoop) {
   batched.AppendBatch(coords, values.data() + 3, values.size() - 3);
   for (size_t i = 3; i < values.size(); ++i) looped.Append(coords, values[i]);
 
-  auto a = batched.Drain();
-  auto b = looped.Drain();
+  EpochDelta a(kDims, 10), b(kDims, 10);
+  batched.Drain(&a);
+  looped.Drain(&b);
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
-  EXPECT_TRUE(a[0].sketch.IdenticalTo(b[0].sketch));
+  EXPECT_TRUE(a.CellSketch(0).IdenticalTo(b.CellSketch(0)));
 }
 
 // AppendRows (the one-lock batched mixed-cell path) == the equivalent
@@ -164,13 +169,16 @@ TEST(IngestShardTest, AppendRowsBitIdenticalToAppendLoop) {
   for (const Row& r : rows) looped.Append(r.coords, r.value);
   EXPECT_EQ(batched.rows_appended(), looped.rows_appended());
 
-  auto a = batched.Drain();
-  auto b = looped.Drain();
+  EpochDelta a(kDims, 10), b(kDims, 10);
+  batched.Drain(&a);
+  looped.Drain(&b);
   ASSERT_EQ(a.size(), b.size());
   std::unordered_map<CubeCoords, MomentsSketch, CubeCoordsHash> ref;
-  for (auto& dc : b) ref.emplace(dc.coords, std::move(dc.sketch));
-  for (const auto& dc : a) {
-    EXPECT_TRUE(dc.sketch.IdenticalTo(ref.at(dc.coords)));
+  for (size_t i = 0; i < b.size(); ++i) {
+    ref.emplace(b.CellCoords(i), b.CellSketch(i));
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(a.CellSketch(i).IdenticalTo(ref.at(a.CellCoords(i))));
   }
 }
 
@@ -585,12 +593,14 @@ TEST(IngestShardTest, RingWraparoundAndFreelistExhaustionBackpressure) {
   std::atomic<bool> done{false};
   std::thread drainer([&] {
     auto drain_into = [&] {
-      for (auto& dc : shard.Drain()) {
-        auto it = merged.find(dc.coords);
+      EpochDelta drained(kDims, 10);
+      shard.Drain(&drained);
+      for (size_t i = 0; i < drained.size(); ++i) {
+        auto it = merged.find(drained.CellCoords(i));
         if (it == merged.end()) {
-          it = merged.emplace(dc.coords, MomentsSketch(10)).first;
+          it = merged.emplace(drained.CellCoords(i), MomentsSketch(10)).first;
         }
-        ASSERT_TRUE(it->second.Merge(dc.sketch).ok());
+        ASSERT_TRUE(it->second.Merge(drained.CellSketch(i)).ok());
       }
     };
     while (!done.load(std::memory_order_acquire)) {

@@ -3,6 +3,7 @@
 // backpressure stall budget, and the tentpole acceptance — a cube
 // killed at every injected crash point recovers bit-exact to its last
 // durable epoch.
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -15,6 +16,7 @@
 
 #include "common/bytes.h"
 #include "common/crc32c.h"
+#include "common/rng.h"
 #include "common/sealed_record.h"
 #include "core/compressed_sketch.h"
 #include "core/moments_sketch.h"
@@ -98,6 +100,30 @@ TEST(Crc32cTest, ExtendMatchesOneShot) {
   }
 }
 
+// The dispatched kernel (the SSE4.2 instruction where the host has it)
+// and the portable table kernel compute one function: the check value,
+// and random buffers of every length 0-4096 at every alignment 0-7,
+// including a running CRC carried in.
+TEST(Crc32cTest, HardwareAndPortableKernelsAgree) {
+  const uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(crc32c::ExtendPortable(0, check, sizeof(check)), 0xE3069283u);
+  EXPECT_EQ(crc32c::Extend(0, check, sizeof(check)), 0xE3069283u);
+  Rng rng(0xc3c32);
+  std::vector<uint8_t> buf(4096 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextBelow(256));
+  for (size_t len = 0; len <= 4096; ++len) {
+    for (size_t align = 0; align < 8; ++align) {
+      const uint8_t* p = buf.data() + align;
+      const uint32_t seed = static_cast<uint32_t>(len * 8 + align);
+      ASSERT_EQ(crc32c::Extend(seed, p, len),
+                crc32c::ExtendPortable(seed, p, len))
+          << "len " << len << " align " << align;
+    }
+  }
+  std::printf("crc32c kernel: %s\n",
+              crc32c::HardwareAccelerated() ? "sse4.2" : "portable");
+}
+
 TEST(Crc32cTest, MaskRoundTripsAndDisplaces) {
   for (uint32_t crc : {0u, 1u, 0xDEADBEEFu, 0xFFFFFFFFu, 0xE3069283u}) {
     EXPECT_EQ(crc32c::Unmask(crc32c::Mask(crc)), crc);
@@ -149,13 +175,15 @@ std::vector<uint8_t> EpochPayload(uint64_t epoch, const CubeCoords& coords,
   KllSketch kll(8);
   for (int i = 0; i < 40; ++i) kll.Accumulate(0.25 * i + epoch);
   BytesWriter w;
-  std::vector<DeltaRef> refs = {{&coords, &sketch, &kll}};
+  EpochDelta cells(num_dims, sketch.k());
+  const KllView kll_view = kll.View();
+  cells.Append(coords.data(), sketch, &kll_view);
   EncodeEpochRecord(
       epoch,
       std::vector<uint32_t>(num_dims, static_cast<uint32_t>(epoch - 1)),
       std::vector<std::vector<std::string>>(
           num_dims, {"value-" + std::to_string(epoch)}),
-      refs, &w);
+      cells, &w);
   return w.Take();
 }
 
@@ -215,15 +243,16 @@ TEST(WalTest, RoundTrip) {
     const uint64_t e = i + 1;
     EXPECT_EQ(records[i].epoch, e);
     ASSERT_EQ(records[i].cells.size(), 1u);
-    EXPECT_EQ(records[i].cells[0].coords,
+    EXPECT_EQ(records[i].cells.CellCoords(0),
               (CubeCoords{static_cast<uint32_t>(e), 0}));
     const MomentsSketch expect = SketchOf({1.0 * e, 2.0 * e, -0.5},
                                           WalFixture::kK);
-    EXPECT_EQ(records[i].cells[0].sketch.count(), expect.count());
-    EXPECT_EQ(records[i].cells[0].sketch.power_sums(), expect.power_sums());
-    EXPECT_EQ(records[i].cells[0].sketch.log_sums(), expect.log_sums());
-    EXPECT_TRUE(records[i].cells[0].has_kll);
-    EXPECT_EQ(records[i].cells[0].kll.count(), 40u);
+    const MomentsSketch got = records[i].cells.CellSketch(0);
+    EXPECT_EQ(got.count(), expect.count());
+    EXPECT_EQ(got.power_sums(), expect.power_sums());
+    EXPECT_EQ(got.log_sums(), expect.log_sums());
+    ASSERT_TRUE(records[i].cells.HasKll(0));
+    EXPECT_EQ(records[i].cells.KllHeaderOf(0)->n, 40u);
     EXPECT_EQ(records[i].dict_start,
               std::vector<uint32_t>(WalFixture::kDims, i));
     EXPECT_EQ(records[i].dict_values[1],
@@ -751,7 +780,8 @@ TEST(StallBudgetTest, ShardAppendFailsInsteadOfHangingForever) {
   EXPECT_GE(stats.deadline_events, 1u);
   EXPECT_GE(stats.rows_deadline_failed, 1u);
   // Draining unblocks: after the publisher recycles chunks, appends work.
-  (void)shard.Drain();
+  EpochDelta drained(1, 5);
+  shard.Drain(&drained);
   EXPECT_TRUE(shard.Append({0}, 1.0).ok());
 }
 
@@ -777,8 +807,10 @@ TEST(StallBudgetTest, AppendRowsFailsMidBatchWithCountedPartialState) {
   // The partial state is non-corrupt: draining yields exactly the
   // appended rows, and the shard keeps working afterwards.
   uint64_t drained_rows = 0;
-  for (const IngestShard::DeltaCell& cell : shard.Drain()) {
-    drained_rows += cell.sketch.count();
+  EpochDelta drained(1, 5);
+  shard.Drain(&drained);
+  for (size_t i = 0; i < drained.size(); ++i) {
+    drained_rows += drained.Moments().counts[i];
   }
   EXPECT_EQ(drained_rows, stats.rows_appended);
   EXPECT_TRUE(shard.Append({0}, 1.0).ok());

@@ -317,8 +317,11 @@ TEST(FrameTest, DetectsTornFlippedAndUnknownFrames) {
     kll.Accumulate(0.5 * i);
   }
   BytesWriter record;
-  EncodeEpochRecord(4, {2, 0}, {{"ap-south"}, {"api", "db"}},
-                    {{&coords, &sketch, &kll}}, &record);
+  EpochDelta cells(coords.size(), kK);
+  const KllView kll_view = kll.View();
+  cells.Append(coords.data(), sketch, &kll_view);
+  EncodeEpochRecord(4, {2, 0}, {{"ap-south"}, {"api", "db"}}, cells,
+                    &record);
   const std::vector<std::vector<uint8_t>> wires = {
       EncodeFrame(FrameType::kSnapEnd, EncodeSnapEnd(end)),
       EncodeFrame(FrameType::kDelta, record.bytes())};
@@ -618,19 +621,27 @@ TEST(ReplicationTest, RefusedRecordLeavesTheFollowerUnchanged) {
   const CubeCoords existing = expected->CoordsOf(0);
   const CubeCoords middle = expected->CoordsOf(1);
   const CubeCoords fresh = {dict_start[0], dict_start[1]};
-  MomentsSketch good(kK), bad(kK + 1);
-  KllSketch kll(kKllK);
+  MomentsSketch good(kK);
+  KllSketch kll(kKllK), bad(2 * kKllK);
   for (double x : {1.5, 2.5, 4.0}) {
     good.Accumulate(x);
-    bad.Accumulate(x);
     kll.Accumulate(x);
+    bad.Accumulate(x);
   }
-  auto record = [&](const MomentsSketch& mid) {
-    const std::vector<DeltaRef> cells = {
-        {&existing, &good, &kll}, {&middle, &mid, nullptr},
-        {&fresh, &good, &kll}};
+  const KllView kll_view = kll.View();
+  // The three cells, the middle one with `mid` as its KLL delta (null
+  // for none).
+  auto delta = [&](const KllSketch* mid) {
+    EpochDelta cells(kDims, kK);
+    const KllView mid_view = mid != nullptr ? mid->View() : kll_view;
+    cells.Append(existing.data(), good, &kll_view);
+    cells.Append(middle.data(), good, mid != nullptr ? &mid_view : nullptr);
+    cells.Append(fresh.data(), good, &kll_view);
+    return cells;
+  };
+  auto record = [&](const KllSketch* mid) {
     BytesWriter w;
-    EncodeEpochRecord(applied + 1, dict_start, dict_values, cells, &w);
+    EncodeEpochRecord(applied + 1, dict_start, dict_values, delta(mid), &w);
     return w.Take();
   };
   // Plays the leader's side of one round: the record, then the
@@ -649,19 +660,18 @@ TEST(ReplicationTest, RefusedRecordLeavesTheFollowerUnchanged) {
     return applier.SyncOnce(pipe.second.get());
   };
 
-  const Status refused = deliver(record(bad));
+  // A CRC-valid record the store refuses: the middle cell's KLL delta
+  // has the wrong k.
+  const Status refused = deliver(record(&bad));
   EXPECT_FALSE(refused.ok());
   EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(applier.applied_epoch(), applied);
   EXPECT_EQ(FollowerFingerprint(applier), before);
 
-  ASSERT_TRUE(deliver(record(good)).ok());
+  ASSERT_TRUE(deliver(record(nullptr)).ok());
   EXPECT_EQ(applier.applied_epoch(), applied + 1);
   // Each cell applied exactly once on top of the pre-record state.
-  const std::vector<DeltaRef> cells = {{&existing, &good, &kll},
-                                       {&middle, &good, nullptr},
-                                       {&fresh, &good, &kll}};
-  ASSERT_TRUE(expected->ApplyDeltas(cells.data(), cells.size()).ok());
+  ASSERT_TRUE(expected->ApplyDeltas(delta(nullptr)).ok());
   std::vector<std::vector<std::string>> values;
   applier.Inspect([&](const CubeStore&, const std::vector<Dictionary>& dicts) {
     for (const Dictionary& dict : dicts) {
